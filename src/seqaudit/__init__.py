@@ -7,10 +7,8 @@ from .core import (
     ErrorSpec,
     Hypothesis,
     RecordBatch,
-    SampleSets,
     Thresholds,
     TrialRecord,
-    partition_records,
     read_records_csv,
     thresholds_from_alphas,
     write_records_csv,

@@ -6,6 +6,7 @@ quantities are converted to bits only inside the estimators.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Optional, Union
@@ -184,33 +185,6 @@ def as_batch(records: Records, time_kind: str = SECONDS) -> RecordBatch:
     return RecordBatch.from_records(records, time_kind=time_kind)
 
 
-@dataclass
-class SampleSets:
-    """The four decision-time multisets keyed by (hypothesis, decision)."""
-
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-
-    def get(self, h: int, d: int) -> np.ndarray:
-        return getattr(self, f"a{h}{d}")
-
-    def total(self) -> int:
-        return len(self.a11) + len(self.a12) + len(self.a21) + len(self.a22)
-
-
-def partition_records(records: Records) -> SampleSets:
-    """Split decision times into the four (hypothesis, decision) subsets."""
-    batch = as_batch(records)
-    return SampleSets(
-        a11=batch.cell_times(1, 1),
-        a12=batch.cell_times(1, 2),
-        a21=batch.cell_times(2, 1),
-        a22=batch.cell_times(2, 2),
-    )
-
-
 CSV_HEADER = "hypothesis,decision,time,terminal_llr"
 
 
@@ -244,9 +218,10 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     """Read the interchange CSV.
 
     When ``time_kind`` is not given it is inferred: a file whose times are
-    all integral is treated as step-valued.
+    all integral is treated as step-valued.  Columns collect as raw bytes,
+    one per label and eight per float, not as boxed Python numbers.
     """
-    hs, ds, ts, ss = [], [], [], []
+    hs, ds, ts, ss = array("b"), array("b"), array("d"), array("d")
     with open(path, "r") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
@@ -273,14 +248,14 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
             ds.append(d)
             ts.append(t)
             ss.append(s)
-    time = np.array(ts, dtype=np.float64)
+    time = np.frombuffer(ts, dtype=np.float64)
     if time_kind is None:
         integral = time.size == 0 or bool(np.all(time == np.floor(time)))
         time_kind = STEPS if integral else SECONDS
     return RecordBatch(
-        hypothesis=np.array(hs, dtype=np.int8),
-        decision=np.array(ds, dtype=np.int8),
+        hypothesis=np.frombuffer(hs, dtype=np.int8),
+        decision=np.frombuffer(ds, dtype=np.int8),
         time=time,
-        terminal_llr=np.array(ss, dtype=np.float64),
+        terminal_llr=np.frombuffer(ss, dtype=np.float64),
         time_kind=time_kind,
     )

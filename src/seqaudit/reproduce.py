@@ -24,7 +24,13 @@ from .core import RecordBatch, Thresholds, ValidationError
 from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
 from .overshoot import overshoot_profile
 from .simulate import ExperimentConfig, run_experiment
-from .stats import Binning, conditional_mi_plugin, optimality_test_known_h
+from .stats import (
+    DISCRETE_NATIVE,
+    Binning,
+    _hdt_table,
+    conditional_mi_plugin,
+    optimality_test_known_h,
+)
 from .cli import mi_scan_rows
 
 DEFAULT_SCALE = {
@@ -57,19 +63,12 @@ def _write_csv(path: Path, header: str, rows) -> str:
 
 def _conditional_pmf_table(batch: RecordBatch) -> List[tuple]:
     """Rows (k, P(T=k|H=1,D=1), P(..|H=2,D=1), P(..|H=1,D=2), P(..|H=2,D=2))."""
-    ks = np.unique(batch.time).astype(int)
-    cols = []
-    for d in (1, 2):
-        for h in (1, 2):
-            times = batch.cell_times(h, d)
-            total = max(times.size, 1)
-            counts = {k: 0 for k in ks}
-            uk, uc = np.unique(times.astype(int), return_counts=True)
-            counts.update(dict(zip(uk, uc)))
-            cols.append({k: counts[k] / total for k in ks})
-    return [
-        (int(k), cols[0][k], cols[1][k], cols[2][k], cols[3][k]) for k in ks
-    ]
+    _, table = _hdt_table(batch, DISCRETE_NATIVE)
+    pmf = table / np.maximum(table.sum(axis=2, keepdims=True), 1)
+    # native bins are the distinct times; columns run (d, h) as in the header
+    cols = pmf.transpose(1, 0, 2).reshape(4, -1).T.tolist()
+    ks = np.unique(batch.time).astype(int).tolist()
+    return [(k, *p) for k, p in zip(ks, cols)]
 
 
 def _plot_script(path: Path, body: str) -> str:

@@ -21,10 +21,10 @@ from .core import (
     SECONDS,
     STEPS,
     EmptyCellError,
+    RecordBatch,
     Records,
     ValidationError,
     as_batch,
-    partition_records,
 )
 
 DEFAULT_MERGE_FLOOR = 5.0
@@ -84,7 +84,13 @@ def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> 
 BinningSpec = Union[Binning, str, None]
 
 
-def _resolve_binning(times: np.ndarray, binning: BinningSpec, time_kind: str) -> Binning:
+def _resolve_binning(
+    times: np.ndarray,
+    binning: BinningSpec,
+    time_kind: str,
+    n_bins: int = DEFAULT_QUANTILE_BINS,
+) -> Binning:
+    """Native bins for step-valued times, ``n_bins`` quantile bins otherwise."""
     if isinstance(binning, Binning):
         return binning
     if binning == DISCRETE_NATIVE or (binning is None and time_kind == STEPS):
@@ -94,7 +100,7 @@ def _resolve_binning(times: np.ndarray, binning: BinningSpec, time_kind: str) ->
             return Binning(edges=tuple(mid.tolist()))
         return Binning(edges=())
     if binning is None:
-        return quantile_binning(times)
+        return quantile_binning(times, n_bins=n_bins)
     raise ValidationError(f"unknown binning spec {binning!r}")
 
 
@@ -233,17 +239,43 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _joint_entropy(*labelings: np.ndarray) -> float:
-    stacked = np.stack(labelings, axis=1)
-    _, counts = np.unique(stacked, axis=0, return_counts=True)
-    return _entropy_bits(counts)
+def _hdt_table(
+    batch: RecordBatch, binning: BinningSpec, n_bins: int = DEFAULT_QUANTILE_BINS
+) -> Tuple[Binning, np.ndarray]:
+    """The binning and the (hypothesis, decision, time-bin) count table.
+
+    One ``bincount`` fills the 2 x 2 x K table; every plug-in entropy below
+    is a sum over it taken in (h, d, bin) order.
+    """
+    if len(batch) == 0:
+        raise EmptyCellError("no records")
+    bng = _resolve_binning(batch.time, binning, batch.time_kind, n_bins)
+    k = bng.n_bins
+    # the label columns are int8: widen before scaling by K
+    cell = (batch.hypothesis.astype(np.int64) - 1) * 2 + (batch.decision - 1)
+    table = np.bincount(cell * k + bng.assign(batch.time), minlength=4 * k)
+    return bng, table.reshape(2, 2, k)
+
+
+def _chain_rule(table: np.ndarray) -> Tuple[float, float, float]:
+    """(I(H;(D,T)), I(H;D), I(H;T|D)) in bits from an (H, D, bin) count table."""
+    hd = table.sum(axis=2)
+    h_ent = _entropy_bits(hd.sum(axis=1))
+    d_ent = _entropy_bits(hd.sum(axis=0))
+    hd_ent = _entropy_bits(hd)
+    dt_ent = _entropy_bits(table.sum(axis=0))
+    hdt_ent = _entropy_bits(table)
+    # I(H;T|D) = H(H,D) + H(D,T) - H(D) - H(H,D,T)
+    i_cond = hd_ent + dt_ent - d_ent - hdt_ent
+    return h_ent + dt_ent - hdt_ent, h_ent + d_ent - hd_ent, max(i_cond, 0.0)
 
 
 def mi_plugin(x_labels, y_values, binning: BinningSpec = DISCRETE_NATIVE) -> MIEstimate:
     """Generic two-variable plug-in mutual information in bits.
 
-    ``y_values`` are binned per ``binning`` (pass "discrete-native" for
-    categorical data); negative rounding artifacts are clipped at zero.
+    ``x_labels`` are categories (the table holds one row per distinct
+    label); ``y_values`` are binned per ``binning`` (pass "discrete-native"
+    for categorical data); negative rounding artifacts are clipped at zero.
     """
     x = np.asarray(x_labels)
     y = np.asarray(y_values, dtype=np.float64)
@@ -252,19 +284,18 @@ def mi_plugin(x_labels, y_values, binning: BinningSpec = DISCRETE_NATIVE) -> MIE
     if x.size == 0:
         raise EmptyCellError("cannot estimate mutual information from no samples")
     bng = _resolve_binning(y, binning, SECONDS)
-    yb = bng.assign(y)
+    k = bng.n_bins
+    labels, codes = np.unique(x, return_inverse=True)
+    table = np.bincount(
+        codes * k + bng.assign(y), minlength=labels.size * k
+    ).reshape(labels.size, k)
     value = (
-        _entropy_bits(np.unique(x, return_counts=True)[1])
-        + _entropy_bits(np.unique(yb, return_counts=True)[1])
-        - _joint_entropy(_codes(x), yb)
+        _entropy_bits(table.sum(axis=1))
+        + _entropy_bits(table.sum(axis=0))
+        - _entropy_bits(table)
     )
     out_binning = binning if binning == DISCRETE_NATIVE else bng
     return MIEstimate(value_bits=max(value, 0.0), n=int(x.size), binning=out_binning)
-
-
-def _codes(x: np.ndarray) -> np.ndarray:
-    _, inv = np.unique(x, return_inverse=True)
-    return inv
 
 
 def conditional_mi_plugin(
@@ -277,42 +308,18 @@ def conditional_mi_plugin(
     Times are binned once over the pooled sample (native values for
     step-valued records, equal-mass quantile bins otherwise); the estimate
     then satisfies the chain rule against :func:`mi_plugin` on the same
-    table exactly.  The plug-in estimator carries a positive bias of order
-    (cells/N); no correction is applied.
+    table exactly.  A binning string other than "discrete-native" raises
+    :class:`ValidationError`.  The plug-in estimator carries a positive bias
+    of order (cells/N); no correction is applied.
     """
     batch = as_batch(records)
-    if len(batch) == 0:
-        raise EmptyCellError("no records")
-    if isinstance(binning, Binning):
-        bng: Union[Binning, str] = binning
-    elif binning == DISCRETE_NATIVE or (binning is None and batch.time_kind == STEPS):
-        bng = _resolve_binning(batch.time, DISCRETE_NATIVE, STEPS)
-    else:
-        bng = quantile_binning(batch.time, n_bins=n_bins)
-    tb = bng.assign(batch.time)
-    h = batch.hypothesis
-    d = batch.decision
-    # I(H;T|D) = H(H,D) + H(D,T) - H(D) - H(H,D,T)
-    value = (
-        _joint_entropy(h, d)
-        + _joint_entropy(d, tb)
-        - _entropy_bits(np.unique(d, return_counts=True)[1])
-        - _joint_entropy(h, d, tb)
-    )
-    return MIEstimate(value_bits=max(value, 0.0), n=len(batch), binning=bng)
+    bng, table = _hdt_table(batch, binning, n_bins)
+    return MIEstimate(value_bits=_chain_rule(table)[2], n=len(batch), binning=bng)
 
 
 def mi_decomposition(records: Records, binning: BinningSpec = None, n_bins: int = DEFAULT_QUANTILE_BINS):
     """The chain-rule triple (I(H;(D,T)), I(H;D), I(H;T|D)) from one table."""
-    batch = as_batch(records)
-    est = conditional_mi_plugin(batch, binning=binning, n_bins=n_bins)
-    bng = est.binning
-    tb = bng.assign(batch.time) if isinstance(bng, Binning) else batch.time.astype(np.int64)
-    h, d = batch.hypothesis, batch.decision
-    h_ent = _entropy_bits(np.unique(h, return_counts=True)[1])
-    i_joint = h_ent + _joint_entropy(d, tb) - _joint_entropy(h, d, tb)
-    i_decision = h_ent + _entropy_bits(np.unique(d, return_counts=True)[1]) - _joint_entropy(h, d)
-    return i_joint, i_decision, est.value_bits
+    return _chain_rule(_hdt_table(as_batch(records), binning, n_bins)[1])
 
 
 def _two_sample_dispatch(a, b, time_kind: str, binning: BinningSpec = None) -> TestReport:
@@ -329,14 +336,14 @@ def optimality_test_known_h(records: Records, binning: BinningSpec = None) -> Tu
     small p-value rejects the null that the device is optimal.
     """
     batch = as_batch(records)
-    sets = partition_records(batch)
-    for h in (1, 2):
-        for d in (1, 2):
-            if sets.get(h, d).size == 0:
-                raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
-    report_d1 = _two_sample_dispatch(sets.a11, sets.a21, batch.time_kind, binning)
-    report_d2 = _two_sample_dispatch(sets.a12, sets.a22, batch.time_kind, binning)
-    return report_d1, report_d2
+    cells = {(h, d): batch.cell_times(h, d) for h in (1, 2) for d in (1, 2)}
+    for (h, d), times in cells.items():
+        if times.size == 0:
+            raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
+    return tuple(
+        _two_sample_dispatch(cells[1, d], cells[2, d], batch.time_kind, binning)
+        for d in (1, 2)
+    )
 
 
 def optimality_test_unknown_h(records: Records, binning: BinningSpec = None) -> TestReport:

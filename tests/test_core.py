@@ -13,7 +13,7 @@ from seqaudit.core import (
     Thresholds,
     TrialRecord,
     ValidationError,
-    partition_records,
+    as_batch,
     read_records_csv,
     thresholds_from_alphas,
     write_records_csv,
@@ -63,16 +63,24 @@ class TestThresholds:
             Thresholds(l1=1.0, l2=0.0)
 
 
+def cell_times(records):
+    """The four (hypothesis, decision) cells of ``RecordBatch.cell_times``."""
+    batch = as_batch(records)
+    return {(h, d): batch.cell_times(h, d) for h in (1, 2) for d in (1, 2)}
+
+
 class TestPartitionRecords:
+    """Records split into their four (hypothesis, decision) cells."""
+
     def test_empty_input(self):
-        sets = partition_records([])
-        assert sets.total() == 0
+        cells = cell_times([])
+        assert sum(t.size for t in cells.values()) == 0
 
     def test_single_record(self):
         rec = TrialRecord(Hypothesis.H1, Decision.D2, 5.0)
-        sets = partition_records([rec])
-        assert list(sets.a12) == [5.0]
-        assert sets.a11.size == 0 and sets.a21.size == 0 and sets.a22.size == 0
+        cells = cell_times([rec])
+        assert list(cells[1, 2]) == [5.0]
+        assert cells[1, 1].size == 0 and cells[2, 1].size == 0 and cells[2, 2].size == 0
 
     def test_cardinality_conservation(self):
         records = [
@@ -83,8 +91,8 @@ class TestPartitionRecords:
             TrialRecord(Hypothesis.H2, Decision.D2, 4.0),
             TrialRecord(Hypothesis.H1, Decision.D1, 1.0),
         ]
-        sets = partition_records(records)
-        assert sets.total() == 6
+        cells = cell_times(records)
+        assert sum(t.size for t in cells.values()) == 6
 
     @given(
         st.lists(
@@ -100,11 +108,11 @@ class TestPartitionRecords:
         records = [
             TrialRecord(Hypothesis(h), Decision(d), t) for h, d, t in rows
         ]
-        sets = partition_records(records)
+        cells = cell_times(records)
         rebuilt = []
         for h in (1, 2):
             for d in (1, 2):
-                rebuilt.extend((h, d, t) for t in sets.get(h, d))
+                rebuilt.extend((h, d, t) for t in cells[h, d])
         assert sorted(rebuilt) == sorted((h, d, t) for h, d, t in rows)
 
 
@@ -137,6 +145,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "records.csv"
         write_records_csv(path, batch)
         assert read_records_csv(path).time_kind == "seconds"
+
+    def test_header_only_file_reads_as_empty_batch(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("hypothesis,decision,time,terminal_llr\n")
+        back = read_records_csv(path)
+        assert len(back) == 0 and back.time_kind == "steps"
+        assert back.hypothesis.dtype == np.int8 and back.time.dtype == np.float64
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
