@@ -3,27 +3,14 @@
 __version__ = "0.1.0"
 
 from .core import (
-    Decision,
     ErrorSpec,
-    Hypothesis,
     RecordBatch,
     Thresholds,
-    TrialRecord,
     read_records_csv,
     thresholds_from_alphas,
     write_records_csv,
 )
-from .models import (
-    DriftDiffusionModel,
-    GaussianIIDModel,
-    MarkovGaussianModel,
-    WaldOutcome,
-    llr_increment_iid,
-    llr_increment_markov,
-    run_wald_continuous,
-    run_wald_discrete,
-    sample_observation,
-)
+from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
 from .simulate import ExperimentConfig, ExperimentResult, empirical_error_probs, run_experiment
 from .analytic import (
     ContinuousLLRParams,
@@ -33,7 +20,6 @@ from .analytic import (
     mean_decision_times,
     mutual_info_continuous,
     mutual_info_discretized,
-    sample_decision_outcome_asymptotic,
     sample_inverse_gaussian,
 )
 from .stats import (

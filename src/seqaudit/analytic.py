@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
-from .core import Decision, Hypothesis, Thresholds, TrialRecord, ValidationError
+from .core import Thresholds, ValidationError
 from .models import DriftDiffusionModel
 
 LN2 = math.log(2.0)
@@ -189,8 +189,8 @@ def _d2_bracket(t, l1: float, l2: float, b: float):
 
 def decision_time_density(
     t,
-    d: Decision,
-    h: Hypothesis,
+    d: int,
+    h: int,
     p: ContinuousLLRParams,
     th: Thresholds,
     min_ratio: float = REGIME_MIN_RATIO,
@@ -430,18 +430,3 @@ def sample_outcomes_asymptotic(
         if sel.any():
             t[sel] = _sample_d2_times(hyp, int(sel.sum()), p, th, rng)
     return h, d, t
-
-
-def sample_decision_outcome_asymptotic(
-    p: ContinuousLLRParams,
-    th: Thresholds,
-    p1: float,
-    rng: np.random.Generator,
-    min_ratio: float = REGIME_MIN_RATIO,
-) -> TrialRecord:
-    """Draw one trial record from the asymptotic outcome laws."""
-    h, d, t = sample_outcomes_asymptotic(p, th, p1, 1, rng, min_ratio=min_ratio)
-    terminal = th.l1 if d[0] == 1 else th.l2
-    return TrialRecord(
-        Hypothesis(int(h[0])), Decision(int(d[0])), float(t[0]), terminal_llr=terminal
-    )

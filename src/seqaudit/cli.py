@@ -79,7 +79,10 @@ MODEL_CLASSES = {
 
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     return parser
@@ -119,39 +122,42 @@ def build_model(cfg: configparser.ConfigParser):
 
 
 def build_device(cfg: configparser.ConfigParser, kind: str, model):
-    """World model from [device] overrides; matched when no override given."""
-    if "device" not in cfg:
-        return None, None
-    section = cfg["device"]
-    overrides = {
-        name: _get(section, name, cast=float)
-        for name in MODEL_FIELDS[kind]
-        if name in section
-    }
-    if kind == "lattice" and overrides:
-        raise ConfigError("lattice devices are always matched; remove belief overrides")
-    wm = replace(model, **overrides) if overrides else None
-    l1 = _get(section, "l1", cast=float)
-    l2 = _get(section, "l2", cast=float)
-    th = None
-    if l1 is not None or l2 is not None:
-        if l1 is None or l2 is None:
-            raise ConfigError("thresholds need both l1 and l2")
-        try:
-            th = Thresholds(l1, l2)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+    """World model and thresholds from [device].
+
+    The world model is None (matched) when no belief is overridden.  A
+    lattice device without l1/l2 takes its on-lattice thresholds; every
+    other device needs both.
+    """
+    wm = th = None
+    if "device" in cfg:
+        section = cfg["device"]
+        overrides = {
+            name: _get(section, name, cast=float)
+            for name in MODEL_FIELDS[kind]
+            if name in section
+        }
+        if kind == "lattice" and overrides:
+            raise ConfigError("lattice devices are always matched; remove belief overrides")
+        wm = replace(model, **overrides) if overrides else None
+        l1 = _get(section, "l1", cast=float)
+        l2 = _get(section, "l2", cast=float)
+        if l1 is not None or l2 is not None:
+            if l1 is None or l2 is None:
+                raise ConfigError("thresholds need both l1 and l2")
+            try:
+                th = Thresholds(l1, l2)
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from exc
+    if th is None:
+        if kind != "lattice":
+            raise ConfigError("missing [device] l1/l2 thresholds")
+        th = model.thresholds
     return wm, th
 
 
 def build_experiment(cfg: configparser.ConfigParser, seed_override=None) -> ExperimentConfig:
     kind, model = build_model(cfg)
     wm, th = build_device(cfg, kind, model)
-    if th is None:
-        if kind == "lattice":
-            th = model.thresholds
-        else:
-            raise ConfigError("missing [device] l1/l2 thresholds")
     if "experiment" not in cfg:
         raise ConfigError("missing [experiment] section")
     section = cfg["experiment"]
@@ -338,7 +344,7 @@ def cmd_mi_scan(args) -> int:
     if parameter not in MODEL_FIELDS[kind]:
         raise ConfigError(f"scan parameter {parameter!r} is not a field of {kind}")
     if "values" in section:
-        values = [float(v) for v in section["values"].split(",")]
+        values = _get(section, "values", cast=lambda raw: [float(v) for v in raw.split(",")])
     else:
         start = _get(section, "start", required=True)
         stop = _get(section, "stop", required=True)
@@ -373,16 +379,13 @@ def cmd_overshoot(args) -> int:
     if kind == "drift_diffusion":
         raise ConfigError("overshoot diagnostics apply to discrete models only")
     wm, th = build_device(cfg, kind, model)
-    if th is None and kind == "lattice":
-        th = model.thresholds
-    if th is None:
-        raise ConfigError("missing [device] l1/l2 thresholds")
-    section = cfg["overshoot"] if "overshoot" in cfg else {}
-    trials = int(section.get("trials", "1000000"))
+    # without an [overshoot] section every key takes its default
+    section = cfg["overshoot"] if "overshoot" in cfg else cfg[cfg.default_section]
+    trials = _get(section, "trials", cast=int, default=1_000_000)
     estimator = section.get("estimator", "direct")
-    mass_threshold = float(section.get("mass_threshold", "0.9"))
-    max_steps = int(section.get("max_steps", "2000"))
-    seed = args.seed if args.seed is not None else int(section.get("seed", "1"))
+    mass_threshold = _get(section, "mass_threshold", default=0.9)
+    max_steps = _get(section, "max_steps", cast=int, default=2000)
+    seed = args.seed if args.seed is not None else _get(section, "seed", cast=int, default=1)
     device = wm if wm is not None else model
     series = overshoot_profile(
         model, device, th, trials, seed=seed, max_steps=max_steps, estimator=estimator

@@ -1,4 +1,4 @@
-"""Shared domain types: hypotheses, decisions, thresholds, trial records.
+"""Shared domain types: thresholds, error specifications, trial records.
 
 Log-likelihood ratios are carried in nats throughout; information-theoretic
 quantities are converted to bits only inside the estimators.
@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
-from enum import IntEnum
-from typing import Iterable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,16 +26,6 @@ class SchemaError(ValueError):
 
 class EmptyCellError(ValueError):
     """A statistical operation requires samples in a cell that is empty."""
-
-
-class Hypothesis(IntEnum):
-    H1 = 1
-    H2 = 2
-
-
-class Decision(IntEnum):
-    D1 = 1
-    D2 = 2
 
 
 @dataclass(frozen=True)
@@ -87,31 +76,14 @@ def thresholds_from_alphas(spec: ErrorSpec) -> Thresholds:
     )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One black-box outcome: true hypothesis, decision, decision time.
-
-    ``time`` counts observation steps for discrete devices and seconds for
-    continuous ones.  ``terminal_llr`` is an optional diagnostic: the value
-    of the device's cumulative log-likelihood ratio when it stopped.
-    """
-
-    hypothesis: Hypothesis
-    decision: Decision
-    time: float
-    terminal_llr: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValidationError(f"decision time must be nonnegative, got {self.time}")
-
-
 class RecordBatch:
-    """Columnar container for trial records.
+    """Columnar trial records: true hypothesis, decision, decision time.
 
-    Equivalent to a sequence of :class:`TrialRecord` but cheap at 10^6+
-    records.  ``time_kind`` tags the time representation (``"steps"`` or
-    ``"seconds"``); statistical modules dispatch on it.
+    The hypothesis and decision columns hold 1 or 2.  ``time`` counts steps
+    for discrete devices and seconds for continuous ones; ``time_kind``
+    tags which (``"steps"`` or ``"seconds"``), and statistical modules
+    dispatch on it.  ``terminal_llr`` is an optional diagnostic, NaN when
+    absent: the device's cumulative log-likelihood ratio when it stopped.
     """
 
     __slots__ = ("hypothesis", "decision", "time", "terminal_llr", "time_kind")
@@ -142,47 +114,13 @@ class RecordBatch:
         if (self.time < 0).any():
             raise ValidationError("decision times must be nonnegative")
 
-    @classmethod
-    def from_records(
-        cls, records: Iterable[TrialRecord], time_kind: str = SECONDS
-    ) -> "RecordBatch":
-        rows = list(records)
-        return cls(
-            hypothesis=np.array([int(r.hypothesis) for r in rows], dtype=np.int8),
-            decision=np.array([int(r.decision) for r in rows], dtype=np.int8),
-            time=np.array([r.time for r in rows], dtype=np.float64),
-            terminal_llr=np.array(
-                [np.nan if r.terminal_llr is None else r.terminal_llr for r in rows]
-            ),
-            time_kind=time_kind,
-        )
-
     def __len__(self) -> int:
         return len(self.hypothesis)
 
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for h, d, t, s in zip(self.hypothesis, self.decision, self.time, self.terminal_llr):
-            yield TrialRecord(
-                Hypothesis(int(h)),
-                Decision(int(d)),
-                float(t),
-                None if np.isnan(s) else float(s),
-            )
-
     def cell_times(self, h: int, d: int) -> np.ndarray:
-        """Decision times of the records with hypothesis ``h`` and decision ``d``."""
+        """Times of the records with hypothesis ``h`` and decision ``d``."""
         mask = (self.hypothesis == h) & (self.decision == d)
         return self.time[mask]
-
-
-Records = Union[RecordBatch, Iterable[TrialRecord]]
-
-
-def as_batch(records: Records, time_kind: str = SECONDS) -> RecordBatch:
-    """Coerce any record sequence to a :class:`RecordBatch`."""
-    if isinstance(records, RecordBatch):
-        return records
-    return RecordBatch.from_records(records, time_kind=time_kind)
 
 
 CSV_HEADER = "hypothesis,decision,time,terminal_llr"

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
-from .core import Decision, Hypothesis, Thresholds, TrialRecord, ValidationError
+from .core import ValidationError
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class GaussianIIDModel:
             + (x - self.mu2) ** 2 / (2.0 * self.sigma2**2)
             - (x - self.mu1) ** 2 / (2.0 * self.sigma1**2)
         )
-
-    @property
-    def is_markov(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -82,10 +77,6 @@ class MarkovGaussianModel:
             - r1**2 / (2.0 * self.sigma1**2)
         )
 
-    @property
-    def is_markov(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class DriftDiffusionModel:
@@ -100,109 +91,12 @@ class DriftDiffusionModel:
             raise ValidationError("noise amplitude must be positive")
 
 
-DiscreteModel = Union[GaussianIIDModel, MarkovGaussianModel]
-WorldModel = Union[GaussianIIDModel, MarkovGaussianModel, DriftDiffusionModel]
-
-
-def llr_increment_iid(x: float, wm: GaussianIIDModel) -> float:
-    """Per-observation log-likelihood-ratio increment believed by an i.i.d. device."""
-    return float(wm.llr_increment(x))
-
-
-def llr_increment_markov(x_prev: float, x_cur: float, wm: MarkovGaussianModel) -> float:
-    """Per-observation increment believed by a Markov-Gaussian device."""
-    return float(wm.llr_increment(x_cur, x_prev))
-
-
-def sample_observation(
-    model, h: Hypothesis, rng: np.random.Generator, x_prev: float = 0.0
-) -> float:
-    """Draw one observation from the h-conditioned law of ``model``."""
-    return float(model.sample(int(h), rng, x_prev=x_prev))
-
-
-@dataclass(frozen=True)
-class WaldOutcome:
-    """Result of one device run.
-
-    Truncated runs (the observation window elapsed with the walk still
-    inside the thresholds) carry no record and are excluded from all
-    statistics downstream.
-    """
-
-    record: Optional[TrialRecord]
-    time: float
-    truncated: bool
-
-
-def run_wald_discrete(
-    model,
-    wm,
-    th: Thresholds,
-    h: Hypothesis,
-    max_steps: int,
-    rng: np.random.Generator,
-) -> WaldOutcome:
-    """Run one discrete-time Wald trial.
-
-    Observations come from ``model`` under hypothesis ``h``; the device
-    accumulates ``wm``'s increments until the sum leaves (l2, l1) or
-    ``max_steps`` elapses.
-    """
-    if max_steps < 1:
-        raise ValidationError("max_steps must be >= 1")
-    s = 0.0
-    x_prev = 0.0
-    for k in range(1, max_steps + 1):
-        x = float(model.sample(int(h), rng, x_prev=x_prev))
-        s += float(wm.llr_increment(x, x_prev))
-        x_prev = x
-        if s >= th.l1 or s <= th.l2:
-            d = Decision.D1 if s >= th.l1 else Decision.D2
-            rec = TrialRecord(Hypothesis(int(h)), d, float(k), terminal_llr=s)
-            return WaldOutcome(record=rec, time=float(k), truncated=False)
-    return WaldOutcome(record=None, time=float(max_steps), truncated=True)
-
-
-def run_wald_continuous(
-    model: DriftDiffusionModel,
-    wm: DriftDiffusionModel,
-    th: Thresholds,
-    h: Hypothesis,
-    dt: float,
-    t_max: float,
-    rng: np.random.Generator,
-) -> WaldOutcome:
-    """Run one continuous-time Wald trial by Euler-Maruyama integration.
-
-    The device's log-likelihood ratio is itself a drift-diffusion, so it is
-    integrated directly; the terminal value is clamped to the crossed
-    threshold, which is exact in the continuum limit.
-    """
-    from .analytic import continuous_llr_params
-
-    if dt <= 0 or t_max <= dt:
-        raise ValidationError("need dt > 0 and t_max > dt")
-    p = continuous_llr_params(model, wm)
-    a = p.a1 if int(h) == 1 else p.a2
-    taus, ds, terms, decided = _wald_continuous_block(
-        np.full(1, a), p.b, th, dt, t_max, rng
-    )
-    if not decided[0]:
-        return WaldOutcome(record=None, time=t_max, truncated=True)
-    rec = TrialRecord(
-        Hypothesis(int(h)),
-        Decision(int(ds[0])),
-        float(taus[0]),
-        terminal_llr=float(terms[0]),
-    )
-    return WaldOutcome(record=rec, time=float(taus[0]), truncated=False)
-
-
 def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
     """Vectorized discrete trials; one stream drives the whole block.
 
     Returns (times, decisions, terminal_llrs, decided) arrays over the block.
+    A trial still inside (l2, l1) after ``max_steps`` is truncated: decision
+    0, time 0, terminal NaN, and ``decided`` False.
     """
     n = len(h)
     s = np.zeros(n)
@@ -231,7 +125,12 @@ def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
 
 
 def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float, rng):
-    """Vectorized Euler-Maruyama runs of dS = a dt + sqrt(2b) dW per trial."""
+    """Vectorized Euler-Maruyama runs of dS = a dt + sqrt(2b) dW per trial.
+
+    The device's log-likelihood ratio is itself a drift-diffusion, so it is
+    integrated directly; the terminal value is clamped to the crossed
+    threshold, which is exact in the continuum limit.
+    """
     n = len(a)
     s = np.zeros(n)
     times = np.zeros(n)

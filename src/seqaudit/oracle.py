@@ -56,10 +56,6 @@ class LatticeBernoulliModel:
     def llr_increment(self, x, x_prev=None):
         return np.asarray(x, dtype=np.float64) * self.step
 
-    @property
-    def is_markov(self) -> bool:
-        return False
-
 
 @dataclass
 class ExactLaw:

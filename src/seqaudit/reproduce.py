@@ -61,14 +61,46 @@ def _write_csv(path: Path, header: str, rows) -> str:
     return str(path)
 
 
-def _conditional_pmf_table(batch: RecordBatch) -> List[tuple]:
-    """Rows (k, P(T=k|H=1,D=1), P(..|H=2,D=1), P(..|H=1,D=2), P(..|H=2,D=2))."""
+def _conditional_pmf_table(batch: RecordBatch, pool_hypotheses: bool = False) -> List[tuple]:
+    """Rows (k, P(T=k|H=1,D=1), P(..|H=2,D=1), P(..|H=1,D=2), P(..|H=2,D=2)).
+
+    With ``pool_hypotheses`` the rows are (k, P(T=k|D=1), P(T=k|D=2)).
+    """
     _, table = _hdt_table(batch, DISCRETE_NATIVE)
+    if pool_hypotheses:
+        table = table.sum(axis=0, keepdims=True)
     pmf = table / np.maximum(table.sum(axis=2, keepdims=True), 1)
     # native bins are the distinct times; columns run (d, h) as in the header
-    cols = pmf.transpose(1, 0, 2).reshape(4, -1).T.tolist()
+    cols = pmf.transpose(1, 0, 2).reshape(-1, pmf.shape[2]).T.tolist()
     ks = np.unique(batch.time).astype(int).tolist()
     return [(k, *p) for k, p in zip(ks, cols)]
+
+
+def _pmf_panels(out_dir: Path, figure: str, base: ExperimentConfig, panels, threads: int) -> List[str]:
+    """Run each panel's device and write its conditional pmf and error rates.
+
+    Panel ``name`` runs ``base`` with world model ``panels[name]`` and seed
+    ``base.seed + ord(name)``.
+    """
+    outputs = []
+    for name, wm in panels.items():
+        cfg = replace(base, seed=base.seed + ord(name), world_model=wm)
+        res = run_experiment(cfg, threads=threads)
+        outputs.append(
+            _write_csv(
+                out_dir / f"{figure}{name}_pmf.csv",
+                "k,p_h1_d1,p_h2_d1,p_h1_d2,p_h2_d2",
+                _conditional_pmf_table(res.records),
+            )
+        )
+        outputs.append(
+            _write_csv(
+                out_dir / f"{figure}{name}_alphas.csv",
+                "alpha1_hat,alpha2_hat,trials,truncated",
+                [(res.alpha1_hat, res.alpha2_hat, cfg.trials, res.truncated_count)],
+            )
+        )
+    return outputs
 
 
 def _plot_script(path: Path, body: str) -> str:
@@ -90,36 +122,14 @@ def _plot_script(path: Path, body: str) -> str:
 
 def _fig2(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     trials = max(int(1_000_000 * scale), 10_000)
-    outputs = []
+    base = ExperimentConfig(
+        model=IID_MODEL, thresholds=IID_TH, trials=trials, seed=seed, window=400
+    )
     panels = {
         "a": None,
         "b": GaussianIIDModel(mu1=0.0, mu2=5.0, sigma1=5.0, sigma2=10.0),
     }
-    for name, wm in panels.items():
-        cfg = ExperimentConfig(
-            model=IID_MODEL,
-            thresholds=IID_TH,
-            trials=trials,
-            seed=seed + ord(name),
-            world_model=wm,
-            window=400,
-        )
-        res = run_experiment(cfg, threads=threads)
-        rows = _conditional_pmf_table(res.records)
-        outputs.append(
-            _write_csv(
-                out_dir / f"fig2{name}_pmf.csv",
-                "k,p_h1_d1,p_h2_d1,p_h1_d2,p_h2_d2",
-                rows,
-            )
-        )
-        outputs.append(
-            _write_csv(
-                out_dir / f"fig2{name}_alphas.csv",
-                "alpha1_hat,alpha2_hat,trials,truncated",
-                [(res.alpha1_hat, res.alpha2_hat, trials, res.truncated_count)],
-            )
-        )
+    outputs = _pmf_panels(out_dir, "fig2", base, panels, threads)
     body = (
         "fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))\n"
         "for ax, panel in zip(axes, 'ab'):\n"
@@ -256,18 +266,7 @@ def _fig5(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
         window=800,
     )
     batch = run_experiment(cfg, threads=threads).records
-    ks = np.unique(batch.time).astype(int)
-    rows = []
-    t1 = batch.time[batch.decision == 1]
-    t2 = batch.time[batch.decision == 2]
-    for k in ks:
-        rows.append(
-            (
-                int(k),
-                float((t1 == k).sum() / max(t1.size, 1)),
-                float((t2 == k).sum() / max(t2.size, 1)),
-            )
-        )
+    rows = _conditional_pmf_table(batch, pool_hypotheses=True)
     path = _write_csv(out_dir / "fig5_pmf.csv", "k,p_t_given_d1,p_t_given_d2", rows)
     body = (
         "rows = load('fig5_pmf.csv')\n"
@@ -287,36 +286,14 @@ def _fig5(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
 def _fig6(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     trials = max(int(10_000_000 * scale), 10_000)
     model = MarkovGaussianModel(v1=1.0, v2=-1.0, w1=-1.0, w2=-1.0, sigma1=5.0, sigma2=5.0)
+    base = ExperimentConfig(
+        model=model, thresholds=Thresholds(4.0, -4.0), trials=trials, seed=seed, window=800
+    )
     panels = {
         "a": None,
         "b": replace(model, w2=-0.5),
     }
-    outputs = []
-    for name, wm in panels.items():
-        cfg = ExperimentConfig(
-            model=model,
-            thresholds=Thresholds(4.0, -4.0),
-            trials=trials,
-            seed=seed + ord(name),
-            world_model=wm,
-            window=800,
-        )
-        res = run_experiment(cfg, threads=threads)
-        rows = _conditional_pmf_table(res.records)
-        outputs.append(
-            _write_csv(
-                out_dir / f"fig6{name}_pmf.csv",
-                "k,p_h1_d1,p_h2_d1,p_h1_d2,p_h2_d2",
-                rows,
-            )
-        )
-        outputs.append(
-            _write_csv(
-                out_dir / f"fig6{name}_alphas.csv",
-                "alpha1_hat,alpha2_hat,trials,truncated",
-                [(res.alpha1_hat, res.alpha2_hat, trials, res.truncated_count)],
-            )
-        )
+    outputs = _pmf_panels(out_dir, "fig6", base, panels, threads)
     body = (
         "fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))\n"
         "for ax, panel in zip(axes, 'ab'):\n"

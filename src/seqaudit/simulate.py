@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Records plus summary statistics of one experiment."""
+    """The records plus summary statistics of one experiment."""
 
     records: RecordBatch
     truncated_count: int
@@ -92,14 +92,13 @@ class ExperimentResult:
         return len(self.records) + self.truncated_count
 
 
-def empirical_error_probs(records: Union[ExperimentResult, RecordBatch]) -> Tuple[float, float]:
+def empirical_error_probs(records: RecordBatch) -> Tuple[float, float]:
     """Conditional error frequencies over decided trials.
 
     alpha1_hat = #(D=1, H=2) / #(H=2 decided) and
     alpha2_hat = #(D=2, H=1) / #(H=1 decided).
     """
-    batch = records.records if isinstance(records, ExperimentResult) else records
-    h, d = batch.hypothesis, batch.decision
+    h, d = records.hypothesis, records.decision
     n_h1 = int((h == 1).sum())
     n_h2 = int((h == 2).sum())
     if n_h1 == 0 or n_h2 == 0:

@@ -17,15 +17,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import gammaincc
 
-from .core import (
-    SECONDS,
-    STEPS,
-    EmptyCellError,
-    RecordBatch,
-    Records,
-    ValidationError,
-    as_batch,
-)
+from .core import SECONDS, STEPS, EmptyCellError, RecordBatch, ValidationError
 
 DEFAULT_MERGE_FLOOR = 5.0
 DEFAULT_QUANTILE_BINS = 32
@@ -299,7 +291,7 @@ def mi_plugin(x_labels, y_values, binning: BinningSpec = DISCRETE_NATIVE) -> MIE
 
 
 def conditional_mi_plugin(
-    records: Records,
+    records: RecordBatch,
     binning: BinningSpec = None,
     n_bins: int = DEFAULT_QUANTILE_BINS,
 ) -> MIEstimate:
@@ -312,14 +304,13 @@ def conditional_mi_plugin(
     :class:`ValidationError`.  The plug-in estimator carries a positive bias
     of order (cells/N); no correction is applied.
     """
-    batch = as_batch(records)
-    bng, table = _hdt_table(batch, binning, n_bins)
-    return MIEstimate(value_bits=_chain_rule(table)[2], n=len(batch), binning=bng)
+    bng, table = _hdt_table(records, binning, n_bins)
+    return MIEstimate(value_bits=_chain_rule(table)[2], n=len(records), binning=bng)
 
 
-def mi_decomposition(records: Records, binning: BinningSpec = None, n_bins: int = DEFAULT_QUANTILE_BINS):
+def mi_decomposition(records: RecordBatch, binning: BinningSpec = None, n_bins: int = DEFAULT_QUANTILE_BINS):
     """The chain-rule triple (I(H;(D,T)), I(H;D), I(H;T|D)) from one table."""
-    return _chain_rule(_hdt_table(as_batch(records), binning, n_bins)[1])
+    return _chain_rule(_hdt_table(records, binning, n_bins)[1])
 
 
 def _two_sample_dispatch(a, b, time_kind: str, binning: BinningSpec = None) -> TestReport:
@@ -328,34 +319,32 @@ def _two_sample_dispatch(a, b, time_kind: str, binning: BinningSpec = None) -> T
     return ks_two_sample(a, b)
 
 
-def optimality_test_known_h(records: Records, binning: BinningSpec = None) -> Tuple[TestReport, TestReport]:
+def optimality_test_known_h(records: RecordBatch, binning: BinningSpec = None) -> Tuple[TestReport, TestReport]:
     """Known-hypothesis optimality test.
 
     Compares decision times across hypotheses within each decision cell:
     (H=1, D=1) against (H=2, D=1) and (H=1, D=2) against (H=2, D=2).  A
     small p-value rejects the null that the device is optimal.
     """
-    batch = as_batch(records)
-    cells = {(h, d): batch.cell_times(h, d) for h in (1, 2) for d in (1, 2)}
+    cells = {(h, d): records.cell_times(h, d) for h in (1, 2) for d in (1, 2)}
     for (h, d), times in cells.items():
         if times.size == 0:
             raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
     return tuple(
-        _two_sample_dispatch(cells[1, d], cells[2, d], batch.time_kind, binning)
+        _two_sample_dispatch(cells[1, d], cells[2, d], records.time_kind, binning)
         for d in (1, 2)
     )
 
 
-def optimality_test_unknown_h(records: Records, binning: BinningSpec = None) -> TestReport:
+def optimality_test_unknown_h(records: RecordBatch, binning: BinningSpec = None) -> TestReport:
     """Unknown-hypothesis optimality test.
 
     Compares decision times across decisions only; valid when the caller
     asserts the observation statistics are involution-symmetric and the
     device ran with symmetric error constraints (l1 = -l2).
     """
-    batch = as_batch(records)
-    t1 = batch.time[batch.decision == 1]
-    t2 = batch.time[batch.decision == 2]
+    t1 = records.time[records.decision == 1]
+    t2 = records.time[records.decision == 2]
     if t1.size == 0 or t2.size == 0:
         raise EmptyCellError("both decisions must be present")
-    return _two_sample_dispatch(t1, t2, batch.time_kind, binning)
+    return _two_sample_dispatch(t1, t2, records.time_kind, binning)

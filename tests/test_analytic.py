@@ -16,7 +16,6 @@ from seqaudit.analytic import (
     mean_decision_times,
     mutual_info_continuous,
     mutual_info_discretized,
-    sample_decision_outcome_asymptotic,
     sample_inverse_gaussian,
     sample_outcomes_asymptotic,
     _ig_cdf,
@@ -359,9 +358,9 @@ class TestAsymptoticOutcomeSampler:
         assert t[sel].mean() == pytest.approx(m.d2_h2, abs=4 * sem)
 
     def test_single_record_interface(self):
-        rec = sample_decision_outcome_asymptotic(MATCHED, TH44, 0.5, rng(14))
-        assert rec.time > 0
-        assert rec.terminal_llr in (TH44.l1, TH44.l2)
+        h, d, t = sample_outcomes_asymptotic(MATCHED, TH44, 0.5, 1, rng(14))
+        assert t.shape == (1,) and t[0] > 0
+        assert h[0] in (1, 2) and d[0] in (1, 2)
 
 
 class TestRegime:

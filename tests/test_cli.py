@@ -74,6 +74,13 @@ class TestSimulateCommand:
         assert "pelican" in capsys.readouterr().err
 
 
+    def test_unparsable_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("seed = 314", "seed = 314\nseed = 315"))
+        assert run_cli("--out-dir", tmp_path, "simulate", bad) == 2
+        assert "seed" in capsys.readouterr().err
+
+
 class TestTestCommand:
     def test_known_h_on_simulated_records(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -120,6 +127,49 @@ class TestMiScanCommand:
         cfg.write_text(BASE_CONFIG + "\n[scan]\nparameter = volume\nvalues = 1.0\n")
         assert run_cli("--out-dir", tmp_path, "mi-scan", cfg) == 2
         assert "volume" in capsys.readouterr().err
+
+
+    def test_bad_grid_value_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text(BASE_CONFIG + "\n[scan]\nparameter = mu2\nvalues = 0.8,abc\n")
+        assert run_cli("--out-dir", tmp_path, "mi-scan", cfg) == 2
+        assert "values" in capsys.readouterr().err
+
+
+def overshoot_config(**overrides):
+    """Lattice device with small [overshoot] settings, ``overrides`` applied."""
+    settings = {"trials": "2000", "max_steps": "200", "seed": "5", **overrides}
+    return "[model]\nkind = lattice\np = 0.8\nm1 = 2\nm2 = 2\n\n[overshoot]\n" + "".join(
+        f"{key} = {value}\n" for key, value in settings.items()
+    )
+
+
+class TestOvershootCommand:
+    def test_lattice_profile_and_manifest(self, tmp_path):
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(overshoot_config())
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "overshoot", cfg) == 0
+        rows = (out / "overshoot.csv").read_text().splitlines()
+        assert len(rows) > 1
+        manifest = json.loads((out / "manifest_overshoot.json").read_text())
+        assert manifest["command"] == "overshoot"
+        assert manifest["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "key,bad", [("trials", "abc"), ("mass_threshold", "high"), ("max_steps", "2.5"), ("seed", "x")]
+    )
+    def test_bad_value_names_key(self, tmp_path, capsys, key, bad):
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(overshoot_config(**{key: bad}))
+        assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
+        assert key in capsys.readouterr().err
+
+    def test_missing_thresholds_named(self, tmp_path, capsys):
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(BASE_CONFIG.replace("l1 = 4.0\nl2 = -2.0\n", "") + "[overshoot]\ntrials = 10\n")
+        assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
+        assert "l1/l2" in capsys.readouterr().err
 
 
 class TestAnalyticCommand:

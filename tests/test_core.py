@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqaudit.core import (
-    Decision,
     ErrorSpec,
-    Hypothesis,
     RecordBatch,
     SchemaError,
     Thresholds,
-    TrialRecord,
     ValidationError,
-    as_batch,
     read_records_csv,
     thresholds_from_alphas,
     write_records_csv,
@@ -63,35 +59,34 @@ class TestThresholds:
             Thresholds(l1=1.0, l2=0.0)
 
 
-def cell_times(records):
-    """The four (hypothesis, decision) cells of ``RecordBatch.cell_times``."""
-    batch = as_batch(records)
+def cell_times(rows):
+    """The four (hypothesis, decision) cells of ``RecordBatch.cell_times``.
+
+    ``rows`` are (hypothesis, decision, time) triples, built into columns.
+    """
+    batch = RecordBatch(
+        hypothesis=np.array([h for h, _, _ in rows], dtype=np.int8),
+        decision=np.array([d for _, d, _ in rows], dtype=np.int8),
+        time=np.array([t for _, _, t in rows], dtype=np.float64),
+    )
     return {(h, d): batch.cell_times(h, d) for h in (1, 2) for d in (1, 2)}
 
 
 class TestPartitionRecords:
-    """Records split into their four (hypothesis, decision) cells."""
+    """The records split into their four (hypothesis, decision) cells."""
 
     def test_empty_input(self):
         cells = cell_times([])
         assert sum(t.size for t in cells.values()) == 0
 
     def test_single_record(self):
-        rec = TrialRecord(Hypothesis.H1, Decision.D2, 5.0)
-        cells = cell_times([rec])
+        cells = cell_times([(1, 2, 5.0)])
         assert list(cells[1, 2]) == [5.0]
         assert cells[1, 1].size == 0 and cells[2, 1].size == 0 and cells[2, 2].size == 0
 
     def test_cardinality_conservation(self):
-        records = [
-            TrialRecord(Hypothesis.H1, Decision.D1, 1.0),
-            TrialRecord(Hypothesis.H1, Decision.D2, 2.0),
-            TrialRecord(Hypothesis.H2, Decision.D1, 3.0),
-            TrialRecord(Hypothesis.H2, Decision.D2, 4.0),
-            TrialRecord(Hypothesis.H2, Decision.D2, 4.0),
-            TrialRecord(Hypothesis.H1, Decision.D1, 1.0),
-        ]
-        cells = cell_times(records)
+        rows = [(1, 1, 1.0), (1, 2, 2.0), (2, 1, 3.0), (2, 2, 4.0), (2, 2, 4.0), (1, 1, 1.0)]
+        cells = cell_times(rows)
         assert sum(t.size for t in cells.values()) == 6
 
     @given(
@@ -105,10 +100,7 @@ class TestPartitionRecords:
         )
     )
     def test_round_trip_multiset(self, rows):
-        records = [
-            TrialRecord(Hypothesis(h), Decision(d), t) for h, d, t in rows
-        ]
-        cells = cell_times(records)
+        cells = cell_times(rows)
         rebuilt = []
         for h in (1, 2):
             for d in (1, 2):
@@ -170,4 +162,4 @@ class TestCsvRoundTrip:
 
     def test_negative_time_rejected_in_record(self):
         with pytest.raises(ValidationError):
-            TrialRecord(Hypothesis.H1, Decision.D1, -0.5)
+            RecordBatch(hypothesis=np.array([1]), decision=np.array([1]), time=np.array([-0.5]))

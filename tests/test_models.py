@@ -4,66 +4,71 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from seqaudit.core import Decision, Hypothesis, Thresholds, ValidationError
+from seqaudit.core import Thresholds, ValidationError
 from seqaudit.models import (
     DriftDiffusionModel,
     GaussianIIDModel,
     MarkovGaussianModel,
-    llr_increment_iid,
-    llr_increment_markov,
-    run_wald_continuous,
-    run_wald_discrete,
-    sample_observation,
     _wald_continuous_block,
+    _wald_discrete_block,
 )
 from seqaudit.oracle import LatticeBernoulliModel
+from seqaudit.simulate import ExperimentConfig
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def one_trial(model, wm, th, h, max_steps, g):
+    """One discrete trial: a one-row block on the caller's generator."""
+    times, decisions, terminal, decided = _wald_discrete_block(
+        model, wm, th, np.array([h], dtype=np.int8), max_steps, g
+    )
+    return times[0], decisions[0], terminal[0], decided[0]
+
+
 class TestLLRIncrementIID:
     def test_fig2_worldmodel_at_zero(self):
         wm = GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0)
         # ln 2 + 0.005
-        assert llr_increment_iid(0.0, wm) == pytest.approx(0.6981471805599453, abs=1e-12)
+        assert wm.llr_increment(0.0) == pytest.approx(0.6981471805599453, abs=1e-12)
 
     def test_symmetry_point_is_exact_zero(self):
         wm = GaussianIIDModel(mu1=2.0, mu2=-2.0, sigma1=3.0, sigma2=3.0)
-        assert llr_increment_iid(0.0, wm) == 0.0
+        assert wm.llr_increment(0.0) == 0.0
 
     def test_symmetric_unit_variance_closed_form(self):
         wm = GaussianIIDModel(mu1=1.0, mu2=-1.0, sigma1=1.0, sigma2=1.0)
-        assert llr_increment_iid(0.5, wm) == pytest.approx(1.0, abs=1e-15)
+        assert wm.llr_increment(0.5) == pytest.approx(1.0, abs=1e-15)
 
     @given(st.floats(-50, 50))
     def test_symmetric_model_increment_is_odd(self, x):
         # sign-flipping the observation flips the increment exactly, the
         # involution behind the unknown-hypothesis test
         wm = GaussianIIDModel(mu1=1.5, mu2=-1.5, sigma1=2.0, sigma2=2.0)
-        assert llr_increment_iid(-x, wm) == -llr_increment_iid(x, wm)
+        assert wm.llr_increment(-x) == -wm.llr_increment(x)
 
 
 class TestLLRIncrementMarkov:
     WM = MarkovGaussianModel(v1=1.0, v2=-1.0, w1=-1.0, w2=-1.0, sigma1=5.0, sigma2=5.0)
 
     def test_symmetric_residuals_cancel(self):
-        assert llr_increment_markov(0.0, 0.0, self.WM) == 0.0
+        assert self.WM.llr_increment(0.0, 0.0) == 0.0
 
     def test_hand_value(self):
-        assert llr_increment_markov(0.0, 1.0, self.WM) == pytest.approx(0.08, abs=1e-15)
+        assert self.WM.llr_increment(1.0, 0.0) == pytest.approx(0.08, abs=1e-15)
 
     def test_residual_free_case_gives_pure_log_term(self):
         wm = MarkovGaussianModel(v1=0.0, v2=0.0, w1=-1.0, w2=-1.0, sigma1=2.0, sigma2=4.0)
         # both residuals vanish at x_cur = 0, x_prev = 0
-        assert llr_increment_markov(0.0, 0.0, wm) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert wm.llr_increment(0.0, 0.0) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 class TestSampleObservation:
     def test_degenerate_sigma_concentrates_at_mean(self):
         model = GaussianIIDModel(mu1=3.0, mu2=0.0, sigma1=1e-12, sigma2=1.0)
-        x = sample_observation(model, Hypothesis.H1, rng(1))
+        x = model.sample(1, rng(1))
         assert x == pytest.approx(3.0, abs=1e-6)
 
     def test_sample_mean_matches_h2_mean(self):
@@ -83,14 +88,14 @@ class TestRunWaldDiscrete:
         model = LatticeBernoulliModel(p=0.8, m1=2, m2=2)
         th = Thresholds(l1=0.1, l2=-0.1)  # below the ln 4 step size
         for seed in range(5):
-            out = run_wald_discrete(model, model, th, Hypothesis.H1, 100, rng(seed))
-            assert out.record.time == 1.0
+            time, _, _, _ = one_trial(model, model, th, 1, 100, rng(seed))
+            assert time == 1.0
 
     def test_truncation_flagged(self):
         model = GaussianIIDModel(mu1=0.0, mu2=0.1, sigma1=50.0, sigma2=50.0)
         th = Thresholds(l1=500.0, l2=-500.0)
-        out = run_wald_discrete(model, model, th, Hypothesis.H1, 5, rng(4))
-        assert out.truncated and out.record is None
+        _, decision, _, decided = one_trial(model, model, th, 1, 5, rng(4))
+        assert not decided and decision == 0
 
     def test_gamblers_ruin_decision_probability(self):
         model = LatticeBernoulliModel(p=0.8, m1=2, m2=2)
@@ -100,8 +105,8 @@ class TestRunWaldDiscrete:
         n = 4000
         wins = 0
         for _ in range(n):
-            out = run_wald_discrete(model, model, th, Hypothesis.H1, 200, g)
-            wins += out.record.decision == Decision.D1
+            _, decision, _, _ = one_trial(model, model, th, 1, 200, g)
+            wins += decision == 1
         p_exact = 0.9411764705882353
         sigma = math.sqrt(p_exact * (1 - p_exact) / n)
         assert wins / n == pytest.approx(p_exact, abs=3 * sigma)
@@ -111,9 +116,8 @@ class TestRunWaldDiscrete:
         th = Thresholds(l1=4.0, l2=-2.0)
         g = rng(6)
         for _ in range(50):
-            out = run_wald_discrete(model, model, th, Hypothesis.H2, 500, g)
-            if out.record is not None:
-                s = out.record.terminal_llr
+            _, _, s, decided = one_trial(model, model, th, 2, 500, g)
+            if decided:
                 assert s >= th.l1 or s <= th.l2
 
 
@@ -138,8 +142,8 @@ class TestScaleFamilyOptimality:
         # believed means shifted but mu1~ + mu2~ = mu1 + mu2 holds
         wm = GaussianIIDModel(mu1=-1.0, mu2=2.0, sigma1=4.0, sigma2=4.0)
         c = (obs.sigma1 / wm.sigma1) ** 2 * (wm.mu1 - wm.mu2) / (obs.mu1 - obs.mu2)
-        lhs = llr_increment_iid(x, wm)
-        rhs = c * llr_increment_iid(x, obs)
+        lhs = wm.llr_increment(x)
+        rhs = c * obs.llr_increment(x)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -168,12 +172,17 @@ class TestRunWaldContinuous:
     def test_mean_upper_decision_time(self):
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
         th = Thresholds(l1=4.0, l2=-10.0)  # deep lower threshold
+        from seqaudit.analytic import continuous_llr_params
+
+        p = continuous_llr_params(obs, obs)
         g = rng(9)
         outs = []
         for _ in range(800):
-            out = run_wald_continuous(obs, obs, th, Hypothesis.H1, 1.0, 4000.0, g)
-            if out.record is not None and out.record.decision == Decision.D1:
-                outs.append(out.record.time)
+            times, decisions, _, _ = _wald_continuous_block(
+                np.full(1, p.a1), p.b, th, 1.0, 4000.0, g
+            )
+            if decisions[0] == 1:
+                outs.append(times[0])
         mean_t = float(np.mean(outs))
         assert mean_t == pytest.approx(200.0, rel=0.05)
 
@@ -223,7 +232,9 @@ class TestRunWaldContinuous:
     def test_validation(self):
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
         with pytest.raises(ValidationError):
-            run_wald_continuous(obs, obs, Thresholds(1, -1), Hypothesis.H1, 0.0, 10.0, rng(0))
+            ExperimentConfig(
+                model=obs, thresholds=Thresholds(1, -1), trials=1, seed=0, window=10.0, dt=0.0
+            )
 
 
 class TestModelValidation:
