@@ -349,9 +349,9 @@ def cmd_mi_scan(args) -> int:
         start = _get(section, "start", required=True)
         stop = _get(section, "stop", required=True)
         points = _get(section, "points", cast=int, required=True)
+        if points < 1:
+            raise ConfigError(f"[scan] points must be >= 1, got {points}")
         values = np.linspace(start, stop, points).tolist()
-    if not values:
-        raise ConfigError("empty scan grid")
     rows = mi_scan_rows(base, parameter, values, threads=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -418,12 +418,14 @@ def cmd_analytic(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"analytic_{args.quantity.replace('-', '_')}.csv"
     lines: List[str] = []
-    if args.quantity == "error-probs":
+    if args.quantity in ("error-probs", "mean-times", "density"):
+        if args.l2 is None:
+            raise ConfigError(f"--quantity {args.quantity} needs --l2")
         th = Thresholds(args.l1, args.l2)
+    if args.quantity == "error-probs":
         a1, a2 = error_probs_continuous(p, th)
         lines = ["alpha1,alpha2", f"{a1!r},{a2!r}"]
     elif args.quantity == "mean-times":
-        th = Thresholds(args.l1, args.l2)
         m = mean_decision_times(p, th)
         lines = [
             "cell,mean_time",
@@ -434,7 +436,6 @@ def cmd_analytic(args) -> int:
             f"wald_d1,{m.wald_d1!r}",
         ]
     elif args.quantity == "density":
-        th = Thresholds(args.l1, args.l2)
         grid = _parse_grid(args.grid)
         lines = ["t,d,h,density"]
         for d in (1, 2):
@@ -450,7 +451,7 @@ def cmd_analytic(args) -> int:
         grid = _parse_grid(args.grid)
         lines = ["t_r,mi_bits"]
         lines.extend(
-            f"{tr!r},{mutual_info_discretized(p, args.l1, tr)!r}" for tr in grid
+            f"{float(tr)!r},{mutual_info_discretized(p, args.l1, tr)!r}" for tr in grid
         )
     else:
         raise ConfigError(f"unknown quantity {args.quantity!r}")

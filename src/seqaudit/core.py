@@ -117,6 +117,15 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.hypothesis)
 
+    def cell_code(self) -> np.ndarray:
+        """Each record's (H, D) cell as the int64 code (h-1)*2 + (d-1)."""
+        # the label columns are int8: widen before a caller scales the code
+        return (self.hypothesis.astype(np.int64) - 1) * 2 + (self.decision - 1)
+
+    def cell_counts(self) -> np.ndarray:
+        """Record counts per (H, D) cell, a 2 x 2 array indexed [h-1, d-1]."""
+        return np.bincount(self.cell_code(), minlength=4).reshape(2, 2)
+
     def cell_times(self, h: int, d: int) -> np.ndarray:
         """Times of the records with hypothesis ``h`` and decision ``d``."""
         mask = (self.hypothesis == h) & (self.decision == d)

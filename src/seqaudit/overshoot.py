@@ -31,7 +31,6 @@ class OvershootSeries:
     value: np.ndarray
     count: np.ndarray
     pmf: np.ndarray
-    estimator: str = "direct"
 
     def __post_init__(self) -> None:
         if np.any(self.value[self.count > 0] < 1.0 - 1e-9):
@@ -95,7 +94,7 @@ def overshoot_profile(
         np.add.at(wsum, idx, w)
         value = counts / wsum
         mass = wsum / wsum.sum()
-    return OvershootSeries(k=k_grid, value=value, count=counts, pmf=mass, estimator=estimator)
+    return OvershootSeries(k=k_grid, value=value, count=counts, pmf=mass)
 
 
 def condition51_flatness(series: OvershootSeries, mass_threshold: float = 0.9) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,9 +35,10 @@ class ExperimentConfig:
     """Fully specified Monte Carlo experiment.
 
     ``window`` is the maximum number of observations for discrete devices
-    and the maximum observation time for continuous ones; trials that do
-    not decide within it are recorded as truncated.  ``world_model`` of
-    None means the device is matched to the observation model.
+    (a whole number, kept as an int) and the maximum observation time for
+    continuous ones; trials that do not decide within it are recorded as
+    truncated.  ``world_model`` of None means the device is matched to the
+    observation model.
     """
 
     model: object
@@ -55,13 +56,17 @@ class ExperimentConfig:
             raise ValidationError("trials must be >= 1")
         if not (0.0 <= self.p1 <= 1.0):
             raise ValidationError("prior p1 must lie in [0, 1]")
-        if self.window <= 0:
-            raise ValidationError("observation window must be positive")
+        if not 0 < self.window < math.inf:
+            raise ValidationError(f"window must be positive and finite, got {self.window}")
         if self.is_continuous:
-            if self.dt is None or self.dt <= 0 or self.window <= self.dt:
+            if self.dt is None or not 0 < self.dt < self.window:
                 raise ValidationError("continuous runs need 0 < dt < window")
         elif self.dt is not None:
             raise ValidationError("dt applies to continuous models only")
+        elif not float(self.window).is_integer():
+            raise ValidationError(f"discrete window must be a whole number, got {self.window}")
+        else:
+            object.__setattr__(self, "window", int(self.window))
 
     @property
     def is_continuous(self) -> bool:
@@ -84,12 +89,7 @@ class ExperimentResult:
     truncated_count: int
     alpha1_hat: float
     alpha2_hat: float
-    mean_times: Dict[Tuple[int, int], float]
     config: ExperimentConfig
-
-    @property
-    def trials(self) -> int:
-        return len(self.records) + self.truncated_count
 
 
 def empirical_error_probs(records: RecordBatch) -> Tuple[float, float]:
@@ -98,14 +98,11 @@ def empirical_error_probs(records: RecordBatch) -> Tuple[float, float]:
     alpha1_hat = #(D=1, H=2) / #(H=2 decided) and
     alpha2_hat = #(D=2, H=1) / #(H=1 decided).
     """
-    h, d = records.hypothesis, records.decision
-    n_h1 = int((h == 1).sum())
-    n_h2 = int((h == 2).sum())
+    counts = records.cell_counts().tolist()
+    n_h1, n_h2 = sum(counts[0]), sum(counts[1])
     if n_h1 == 0 or n_h2 == 0:
         raise EmptyCellError("need at least one decided trial per hypothesis")
-    alpha1 = int(((h == 2) & (d == 1)).sum()) / n_h2
-    alpha2 = int(((h == 1) & (d == 2)).sum()) / n_h1
-    return alpha1, alpha2
+    return counts[1][0] / n_h2, counts[0][1] / n_h1
 
 
 def _block_hypotheses(cfg: ExperimentConfig, start: int, n: int, rng) -> np.ndarray:
@@ -129,7 +126,7 @@ def _run_block(cfg: ExperimentConfig, block_index: int, start: int, n: int):
         )
     else:
         times, decisions, terminal, decided = _wald_discrete_block(
-            cfg.model, cfg.device, cfg.thresholds, h, int(cfg.window), rng
+            cfg.model, cfg.device, cfg.thresholds, h, cfg.window, rng
         )
     return h, times, decisions, terminal, decided
 
@@ -173,17 +170,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         a1, a2 = empirical_error_probs(batch)
     except EmptyCellError:
         a1 = a2 = math.nan
-    mean_times = {}
-    for hh in (1, 2):
-        for dd in (1, 2):
-            cell = batch.cell_times(hh, dd)
-            mean_times[(hh, dd)] = float(cell.mean()) if cell.size else math.nan
     return ExperimentResult(
         records=batch,
         truncated_count=truncated,
         alpha1_hat=a1,
         alpha2_hat=a2,
-        mean_times=mean_times,
         config=cfg,
     )
 

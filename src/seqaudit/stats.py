@@ -48,7 +48,6 @@ class Binning:
     """
 
     edges: Tuple[float, ...]
-    merge_floor: float = DEFAULT_MERGE_FLOOR
 
     def __post_init__(self) -> None:
         e = np.asarray(self.edges, dtype=np.float64)
@@ -76,13 +75,8 @@ def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> 
 BinningSpec = Union[Binning, str, None]
 
 
-def _resolve_binning(
-    times: np.ndarray,
-    binning: BinningSpec,
-    time_kind: str,
-    n_bins: int = DEFAULT_QUANTILE_BINS,
-) -> Binning:
-    """Native bins for step-valued times, ``n_bins`` quantile bins otherwise."""
+def _resolve_binning(times: np.ndarray, binning: BinningSpec, time_kind: str) -> Binning:
+    """Native bins for step-valued times, quantile bins otherwise."""
     if isinstance(binning, Binning):
         return binning
     if binning == DISCRETE_NATIVE or (binning is None and time_kind == STEPS):
@@ -92,7 +86,7 @@ def _resolve_binning(
             return Binning(edges=tuple(mid.tolist()))
         return Binning(edges=())
     if binning is None:
-        return quantile_binning(times, n_bins=n_bins)
+        return quantile_binning(times)
     raise ValidationError(f"unknown binning spec {binning!r}")
 
 
@@ -137,30 +131,33 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
 
 
 def chi2_two_sample(
-    a: Sequence[float],
-    b: Sequence[float],
-    binning: BinningSpec = None,
-    merge_floor: Optional[float] = None,
+    a: Sequence[float], b: Sequence[float], binning: BinningSpec = None
 ) -> TestReport:
     """Two-sample chi-squared homogeneity test for step-valued decision times.
 
     Native values become categories, then bins merge greedily to the right
-    until every expected count reaches the merge floor (taken from the
-    binning when one is supplied).  The p-value is the regularized upper
-    incomplete gamma at (bins - 1) degrees of freedom.
+    until every expected count reaches ``DEFAULT_MERGE_FLOOR``.  The p-value
+    is the regularized upper incomplete gamma at (bins - 1) degrees of
+    freedom.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    n1, n2 = a.size, b.size
-    if n1 < 1 or n2 < 1:
+    if a.size < 1 or b.size < 1:
         raise EmptyCellError("both samples must be nonempty")
-    pooled = np.concatenate([a, b])
-    bng = _resolve_binning(pooled, binning, STEPS)
-    if merge_floor is None:
-        merge_floor = bng.merge_floor
-    idx_a = np.bincount(bng.assign(a), minlength=bng.n_bins).astype(np.float64)
-    idx_b = np.bincount(bng.assign(b), minlength=bng.n_bins).astype(np.float64)
-    merged_a, merged_b, edges_out = _merge_bins(idx_a, idx_b, bng, merge_floor)
+    bng = _resolve_binning(np.concatenate([a, b]), binning, STEPS)
+    return _chi2_counts(
+        np.bincount(bng.assign(a), minlength=bng.n_bins),
+        np.bincount(bng.assign(b), minlength=bng.n_bins),
+        bng,
+    )
+
+
+def _chi2_counts(row_a: np.ndarray, row_b: np.ndarray, binning: Binning) -> TestReport:
+    """The chi-squared test of two samples given as counts over ``binning``."""
+    counts_a = np.asarray(row_a, dtype=np.float64)
+    counts_b = np.asarray(row_b, dtype=np.float64)
+    n1, n2 = int(counts_a.sum()), int(counts_b.sum())
+    merged_a, merged_b, edges_out = _merge_bins(counts_a, counts_b, binning)
     k = merged_a.size
     if k < 2:
         raise ValidationError(
@@ -180,14 +177,14 @@ def chi2_two_sample(
     )
 
 
-def _merge_bins(counts_a, counts_b, bng: Binning, merge_floor: float):
+def _merge_bins(counts_a, counts_b, bng: Binning):
     """Greedy right-merge until each sample's expected count clears the floor."""
     n1, n2 = counts_a.sum(), counts_b.sum()
     n = n1 + n2
     n_min = min(n1, n2)
     pooled = counts_a + counts_b
     # a bin is viable when the smaller sample's expected count reaches the floor
-    need = merge_floor * n / n_min if n_min > 0 else math.inf
+    need = DEFAULT_MERGE_FLOOR * n / n_min if n_min > 0 else math.inf
     out_a, out_b, cuts = [], [], []
     acc_a = acc_b = 0.0
     inner_edges = list(bng.edges) + [math.inf]
@@ -231,21 +228,18 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _hdt_table(
-    batch: RecordBatch, binning: BinningSpec, n_bins: int = DEFAULT_QUANTILE_BINS
-) -> Tuple[Binning, np.ndarray]:
+def _hdt_table(batch: RecordBatch, binning: BinningSpec) -> Tuple[Binning, np.ndarray]:
     """The binning and the (hypothesis, decision, time-bin) count table.
 
     One ``bincount`` fills the 2 x 2 x K table; every plug-in entropy below
-    is a sum over it taken in (h, d, bin) order.
+    is a sum over it taken in (h, d, bin) order, and the step-valued
+    chi-squared tests compare its rows.
     """
     if len(batch) == 0:
         raise EmptyCellError("no records")
-    bng = _resolve_binning(batch.time, binning, batch.time_kind, n_bins)
+    bng = _resolve_binning(batch.time, binning, batch.time_kind)
     k = bng.n_bins
-    # the label columns are int8: widen before scaling by K
-    cell = (batch.hypothesis.astype(np.int64) - 1) * 2 + (batch.decision - 1)
-    table = np.bincount(cell * k + bng.assign(batch.time), minlength=4 * k)
+    table = np.bincount(batch.cell_code() * k + bng.assign(batch.time), minlength=4 * k)
     return bng, table.reshape(2, 2, k)
 
 
@@ -290,11 +284,7 @@ def mi_plugin(x_labels, y_values, binning: BinningSpec = DISCRETE_NATIVE) -> MIE
     return MIEstimate(value_bits=max(value, 0.0), n=int(x.size), binning=out_binning)
 
 
-def conditional_mi_plugin(
-    records: RecordBatch,
-    binning: BinningSpec = None,
-    n_bins: int = DEFAULT_QUANTILE_BINS,
-) -> MIEstimate:
+def conditional_mi_plugin(records: RecordBatch, binning: BinningSpec = None) -> MIEstimate:
     """Plug-in estimate of I(hypothesis; time | decision) in bits.
 
     Times are binned once over the pooled sample (native values for
@@ -304,19 +294,13 @@ def conditional_mi_plugin(
     :class:`ValidationError`.  The plug-in estimator carries a positive bias
     of order (cells/N); no correction is applied.
     """
-    bng, table = _hdt_table(records, binning, n_bins)
+    bng, table = _hdt_table(records, binning)
     return MIEstimate(value_bits=_chain_rule(table)[2], n=len(records), binning=bng)
 
 
-def mi_decomposition(records: RecordBatch, binning: BinningSpec = None, n_bins: int = DEFAULT_QUANTILE_BINS):
+def mi_decomposition(records: RecordBatch, binning: BinningSpec = None):
     """The chain-rule triple (I(H;(D,T)), I(H;D), I(H;T|D)) from one table."""
-    return _chain_rule(_hdt_table(records, binning, n_bins)[1])
-
-
-def _two_sample_dispatch(a, b, time_kind: str, binning: BinningSpec = None) -> TestReport:
-    if time_kind == STEPS:
-        return chi2_two_sample(a, b, binning=binning)
-    return ks_two_sample(a, b)
+    return _chain_rule(_hdt_table(records, binning)[1])
 
 
 def optimality_test_known_h(records: RecordBatch, binning: BinningSpec = None) -> Tuple[TestReport, TestReport]:
@@ -324,15 +308,19 @@ def optimality_test_known_h(records: RecordBatch, binning: BinningSpec = None) -
 
     Compares decision times across hypotheses within each decision cell:
     (H=1, D=1) against (H=2, D=1) and (H=1, D=2) against (H=2, D=2).  A
-    small p-value rejects the null that the device is optimal.
+    small p-value rejects the null that the device is optimal.  Step-valued
+    records are compared on rows of the count table, real-valued ones by KS.
     """
-    cells = {(h, d): records.cell_times(h, d) for h in (1, 2) for d in (1, 2)}
-    for (h, d), times in cells.items():
-        if times.size == 0:
-            raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
+    counts = records.cell_counts()
+    for h in (1, 2):
+        for d in (1, 2):
+            if counts[h - 1, d - 1] == 0:
+                raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
+    if records.time_kind == STEPS:
+        bng, table = _hdt_table(records, binning)
+        return tuple(_chi2_counts(table[0, d], table[1, d], bng) for d in (0, 1))
     return tuple(
-        _two_sample_dispatch(cells[1, d], cells[2, d], records.time_kind, binning)
-        for d in (1, 2)
+        ks_two_sample(records.cell_times(1, d), records.cell_times(2, d)) for d in (1, 2)
     )
 
 
@@ -343,8 +331,10 @@ def optimality_test_unknown_h(records: RecordBatch, binning: BinningSpec = None)
     asserts the observation statistics are involution-symmetric and the
     device ran with symmetric error constraints (l1 = -l2).
     """
-    t1 = records.time[records.decision == 1]
-    t2 = records.time[records.decision == 2]
-    if t1.size == 0 or t2.size == 0:
+    if (records.cell_counts().sum(axis=0) == 0).any():
         raise EmptyCellError("both decisions must be present")
-    return _two_sample_dispatch(t1, t2, records.time_kind, binning)
+    if records.time_kind == STEPS:
+        bng, table = _hdt_table(records, binning)
+        by_decision = table.sum(axis=0)
+        return _chi2_counts(by_decision[0], by_decision[1], bng)
+    return ks_two_sample(records.time[records.decision == 1], records.time[records.decision == 2])

@@ -243,13 +243,13 @@ class TestMutualInfoContinuous:
         rest = d == 2
         t[rest] = sample_inverse_gaussian(50.0, 100.0, g, size=int(rest.sum()))
         batch = RecordBatch(h, d, t, time_kind="seconds")
-        n_bins = 256  # fine enough that binning loss sits below the bias level
-        i_joint, i_dec, i_cond = mi_decomposition(batch, n_bins=n_bins)
-        # delta method: the plug-in is the mean of per-record information
-        # densities, so its sampling error follows from their variance
         from seqaudit.stats import quantile_binning
 
+        n_bins = 256  # fine enough that binning loss sits below the bias level
         bng = quantile_binning(t, n_bins=n_bins)
+        i_joint, i_dec, i_cond = mi_decomposition(batch, binning=bng)
+        # delta method: the plug-in is the mean of per-record information
+        # densities, so its sampling error follows from their variance
         tb = bng.assign(t)
         code = (h.astype(np.int64) * 2 + d) * (tb.max() + 1) + tb
         dcode = d.astype(np.int64) * (tb.max() + 1) + tb

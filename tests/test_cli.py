@@ -80,6 +80,11 @@ class TestSimulateCommand:
         assert run_cli("--out-dir", tmp_path, "simulate", bad) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_fractional_window_is_config_error(self, tmp_path, config_path, capsys):
+        config_path.write_text(BASE_CONFIG.replace("window = 300", "window = 0.5"))
+        assert run_cli("--out-dir", tmp_path, "simulate", config_path) == 2
+        assert "window" in capsys.readouterr().err
+
 
 class TestTestCommand:
     def test_known_h_on_simulated_records(self, tmp_path, config_path):
@@ -134,6 +139,14 @@ class TestMiScanCommand:
         cfg.write_text(BASE_CONFIG + "\n[scan]\nparameter = mu2\nvalues = 0.8,abc\n")
         assert run_cli("--out-dir", tmp_path, "mi-scan", cfg) == 2
         assert "values" in capsys.readouterr().err
+
+    def test_negative_points_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text(
+            BASE_CONFIG + "\n[scan]\nparameter = mu2\nstart = 0.5\nstop = 1.5\npoints = -1\n"
+        )
+        assert run_cli("--out-dir", tmp_path, "mi-scan", cfg) == 2
+        assert "points" in capsys.readouterr().err
 
 
 def overshoot_config(**overrides):
@@ -203,6 +216,7 @@ class TestAnalyticCommand:
         )
         assert code == 0
         lines = (out / "analytic_mi_discretized.csv").read_text().splitlines()[1:]
+        assert [float(l.split(",")[0]) for l in lines] == [10.0, 20.0, 40.0, 80.0, 160.0]
         vals = [float(l.split(",")[1]) for l in lines]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -213,6 +227,15 @@ class TestAnalyticCommand:
         )
         assert code == 4
         assert "regime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity", ["error-probs", "mean-times", "density"])
+    def test_missing_l2_names_option(self, tmp_path, capsys, quantity):
+        code = run_cli(
+            "--out-dir", tmp_path, "analytic", "--quantity", quantity,
+            "--a1", "0.02", "--a2", "-0.02", "--b", "0.02", "--l1", "4",
+        )
+        assert code == 2
+        assert "--l2" in capsys.readouterr().err
 
     def test_density_table(self, tmp_path):
         out = tmp_path / "out"

@@ -1,26 +1,34 @@
 """The (hypothesis, decision, time-bin) count table against sample-path formulas.
 
-Every plug-in information estimate in ``seqaudit.stats`` and the conditional
-pmf table of ``seqaudit.reproduce`` read one count table.  The reference
-functions below are the formulas they replaced: joint entropies from
-``np.unique(axis=0)`` over stacked label rows, and per-cell ``np.unique``
-counts.  Both sides sum the same counts in the same order, so the values
-must be equal, not merely close.
+Every plug-in information estimate in ``seqaudit.stats``, the step-valued
+optimality tests, the empirical error rates and the conditional pmf table of
+``seqaudit.reproduce`` read one count table.  The reference functions below
+are the formulas they replaced: joint entropies from ``np.unique(axis=0)``
+over stacked label rows, per-cell ``np.unique`` counts, per-cell masks, and
+chi-squared tests binned apart on each panel's own samples.  Both sides sum
+the same counts in the same order, so the values must be equal, not merely
+close.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaincc
 
-from seqaudit.core import STEPS, RecordBatch, Thresholds, ValidationError
+from seqaudit import stats
+from seqaudit.core import STEPS, EmptyCellError, RecordBatch, Thresholds, ValidationError
 from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.reproduce import _conditional_pmf_table
-from seqaudit.simulate import ExperimentConfig, run_experiment
+from seqaudit.simulate import ExperimentConfig, empirical_error_probs, run_experiment
 from seqaudit.stats import (
     DISCRETE_NATIVE,
     Binning,
     conditional_mi_plugin,
     mi_decomposition,
     mi_plugin,
+    optimality_test_known_h,
+    optimality_test_unknown_h,
     quantile_binning,
 )
 
@@ -48,16 +56,16 @@ def ref_native_binning(times):
     return Binning(edges=tuple(((values[:-1] + values[1:]) / 2.0).tolist()))
 
 
-def ref_binning(batch, binning, n_bins):
+def ref_binning(batch, binning):
     if isinstance(binning, Binning):
         return binning
     if binning == DISCRETE_NATIVE or (binning is None and batch.time_kind == STEPS):
         return ref_native_binning(batch.time)
-    return quantile_binning(batch.time, n_bins=n_bins)
+    return quantile_binning(batch.time)
 
 
-def ref_conditional_mi(batch, binning=None, n_bins=32):
-    tb = ref_binning(batch, binning, n_bins).assign(batch.time)
+def ref_conditional_mi(batch, binning=None):
+    tb = ref_binning(batch, binning).assign(batch.time)
     h, d = batch.hypothesis, batch.decision
     value = (
         ref_joint_entropy(h, d)
@@ -68,13 +76,13 @@ def ref_conditional_mi(batch, binning=None, n_bins=32):
     return max(value, 0.0)
 
 
-def ref_mi_decomposition(batch, binning=None, n_bins=32):
-    tb = ref_binning(batch, binning, n_bins).assign(batch.time)
+def ref_mi_decomposition(batch, binning=None):
+    tb = ref_binning(batch, binning).assign(batch.time)
     h, d = batch.hypothesis, batch.decision
     h_ent = ref_counts(h)
     i_joint = h_ent + ref_joint_entropy(d, tb) - ref_joint_entropy(h, d, tb)
     i_decision = h_ent + ref_counts(d) - ref_joint_entropy(h, d)
-    return i_joint, i_decision, ref_conditional_mi(batch, binning, n_bins)
+    return i_joint, i_decision, ref_conditional_mi(batch, binning)
 
 
 def ref_mi_plugin(x, y, binning):
@@ -104,6 +112,93 @@ def ref_conditional_pmf_table(batch):
             counts.update(dict(zip(uk, uc)))
             cols.append({k: counts[k] / total for k in ks})
     return [(int(k), cols[0][k], cols[1][k], cols[2][k], cols[3][k]) for k in ks]
+
+
+def ref_merge_bins(counts_a, counts_b, bng, merge_floor=5.0):
+    n1, n2 = counts_a.sum(), counts_b.sum()
+    n = n1 + n2
+    n_min = min(n1, n2)
+    pooled = counts_a + counts_b
+    need = merge_floor * n / n_min if n_min > 0 else math.inf
+    out_a, out_b, cuts = [], [], []
+    acc_a = acc_b = 0.0
+    inner_edges = list(bng.edges) + [math.inf]
+    for j in range(len(pooled)):
+        acc_a += counts_a[j]
+        acc_b += counts_b[j]
+        if acc_a + acc_b >= need:
+            out_a.append(acc_a)
+            out_b.append(acc_b)
+            cuts.append(inner_edges[j])
+            acc_a = acc_b = 0.0
+    if acc_a + acc_b > 0:
+        if out_a:
+            out_a[-1] += acc_a
+            out_b[-1] += acc_b
+            cuts[-1] = math.inf
+        else:
+            out_a.append(acc_a)
+            out_b.append(acc_b)
+            cuts.append(math.inf)
+    return np.asarray(out_a), np.asarray(out_b), tuple(cuts)
+
+
+def ref_chi2_two_sample(a, b, binning=None):
+    """Chi-squared on one panel, binned on the panel's own pooled samples."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n1, n2 = a.size, b.size
+    bng = binning if isinstance(binning, Binning) else ref_native_binning(np.concatenate([a, b]))
+    idx_a = np.bincount(bng.assign(a), minlength=bng.n_bins).astype(np.float64)
+    idx_b = np.bincount(bng.assign(b), minlength=bng.n_bins).astype(np.float64)
+    merged_a, merged_b, edges_out = ref_merge_bins(idx_a, idx_b, bng)
+    k = merged_a.size
+    if k < 2:
+        raise ValidationError(
+            "fewer than 2 bins remain after merging; the samples cannot support a "
+            "chi-squared comparison"
+        )
+    n = n1 + n2
+    pooled_counts = merged_a + merged_b
+    stat = 0.0
+    for counts, ni in ((merged_a, n1), (merged_b, n2)):
+        expected = ni * pooled_counts / n
+        stat += float(np.sum((counts - expected) ** 2 / expected))
+    p = float(gammaincc((k - 1) / 2.0, stat / 2.0))
+    return stats.TestReport(statistic=stat, p_value=p, n1=n1, n2=n2, method="CHI2", bins=edges_out)
+
+
+def ref_known_h(batch, binning=None):
+    cells = {(h, d): batch.cell_times(h, d) for h, d in CELLS}
+    for (h, d), times in cells.items():
+        if times.size == 0:
+            raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
+    return tuple(ref_chi2_two_sample(cells[1, d], cells[2, d], binning) for d in (1, 2))
+
+
+def ref_unknown_h(batch, binning=None):
+    t1 = batch.time[batch.decision == 1]
+    t2 = batch.time[batch.decision == 2]
+    if t1.size == 0 or t2.size == 0:
+        raise EmptyCellError("both decisions must be present")
+    return ref_chi2_two_sample(t1, t2, binning)
+
+
+def ref_empirical_error_probs(batch):
+    h, d = batch.hypothesis, batch.decision
+    n_h1 = int((h == 1).sum())
+    n_h2 = int((h == 2).sum())
+    if n_h1 == 0 or n_h2 == 0:
+        raise EmptyCellError("need at least one decided trial per hypothesis")
+    return int(((h == 2) & (d == 1)).sum()) / n_h2, int(((h == 1) & (d == 2)).sum()) / n_h1
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of the domain error it raised."""
+    try:
+        return "ok", fn(*args)
+    except (EmptyCellError, ValidationError) as exc:
+        return "raised", type(exc), str(exc)
 
 
 # up to 201 native bins: the cell code (h, d) * K overflows int8 from K = 43
@@ -137,24 +232,80 @@ explicit_binnings = st.one_of(
 binning_specs = st.one_of(st.none(), st.just(DISCRETE_NATIVE), explicit_binnings)
 
 
-def assert_triple_equal(batch, binning, n_bins):
-    triple = mi_decomposition(batch, binning=binning, n_bins=n_bins)
-    assert triple == ref_mi_decomposition(batch, binning, n_bins)
+@st.composite
+def batches_and_binnings(draw):
+    """A batch with a binning spec, or with 1 to 40 quantile bins of its times."""
+    batch = draw(batches())
+    quantile = st.integers(1, 40).map(lambda n: quantile_binning(batch.time, n))
+    return batch, draw(st.one_of(binning_specs, quantile))
+
+
+def assert_triple_equal(batch, binning):
+    triple = mi_decomposition(batch, binning=binning)
+    assert triple == ref_mi_decomposition(batch, binning)
     i_joint, i_dec, i_cond = triple
     assert abs(i_cond - (i_joint - i_dec)) <= 1e-12
 
 
-class TestCountTableEqualsSamplePath:
-    @given(batches(), binning_specs, st.integers(1, 40))
-    @settings(max_examples=300, deadline=None)
-    def test_conditional_mi(self, batch, binning, n_bins):
-        est = conditional_mi_plugin(batch, binning=binning, n_bins=n_bins)
-        assert est.value_bits == ref_conditional_mi(batch, binning, n_bins)
+def assert_reports_match(rep, ref, binning, panel):
+    """Equal tests; native cut points may move only where ``panel`` holds no time."""
+    assert (rep.statistic, rep.p_value, rep.n1, rep.n2, rep.method) == (
+        ref.statistic, ref.p_value, ref.n1, ref.n2, ref.method
+    )
+    assert len(rep.bins) == len(ref.bins)
+    if isinstance(binning, Binning):
+        assert rep.bins == ref.bins
+    merged = [np.searchsorted(np.asarray(r.bins[:-1]), panel, side="right") for r in (rep, ref)]
+    assert np.array_equal(*merged)
 
-    @given(batches(), binning_specs, st.integers(1, 40))
+
+def assert_tests_match(batch, binning):
+    """Both optimality tests against the per-panel path: reports or errors."""
+    by_decision = [batch.time[batch.decision == d] for d in (1, 2)]
+    for test, ref_test, panels in (
+        (optimality_test_known_h, ref_known_h, by_decision),
+        (lambda *a: (optimality_test_unknown_h(*a),), lambda *a: (ref_unknown_h(*a),),
+         [batch.time]),
+    ):
+        got, want = outcome(test, batch, binning), outcome(ref_test, batch, binning)
+        if want[0] == "raised":
+            assert got == want
+            continue
+        assert got[0] == "ok" and len(got[1]) == len(want[1])
+        for rep, ref, panel in zip(got[1], want[1], panels):
+            assert_reports_match(rep, ref, binning, panel)
+
+
+@st.composite
+def step_batches(draw):
+    """Step-valued batches: each cell holds 0-150 times drawn from its own range."""
+    spans = st.tuples(st.integers(0, 200), st.integers(0, 200)).map(sorted)
+    cells = draw(st.lists(st.tuples(st.integers(0, 150), spans), min_size=4, max_size=4))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, d, t = [], [], []
+    for (hh, dd), (size, (lo, hi)) in zip(CELLS, cells):
+        h += [hh] * size
+        d += [dd] * size
+        t += g.integers(lo, hi + 1, size=size).tolist()
+    order = g.permutation(len(t))
+    return RecordBatch(
+        np.array(h, dtype=int)[order], np.array(d, dtype=int)[order],
+        np.array(t, dtype=float)[order], time_kind=STEPS,
+    )
+
+
+class TestCountTableEqualsSamplePath:
+    @given(batches_and_binnings())
     @settings(max_examples=300, deadline=None)
-    def test_mi_decomposition(self, batch, binning, n_bins):
-        assert_triple_equal(batch, binning, n_bins)
+    def test_conditional_mi(self, case):
+        batch, binning = case
+        est = conditional_mi_plugin(batch, binning=binning)
+        assert est.value_bits == ref_conditional_mi(batch, binning)
+
+    @given(batches_and_binnings())
+    @settings(max_examples=300, deadline=None)
+    def test_mi_decomposition(self, case):
+        assert_triple_equal(*case)
 
     @given(
         st.lists(
@@ -191,7 +342,7 @@ class TestCountTableEqualsSamplePath:
             times = t[keep] if kind == STEPS else t[keep] + g.random(keep.sum())
             batch = RecordBatch(h[keep], d[keep], times, time_kind=kind)
             assert conditional_mi_plugin(batch).value_bits == ref_conditional_mi(batch)
-            assert_triple_equal(batch, None, 32)
+            assert_triple_equal(batch, None)
 
     def test_simulated_lattice_records(self):
         model = LatticeBernoulliModel(p=0.8, m1=2, m2=3)
@@ -203,8 +354,75 @@ class TestCountTableEqualsSamplePath:
             assert conditional_mi_plugin(batch, binning).value_bits == ref_conditional_mi(
                 batch, binning
             )
-            assert_triple_equal(batch, binning, 32)
+            assert_triple_equal(batch, binning)
+            assert_tests_match(batch, binning)
         assert _conditional_pmf_table(batch) == ref_conditional_pmf_table(batch)
+        assert empirical_error_probs(batch) == ref_empirical_error_probs(batch)
+
+
+class TestOptimalityTestsOnCountTable:
+    @given(step_batches(), binning_specs)
+    @settings(max_examples=400, deadline=None)
+    def test_equal_to_per_panel_path(self, batch, binning):
+        assert_tests_match(batch, binning)
+
+    @pytest.mark.parametrize("empty", CELLS)
+    @pytest.mark.parametrize("kind", [STEPS, "seconds"])
+    def test_empty_cell_message(self, empty, kind):
+        rows = [c for c in CELLS if c != empty] * 5
+        batch = RecordBatch(
+            np.array([h for h, _ in rows]), np.array([d for _, d in rows]),
+            np.arange(len(rows), dtype=float), time_kind=kind,
+        )
+        message = f"no records with hypothesis {empty[0]} and decision {empty[1]}"
+        with pytest.raises(EmptyCellError, match=message):
+            optimality_test_known_h(batch)
+
+    @pytest.mark.parametrize("kind", [STEPS, "seconds"])
+    def test_one_decision_message(self, kind):
+        batch = RecordBatch(np.array([1, 2, 1]), np.array([2, 2, 2]), np.array([1.0, 2.0, 3.0]),
+                            time_kind=kind)
+        with pytest.raises(EmptyCellError, match="both decisions must be present"):
+            optimality_test_unknown_h(batch)
+
+    def test_single_bin_rejected(self):
+        h = np.array([1, 2] * 20)
+        d = np.repeat([1, 2], 20)
+        batch = RecordBatch(h, d, np.full(40, 7.0), time_kind=STEPS)
+        for test in (optimality_test_known_h, optimality_test_unknown_h):
+            with pytest.raises(ValidationError, match="fewer than 2 bins"):
+                test(batch)
+
+    def test_step_tests_read_only_the_table(self, monkeypatch):
+        g = np.random.default_rng(3)
+        n = 2000
+        batch = RecordBatch(
+            g.integers(1, 3, size=n), g.integers(1, 3, size=n),
+            g.integers(0, 30, size=n).astype(float), time_kind=STEPS,
+        )
+        expected = optimality_test_known_h(batch), optimality_test_unknown_h(batch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("step-valued tests must read the count table")
+
+        monkeypatch.setattr(RecordBatch, "cell_times", forbidden)
+        monkeypatch.setattr(stats, "chi2_two_sample", forbidden)
+        assert (optimality_test_known_h(batch), optimality_test_unknown_h(batch)) == expected
+
+
+class TestCellCounts:
+    @given(batches())
+    @settings(max_examples=200, deadline=None)
+    def test_code_and_counts_equal_masks(self, batch):
+        h, d = batch.hypothesis, batch.decision
+        code = batch.cell_code()
+        assert code.dtype == np.int64
+        assert code.tolist() == [(int(a) - 1) * 2 + (int(b) - 1) for a, b in zip(h, d)]
+        counts = batch.cell_counts()
+        assert counts.shape == (2, 2)
+        for hh, dd in CELLS:
+            assert counts[hh - 1, dd - 1] == int(((h == hh) & (d == dd)).sum())
+        assert outcome(empirical_error_probs, batch) == outcome(ref_empirical_error_probs, batch)
 
 
 class TestConditionalPmfTable:
@@ -224,9 +442,3 @@ class TestBinningDispatch:
             conditional_mi_plugin(batch, binning=spec)
         with pytest.raises(ValidationError, match="unknown binning"):
             mi_decomposition(batch, binning=spec)
-
-    def test_n_bins_sets_quantile_bins(self):
-        t = np.linspace(0.5, 99.5, 400)
-        h = np.tile([1, 2], 200)
-        batch = RecordBatch(h, h, t)
-        assert conditional_mi_plugin(batch, n_bins=5).binning.n_bins == 5

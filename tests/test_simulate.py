@@ -47,9 +47,42 @@ class TestConfigValidation:
                 window=100.0,
             )
 
+    @pytest.mark.parametrize("window", [0.0, math.nan, math.inf])
+    def test_window_must_be_positive_and_finite(self, window):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            ExperimentConfig(
+                model=DriftDiffusionModel(0.0, 1.0, 5.0),
+                thresholds=FIG2A_TH,
+                trials=10,
+                seed=0,
+                window=window,
+                dt=1.0,
+            )
+
+    @pytest.mark.parametrize("dt", [0.0, math.nan, 100.0])
+    def test_dt_must_lie_inside_window(self, dt):
+        with pytest.raises(ValidationError, match="0 < dt < window"):
+            ExperimentConfig(
+                model=DriftDiffusionModel(0.0, 1.0, 5.0),
+                thresholds=FIG2A_TH,
+                trials=10,
+                seed=0,
+                window=100.0,
+                dt=dt,
+            )
+
     def test_dt_forbidden_for_discrete(self):
         with pytest.raises(ValidationError):
             small_cfg(dt=0.1)
+
+    @pytest.mark.parametrize("window", [0.5, 10.7])
+    def test_fractional_discrete_window_rejected(self, window):
+        with pytest.raises(ValidationError, match="whole number"):
+            small_cfg(window=window)
+
+    def test_whole_discrete_window_kept_as_int(self):
+        window = small_cfg(window=10.0).window
+        assert window == 10 and isinstance(window, int)
 
 
 class TestRunExperiment:
