@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -105,35 +105,17 @@ def error_probs_continuous(p: ContinuousLLRParams, th: Thresholds) -> Tuple[floa
     return alpha1, alpha2
 
 
-@dataclass(frozen=True)
-class AsymptoticRegime:
-    """Validity record for the deep-lower-threshold approximations.
+def _check_regime(p: ContinuousLLRParams, th: Thresholds) -> None:
+    """Raise unless |l2|*|a_i|/b >= REGIME_MIN_RATIO for both drifts.
 
-    The asymptotic densities hold when |l2| is large against b/|a_i|; the
-    ratios |l2|*|a_i|/b are exposed so callers can judge how deep they are.
+    The asymptotic densities hold when |l2| is large against b/|a_i|.
     """
-
-    l1: float
-    l2_is_minus_infinity: bool
-    l2: Optional[float]
-    ratios: Tuple[float, float]
-
-    @classmethod
-    def check(
-        cls,
-        p: ContinuousLLRParams,
-        th: Optional[Thresholds],
-        min_ratio: float = REGIME_MIN_RATIO,
-    ) -> "AsymptoticRegime":
-        if th is None:
-            return cls(l1=math.nan, l2_is_minus_infinity=True, l2=None, ratios=(math.inf, math.inf))
-        ratios = (abs(th.l2) * abs(p.a1) / p.b, abs(th.l2) * abs(p.a2) / p.b)
-        if min(ratios) < min_ratio:
-            raise RegimeError(
-                f"asymptotic regime violated: |l2|*|a_i|/b = {ratios[0]:.3g}, "
-                f"{ratios[1]:.3g} (need >= {min_ratio:g})"
-            )
-        return cls(l1=th.l1, l2_is_minus_infinity=False, l2=th.l2, ratios=ratios)
+    ratios = (abs(th.l2) * abs(p.a1) / p.b, abs(th.l2) * abs(p.a2) / p.b)
+    if min(ratios) < REGIME_MIN_RATIO:
+        raise RegimeError(
+            f"asymptotic regime violated: |l2|*|a_i|/b = {ratios[0]:.3g}, "
+            f"{ratios[1]:.3g} (need >= {REGIME_MIN_RATIO:g})"
+        )
 
 
 def _ig_pdf(t, mean: float, shape: float):
@@ -158,10 +140,6 @@ def _ig_cdf(t, mean: float, shape: float):
         2.0 * shape / mean + log_ndtr(-rt * (tp / mean + 1.0))
     )
     return np.clip(out, 0.0, 1.0)
-
-
-def _ig_sf(t, mean: float, shape: float):
-    return 1.0 - _ig_cdf(t, mean, shape)
 
 
 def _d1_params(p: ContinuousLLRParams, l1: float, h: int) -> Tuple[float, float]:
@@ -193,7 +171,6 @@ def decision_time_density(
     h: int,
     p: ContinuousLLRParams,
     th: Thresholds,
-    min_ratio: float = REGIME_MIN_RATIO,
 ):
     """Asymptotic decision-time density for outcome ``d`` under hypothesis ``h``.
 
@@ -201,7 +178,7 @@ def decision_time_density(
     l1/|a_h| and shape l1^2/(2b); the lower-boundary densities carry a
     bracketed correction involving both thresholds.
     """
-    AsymptoticRegime.check(p, th, min_ratio=min_ratio)
+    _check_regime(p, th)
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0):
         raise ValidationError("density defined for t > 0 only")
@@ -233,11 +210,9 @@ class MeanDecisionTimes:
     wald_d1: float
 
 
-def mean_decision_times(
-    p: ContinuousLLRParams, th: Thresholds, min_ratio: float = REGIME_MIN_RATIO
-) -> MeanDecisionTimes:
+def mean_decision_times(p: ContinuousLLRParams, th: Thresholds) -> MeanDecisionTimes:
     """Mean decision-time expressions in the deep-lower-threshold regime."""
-    AsymptoticRegime.check(p, th, min_ratio=min_ratio)
+    _check_regime(p, th)
     a1, a2, b = abs(p.a1), abs(p.a2), p.b
     l1, l2a = th.l1, abs(th.l2)
     q1 = math.exp(-(a1 / b) * l1)
@@ -273,15 +248,13 @@ def _upper_integration_limit(p: ContinuousLLRParams, l1: float) -> float:
     for h in (1, 2):
         mean, shape = _d1_params(p, l1, h)
         t = mean
-        while _ig_sf(t, mean, shape) > TAIL_MASS * 0.1:
+        while 1.0 - _ig_cdf(t, mean, shape) > TAIL_MASS * 0.1:
             t *= 2.0
         hi = max(hi, t)
     return hi
 
 
-def mutual_info_continuous(
-    p: ContinuousLLRParams, l1: float, epsabs: float = 1e-12, epsrel: float = 1e-10
-) -> float:
+def mutual_info_continuous(p: ContinuousLLRParams, l1: float) -> float:
     """Conditional mutual information (bits) between hypothesis and decision
     time given the decision, in the limit of a deep lower threshold.
 
@@ -311,7 +284,7 @@ def mutual_info_continuous(
     pts = sorted({mean1, mean2})
     total = (1.0 + alpha1) / 2.0 * math.log2(1.0 + alpha1)
     for weight, f in ((0.5, integrand1), (0.5 * alpha1, integrand2)):
-        val, err = quad(f, 0.0, hi, points=pts, limit=400, epsabs=epsabs, epsrel=epsrel)
+        val, err = quad(f, 0.0, hi, points=pts, limit=400, epsabs=1e-12, epsrel=1e-10)
         if err > 1e-6 * max(1.0, abs(val)):
             raise QuadratureError(f"quadrature error estimate {err:.3g} too large")
         total -= weight * val
@@ -409,11 +382,10 @@ def sample_outcomes_asymptotic(
     p1: float,
     n: int,
     rng: np.random.Generator,
-    min_ratio: float = REGIME_MIN_RATIO,
 ):
     """Vectorized draw of ``n`` (hypothesis, decision, time) outcomes from the
     asymptotic laws.  Returns (h, d, t) integer/float arrays."""
-    AsymptoticRegime.check(p, th, min_ratio=min_ratio)
+    _check_regime(p, th)
     if not (0.0 <= p1 <= 1.0):
         raise ValidationError("prior p1 must lie in [0, 1]")
     alpha1, alpha2 = error_probs_continuous(p, th)

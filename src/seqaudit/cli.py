@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -42,10 +42,11 @@ from .core import (
     read_records_csv,
     thresholds_from_alphas,
     write_records_csv,
+    write_table,
 )
 from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
-from .oracle import LatticeBernoulliModel, enumerate_exact_law, write_exact_law_csv
-from .overshoot import condition51_flatness, overshoot_profile, write_series_csv
+from .oracle import LatticeBernoulliModel, enumerate_exact_law
+from .overshoot import condition51_flatness, overshoot_profile
 from .simulate import ExperimentConfig, run_experiment, write_metadata
 from .stats import (
     conditional_mi_plugin,
@@ -242,12 +243,11 @@ def cmd_test(args) -> int:
     batch = read_records_csv(args.records, time_kind=args.time_type)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
     if args.mode == "known-h":
         rep1, rep2 = optimality_test_known_h(batch)
         _print_report("decision-1 cells (H=1 vs H=2)", rep1)
         _print_report("decision-2 cells (H=1 vs H=2)", rep2)
-        rows = [("d1_cells", rep1), ("d2_cells", rep2)]
+        reports = [("d1_cells", rep1), ("d2_cells", rep2)]
     else:
         print(
             "note: the unknown-hypothesis test assumes involution-symmetric "
@@ -256,15 +256,14 @@ def cmd_test(args) -> int:
         )
         rep = optimality_test_unknown_h(batch)
         _print_report("decision-1 vs decision-2 times", rep)
-        rows = [("d1_vs_d2", rep)]
-    report_path = out_dir / "test_report.csv"
-    with open(report_path, "w", newline="\n") as f:
-        f.write("comparison,method,statistic,p_value,n1,n2\n")
-        for name, rep in rows:
-            f.write(
-                f"{name},{rep.method},{rep.statistic!r},{rep.p_value!r},{rep.n1},{rep.n2}\n"
-            )
-    outputs = [str(report_path)]
+        reports = [("d1_vs_d2", rep)]
+    outputs = [
+        write_table(
+            out_dir / "test_report.csv",
+            "comparison,method,statistic,p_value,n1,n2",
+            [(name, r.method, r.statistic, r.p_value, r.n1, r.n2) for name, r in reports],
+        )
+    ]
     payload = {"records": str(args.records), "mode": args.mode, "seed": None}
     write_manifest(out_dir, "test", payload, outputs, t0)
     return EXIT_OK
@@ -355,19 +354,17 @@ def cmd_mi_scan(args) -> int:
     rows = mi_scan_rows(base, parameter, values, threads=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "mi_scan.csv"
-    with open(path, "w", newline="\n") as f:
-        f.write(
-            f"{parameter},mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,"
-            "alpha1_hat,alpha2_hat,truncated_fraction\n"
-        )
-        for r in rows:
-            f.write(
-                f"{r.value!r},{r.mi_bits!r},{r.mean_time!r},{r.mean_time_ref!r},"
-                f"{r.time_ratio_minus_one!r},{r.alpha1_hat!r},{r.alpha2_hat!r},"
-                f"{r.truncated_fraction!r}\n"
-            )
-    write_manifest(out_dir, "mi-scan", _config_payload(cfg, base.seed), [str(path)], t0)
+    path = write_table(
+        out_dir / "mi_scan.csv",
+        f"{parameter},mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,"
+        "alpha1_hat,alpha2_hat,truncated_fraction",
+        [
+            (r.value, r.mi_bits, r.mean_time, r.mean_time_ref, r.time_ratio_minus_one,
+             r.alpha1_hat, r.alpha2_hat, r.truncated_fraction)
+            for r in rows
+        ],
+    )
+    write_manifest(out_dir, "mi-scan", _config_payload(cfg, base.seed), [path], t0)
     print(f"mi-scan over {len(rows)} points -> {path}")
     return EXIT_OK
 
@@ -393,9 +390,12 @@ def cmd_overshoot(args) -> int:
     flatness = condition51_flatness(series, mass_threshold=mass_threshold)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "overshoot.csv"
-    write_series_csv(path, series)
-    write_manifest(out_dir, "overshoot", _config_payload(cfg, seed), [str(path)], t0)
+    path = write_table(
+        out_dir / "overshoot.csv",
+        "k,value,count,pmf",
+        zip(series.k.tolist(), series.value.tolist(), series.count.tolist(), series.pmf.tolist()),
+    )
+    write_manifest(out_dir, "overshoot", _config_payload(cfg, seed), [path], t0)
     print(f"flatness ratio over {mass_threshold:.0%} mass range: {flatness:.4f}")
     print(f"profile -> {path}")
     return EXIT_OK
@@ -405,10 +405,14 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         if ":" in spec:
             start, stop, n = spec.split(":")
-            return np.linspace(float(start), float(stop), int(n))
-        return np.array([float(v) for v in spec.split(",")])
+            grid = np.linspace(float(start), float(stop), int(n))
+        else:
+            grid = np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad grid {spec!r}: use start:stop:points or a comma list") from exc
+    if grid.size == 0:
+        raise ConfigError(f"grid {spec!r} has no points")
+    return grid
 
 
 def cmd_analytic(args) -> int:
@@ -416,50 +420,35 @@ def cmd_analytic(args) -> int:
     p = ContinuousLLRParams(a1=args.a1, a2=args.a2, b=args.b)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"analytic_{args.quantity.replace('-', '_')}.csv"
-    lines: List[str] = []
     if args.quantity in ("error-probs", "mean-times", "density"):
         if args.l2 is None:
             raise ConfigError(f"--quantity {args.quantity} needs --l2")
         th = Thresholds(args.l1, args.l2)
     if args.quantity == "error-probs":
-        a1, a2 = error_probs_continuous(p, th)
-        lines = ["alpha1,alpha2", f"{a1!r},{a2!r}"]
+        header, rows = "alpha1,alpha2", [error_probs_continuous(p, th)]
     elif args.quantity == "mean-times":
-        m = mean_decision_times(p, th)
-        lines = [
-            "cell,mean_time",
-            f"d1_h1,{m.d1_h1!r}",
-            f"d1_h2,{m.d1_h2!r}",
-            f"d2_h1,{m.d2_h1!r}",
-            f"d2_h2,{m.d2_h2!r}",
-            f"wald_d1,{m.wald_d1!r}",
-        ]
+        header, rows = "cell,mean_time", asdict(mean_decision_times(p, th)).items()
     elif args.quantity == "density":
         grid = _parse_grid(args.grid)
-        lines = ["t,d,h,density"]
-        for d in (1, 2):
-            for h in (1, 2):
-                dens = decision_time_density(grid, d, h, p, th)
-                lines.extend(
-                    f"{float(t)!r},{d},{h},{float(v)!r}" for t, v in zip(grid, dens)
-                )
+        header = "t,d,h,density"
+        rows = [
+            (t, d, h, v)
+            for d in (1, 2)
+            for h in (1, 2)
+            for t, v in zip(grid.tolist(), decision_time_density(grid, d, h, p, th).tolist())
+        ]
     elif args.quantity == "mi-continuous":
-        val = mutual_info_continuous(p, args.l1)
-        lines = ["l1,mi_bits", f"{args.l1!r},{val!r}"]
+        header, rows = "l1,mi_bits", [(args.l1, mutual_info_continuous(p, args.l1))]
     elif args.quantity == "mi-discretized":
-        grid = _parse_grid(args.grid)
-        lines = ["t_r,mi_bits"]
-        lines.extend(
-            f"{float(tr)!r},{mutual_info_discretized(p, args.l1, tr)!r}" for tr in grid
-        )
+        grid = _parse_grid(args.grid).tolist()
+        header = "t_r,mi_bits"
+        rows = [(tr, mutual_info_discretized(p, args.l1, tr)) for tr in grid]
     else:
         raise ConfigError(f"unknown quantity {args.quantity!r}")
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    path = write_table(out_dir / f"analytic_{args.quantity.replace('-', '_')}.csv", header, rows)
     payload = {"parameters": vars(args).copy(), "seed": None}
     payload["parameters"].pop("func", None)
-    write_manifest(out_dir, "analytic", payload, [str(path)], t0)
+    write_manifest(out_dir, "analytic", payload, [path], t0)
     print(f"{args.quantity} -> {path}")
     return EXIT_OK
 
@@ -470,13 +459,12 @@ def cmd_oracle(args) -> int:
     law = enumerate_exact_law(model, k_max=args.k_max)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "exact_law.csv"
-    write_exact_law_csv(path, law)
+    path = write_table(out_dir / "exact_law.csv", "k,d,h,probability", law.to_rows())
     payload = {
         "parameters": {"p": args.p, "m1": args.m1, "m2": args.m2, "k_max": law.k_max},
         "seed": None,
     }
-    write_manifest(out_dir, "oracle", payload, [str(path)], t0)
+    write_manifest(out_dir, "oracle", payload, [path], t0)
     print(
         f"enumerated up to k={law.k_max}; surviving mass "
         f"H1={law.surviving[1]:.3g} H2={law.surviving[2]:.3g}"

@@ -135,10 +135,17 @@ class RecordBatch:
 CSV_HEADER = "hypothesis,decision,time,terminal_llr"
 
 
-def _format_time(t: float, time_kind: str) -> str:
-    if time_kind == STEPS:
-        return str(int(t))
-    return repr(float(t))
+def write_table(path, header: str, rows) -> str:
+    """Write a CSV table: ``header``, then one comma-joined line per row.
+
+    Rows hold Python scalars; ``str`` of a Python float is its shortest
+    round-trip ``repr``, so every table the toolkit writes reads back
+    exactly.  Returns ``str(path)``.
+    """
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    return str(path)
 
 
 def write_records_csv(path, batch: RecordBatch) -> None:
@@ -148,17 +155,10 @@ def write_records_csv(path, batch: RecordBatch) -> None:
     decision serialize as 1 or 2, a missing terminal LLR as an empty field.
     Output bytes depend only on the batch contents.
     """
-    with open(path, "w", newline="\n") as f:
-        f.write(CSV_HEADER + "\n")
-        fmt = _format_time
-        kind = batch.time_kind
-        lines = []
-        for h, d, t, s in zip(
-            batch.hypothesis, batch.decision, batch.time, batch.terminal_llr
-        ):
-            tail = "" if np.isnan(s) else repr(float(s))
-            lines.append(f"{h},{d},{fmt(t, kind)},{tail}\n")
-        f.writelines(lines)
+    time = batch.time.astype(np.int64) if batch.time_kind == STEPS else batch.time
+    llr = ["" if math.isnan(s) else s for s in batch.terminal_llr.tolist()]
+    columns = (batch.hypothesis.tolist(), batch.decision.tolist(), time.tolist(), llr)
+    write_table(path, CSV_HEADER, zip(*columns))
 
 
 def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:

@@ -159,9 +159,3 @@ def verify_fluctuation_relation(law: ExactLaw, tol: float = 1e-12):
     max_dev = max(max_dev, ratio_dev)
     return max_dev <= tol, max_dev
 
-
-def write_exact_law_csv(path, law: ExactLaw) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write("k,d,h,probability\n")
-        for k, d, h, v in law.to_rows():
-            f.write(f"{k},{d},{h},{v!r}\n")

@@ -77,21 +77,13 @@ def overshoot_profile(
     m_all = np.concatenate(overs)
     if k_all.size == 0:
         raise ValidationError("no upper-threshold decisions observed; increase trials")
-    k_grid = np.unique(k_all)
-    counts = np.zeros(k_grid.size, dtype=np.int64)
-    value = np.zeros(k_grid.size)
-    mass = np.zeros(k_grid.size)
-    idx = np.searchsorted(k_grid, k_all)
+    k_grid, idx = np.unique(k_all, return_inverse=True)
+    counts = np.bincount(idx)
     if estimator == "direct":
-        np.add.at(counts, idx, 1)
-        np.add.at(value, idx, np.exp(m_all))
-        value /= counts
+        value = np.bincount(idx, weights=np.exp(m_all)) / counts
         mass = counts / counts.sum()
     else:
-        w = np.exp(-m_all)
-        wsum = np.zeros(k_grid.size)
-        np.add.at(counts, idx, 1)
-        np.add.at(wsum, idx, w)
+        wsum = np.bincount(idx, weights=np.exp(-m_all))
         value = counts / wsum
         mass = wsum / wsum.sum()
     return OvershootSeries(k=k_grid, value=value, count=counts, pmf=mass)
@@ -129,9 +121,3 @@ def condition51_flatness(series: OvershootSeries, mass_threshold: float = 0.9) -
     window = series.value[lo : hi + 1][series.count[lo : hi + 1] > 0]
     return float(window.max() / window.min())
 
-
-def write_series_csv(path, series: OvershootSeries) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write("k,value,count,pmf\n")
-        for k, v, c, m in zip(series.k, series.value, series.count, series.pmf):
-            f.write(f"{int(k)},{float(v)!r},{int(c)},{float(m)!r}\n")

@@ -20,7 +20,7 @@ from .analytic import (
     mutual_info_discretized,
     sample_outcomes_asymptotic,
 )
-from .core import RecordBatch, Thresholds, ValidationError
+from .core import RecordBatch, Thresholds, ValidationError, write_table
 from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
 from .overshoot import overshoot_profile
 from .simulate import ExperimentConfig, run_experiment
@@ -45,20 +45,6 @@ DEFAULT_SCALE = {
 
 IID_MODEL = GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0)
 IID_TH = Thresholds(4.0, -2.0)
-
-
-def _write_csv(path: Path, header: str, rows) -> str:
-    with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(
-                ",".join(
-                    repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                    for v in row
-                )
-                + "\n"
-            )
-    return str(path)
 
 
 def _conditional_pmf_table(batch: RecordBatch, pool_hypotheses: bool = False) -> List[tuple]:
@@ -87,14 +73,14 @@ def _pmf_panels(out_dir: Path, figure: str, base: ExperimentConfig, panels, thre
         cfg = replace(base, seed=base.seed + ord(name), world_model=wm)
         res = run_experiment(cfg, threads=threads)
         outputs.append(
-            _write_csv(
+            write_table(
                 out_dir / f"{figure}{name}_pmf.csv",
                 "k,p_h1_d1,p_h2_d1,p_h1_d2,p_h2_d2",
                 _conditional_pmf_table(res.records),
             )
         )
         outputs.append(
-            _write_csv(
+            write_table(
                 out_dir / f"{figure}{name}_alphas.csv",
                 "alpha1_hat,alpha2_hat,trials,truncated",
                 [(res.alpha1_hat, res.alpha2_hat, cfg.trials, res.truncated_count)],
@@ -189,7 +175,7 @@ def _fig3(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
                         len(p1s),
                     )
                 )
-    path = _write_csv(
+    path = write_table(
         out_dir / "fig3_pvalues.csv",
         "mu1,mu2_tilde,mean_p_d1,mean_p_d2,reject_frac_d1,reject_frac_d2,reps",
         rows,
@@ -223,7 +209,7 @@ def _fig4(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
         window=10,
     )
     rows = mi_scan_rows(base, "mu2", np.linspace(-4.0, 6.0, 21).tolist(), threads=threads)
-    path = _write_csv(
+    path = write_table(
         out_dir / "fig4_mi_scan.csv",
         "mu2_tilde,mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,alpha1_hat,alpha2_hat",
         [
@@ -267,7 +253,7 @@ def _fig5(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     )
     batch = run_experiment(cfg, threads=threads).records
     rows = _conditional_pmf_table(batch, pool_hypotheses=True)
-    path = _write_csv(out_dir / "fig5_pmf.csv", "k,p_t_given_d1,p_t_given_d2", rows)
+    path = write_table(out_dir / "fig5_pmf.csv", "k,p_t_given_d1,p_t_given_d2", rows)
     body = (
         "rows = load('fig5_pmf.csv')\n"
         "k = [int(r['k']) for r in rows]\n"
@@ -338,7 +324,7 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
             )
             est = conditional_mi_plugin(sub)
             rows_a.append((lam, n, est.value_bits))
-    path_a = _write_csv(out_dir / "fig7ab_mi.csv", "lambda,n,mi_bits", rows_a)
+    path_a = write_table(out_dir / "fig7ab_mi.csv", "lambda,n,mi_bits", rows_a)
 
     rows_c = []
     profile_trials = max(int(n_max), 100_000)
@@ -353,7 +339,7 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
         )
         for k, v, c, m in zip(series.k, series.value, series.count, series.pmf):
             rows_c.append((lam, int(k), float(v), int(c), float(m)))
-    path_c = _write_csv(out_dir / "fig7c_overshoot.csv", "lambda,k,value,count,pmf", rows_c)
+    path_c = write_table(out_dir / "fig7c_overshoot.csv", "lambda,k,value,count,pmf", rows_c)
     body = (
         "mi = load('fig7ab_mi.csv')\n"
         "ov = load('fig7c_overshoot.csv')\n"
@@ -411,12 +397,12 @@ def _fig8(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
             )
         )
         rows_b.append((float(mu2t), l1 / abs(p.a1), l1 / abs(p.a2), e_wald))
-    path_a = _write_csv(
+    path_a = write_table(
         out_dir / "fig8a_mi.csv",
         "mu2_tilde,mi_continuous,mi_tr_full,mi_tr_tenth,mi_tr_hundredth",
         rows_a,
     )
-    path_b = _write_csv(
+    path_b = write_table(
         out_dir / "fig8b_times.csv", "mu2_tilde,t_d1_h1,t_d1_h2,wald_reference", rows_b
     )
 
@@ -437,7 +423,7 @@ def _fig8(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
             est = conditional_mi_plugin(batch, binning=binning)
             rows_c.append((float(mu2t), n, est.value_bits, theory))
             n *= 2
-    path_c = _write_csv(
+    path_c = write_table(
         out_dir / "fig8c_mi_runs.csv", "mu2_tilde,n,mi_bits,mi_theory", rows_c
     )
     body = (

@@ -35,9 +35,6 @@ class TestReport:
     method: str  # "KS2" or "CHI2"
     bins: Optional[Tuple[float, ...]] = None
 
-    def rejects(self, level: float) -> bool:
-        return self.p_value < level
-
 
 @dataclass(frozen=True)
 class Binning:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from seqaudit.analytic import (
-    AsymptoticRegime,
     ContinuousLLRParams,
     RegimeError,
     continuous_llr_params,
@@ -143,7 +142,7 @@ class TestDecisionTimeDensity:
     def test_mode_near_ratio_for_small_noise(self):
         p = ContinuousLLRParams(a1=0.02, a2=-0.02, b=0.0005)
         grid = np.linspace(150.0, 250.0, 20001)
-        dens = decision_time_density(grid, 1, 1, p, Thresholds(4.0, -4.0), min_ratio=1.0)
+        dens = decision_time_density(grid, 1, 1, p, Thresholds(4.0, -4.0))
         mode = grid[np.argmax(dens)]
         assert mode == pytest.approx(200.0, rel=0.02)
 
@@ -361,13 +360,3 @@ class TestAsymptoticOutcomeSampler:
         h, d, t = sample_outcomes_asymptotic(MATCHED, TH44, 0.5, 1, rng(14))
         assert t.shape == (1,) and t[0] > 0
         assert h[0] in (1, 2) and d[0] in (1, 2)
-
-
-class TestRegime:
-    def test_ratios_exposed(self):
-        reg = AsymptoticRegime.check(MATCHED, TH44)
-        assert reg.ratios == pytest.approx((4.0, 4.0))
-
-    def test_infinite_lower_threshold(self):
-        reg = AsymptoticRegime.check(MATCHED, None)
-        assert reg.l2_is_minus_infinity

@@ -237,6 +237,18 @@ class TestAnalyticCommand:
         assert code == 2
         assert "--l2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity", ["mi-discretized", "density"])
+    def test_empty_grid_rejected(self, tmp_path, capsys, quantity):
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "analytic", "--quantity", quantity,
+            "--a1", "0.02", "--a2", "-0.02", "--b", "0.02", "--l1", "4", "--l2", "-4",
+            "--grid", "1:10:0",
+        )
+        assert code == 2
+        assert "1:10:0" in capsys.readouterr().err
+        assert not (out / f"analytic_{quantity.replace('-', '_')}.csv").exists()
+
     def test_density_table(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(

@@ -1,10 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import seqaudit
 from seqaudit.core import (
+    CSV_HEADER,
     ErrorSpec,
     RecordBatch,
     SchemaError,
@@ -13,6 +17,7 @@ from seqaudit.core import (
     read_records_csv,
     thresholds_from_alphas,
     write_records_csv,
+    write_table,
 )
 
 
@@ -163,3 +168,86 @@ class TestCsvRoundTrip:
     def test_negative_time_rejected_in_record(self):
         with pytest.raises(ValidationError):
             RecordBatch(hypothesis=np.array([1]), decision=np.array([1]), time=np.array([-0.5]))
+
+
+def reference_write_records_csv(path, batch: RecordBatch) -> None:
+    """The per-row writer the columnar ``write_records_csv`` must match."""
+    with open(path, "w", newline="\n") as f:
+        f.write(CSV_HEADER + "\n")
+        for h, d, t, s in zip(batch.hypothesis, batch.decision, batch.time, batch.terminal_llr):
+            time = str(int(t)) if batch.time_kind == "steps" else repr(float(t))
+            tail = "" if np.isnan(s) else repr(float(s))
+            f.write(f"{h},{d},{time},{tail}\n")
+
+
+LLRS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-310]),
+    st.floats(allow_nan=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.9, 9.9), st.integers(-300, 300)),
+)
+
+
+@st.composite
+def record_batches(draw):
+    kind = draw(st.sampled_from(["steps", "seconds"]))
+    times = st.integers(0, 2**53).map(float) if kind == "steps" else st.floats(0.0, 1e300)
+    label = st.sampled_from([1, 2])
+    rows = draw(st.lists(st.tuples(label, label, times, LLRS), max_size=40))
+    h, d, t, s = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
+    return RecordBatch(np.array(h), np.array(d), np.array(t), np.array(s), time_kind=kind)
+
+
+class TestWriteTable:
+    @given(record_batches())
+    @example(RecordBatch(np.array([]), np.array([]), np.array([]), time_kind="steps"))
+    @example(RecordBatch(np.array([]), np.array([]), np.array([]), time_kind="seconds"))
+    def test_records_bytes_match_row_writer(self, tmp_path_factory, batch):
+        out = tmp_path_factory.mktemp("records")
+        write_records_csv(out / "new.csv", batch)
+        reference_write_records_csv(out / "ref.csv", batch)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_mixed_row_matches_repr_formatting(self, tmp_path):
+        rows = [("d1_cells", 7, 0.1 + 0.2), ("x", -3, 1e16), ("y", 0, 1.5e-7), ("z", 2, -0.0)]
+        path = write_table(tmp_path / "t.csv", "name,n,value", rows)
+        expected = "name,n,value\n" + "".join(f"{a},{b},{c!r}\n" for a, b, c in rows)
+        assert path == str(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+# the functions allowed to open a file for writing: one per output format
+WRITERS = {("core", "write_table"), ("cli", "write_manifest"), ("simulate", "write_metadata")}
+
+
+def _write_opens(tree: ast.AST):
+    """Names of the functions holding an ``open(..., "w")`` call, one per call."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(isinstance(m, ast.Constant) and "w" in str(m.value) for m in modes):
+                found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+class TestOneWriter:
+    def test_only_the_table_writer_opens_csv_files(self):
+        src = Path(seqaudit.__file__).parent
+        stray = [
+            (path.stem, func)
+            for path in sorted(src.glob("*.py"))
+            for func in _write_opens(ast.parse(path.read_text()))
+            if (path.stem, func) not in WRITERS
+        ]
+        assert stray == []
+
+    def test_guard_sees_a_write_open(self):
+        tree = ast.parse('def f(p):\n    with open(p, "w") as fh:\n        pass\n')
+        assert _write_opens(tree) == ["f"]
