@@ -2,8 +2,9 @@
 
 Subcommands: simulate, test, mi-scan, overshoot, analytic, oracle, reproduce.
 Configuration is a flat INI file with one section per concern ([experiment],
-[model], [device], plus command-specific sections); every command writes a
-manifest next to its outputs that is sufficient to reproduce the run.
+[model], [device], plus command-specific sections).  Each command returns its
+outputs and the values it ran with; ``main`` alone makes the output
+directory, reads the clock and writes the manifest next to the outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 records-schema error,
 4 statistical precondition or regime failure.
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -64,17 +65,16 @@ class ConfigError(Exception):
     """Bad or missing configuration; message names the offending key."""
 
 
-MODEL_FIELDS = {
-    "gaussian_iid": ("mu1", "mu2", "sigma1", "sigma2"),
-    "markov_gaussian": ("v1", "v2", "w1", "w2", "sigma1", "sigma2"),
-    "drift_diffusion": ("mu1", "mu2", "sigma"),
-    "lattice": ("p", "m1", "m2"),
-}
 MODEL_CLASSES = {
     "gaussian_iid": GaussianIIDModel,
     "markov_gaussian": MarkovGaussianModel,
     "drift_diffusion": DriftDiffusionModel,
     "lattice": LatticeBernoulliModel,
+}
+# kind -> {field: cast}, the cast read from the dataclass annotation
+MODEL_FIELDS = {
+    kind: {f.name: {"float": float, "int": int}[f.type] for f in fields(cls)}
+    for kind, cls in MODEL_CLASSES.items()
 }
 
 
@@ -96,9 +96,7 @@ def _get(section, key, cast=float, default=None, required=False):
         return default
     raw = section[key]
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return section.getboolean(key) if cast is bool else cast(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' in [{section.name}]: {exc}") from exc
 
@@ -112,12 +110,12 @@ def build_model(cfg: configparser.ConfigParser):
         raise ConfigError(
             f"unknown model kind {kind!r}; expected one of {sorted(MODEL_FIELDS)}"
         )
-    fields = {}
-    for name in MODEL_FIELDS[kind]:
-        cast = int if (kind == "lattice" and name in ("m1", "m2")) else float
-        fields[name] = _get(section, name, cast=cast, required=True)
+    values = {
+        name: _get(section, name, cast=cast, required=True)
+        for name, cast in MODEL_FIELDS[kind].items()
+    }
     try:
-        return kind, MODEL_CLASSES[kind](**fields)
+        return kind, MODEL_CLASSES[kind](**values)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -133,8 +131,8 @@ def build_device(cfg: configparser.ConfigParser, kind: str, model):
     if "device" in cfg:
         section = cfg["device"]
         overrides = {
-            name: _get(section, name, cast=float)
-            for name in MODEL_FIELDS[kind]
+            name: _get(section, name, cast=cast)
+            for name, cast in MODEL_FIELDS[kind].items()
             if name in section
         }
         if kind == "lattice" and overrides:
@@ -206,26 +204,21 @@ def _config_payload(cfg: configparser.ConfigParser, seed) -> Dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
+def cmd_simulate(args, out_dir: Path):
     cfg = load_config(args.config)
     exp = build_experiment(cfg, seed_override=args.seed)
     result = run_experiment(exp, threads=args.threads)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
     meta_path = out_dir / "records.meta"
     write_records_csv(records_path, result.records)
     write_metadata(meta_path, result)
-    outputs = [str(records_path), str(meta_path)]
-    write_manifest(out_dir, "simulate", _config_payload(cfg, exp.seed), outputs, t0)
     print(
         f"simulated {exp.trials} trials: {len(result.records)} decided, "
         f"{result.truncated_count} truncated"
     )
     print(f"alpha1_hat={result.alpha1_hat:.6g} alpha2_hat={result.alpha2_hat:.6g}")
     print(f"records -> {records_path}")
-    return EXIT_OK
+    return [str(records_path), str(meta_path)], _config_payload(cfg, exp.seed)
 
 
 def _print_report(label: str, rep) -> None:
@@ -238,11 +231,8 @@ def _print_report(label: str, rep) -> None:
         print(f"  at level {level}: {verdict}")
 
 
-def cmd_test(args) -> int:
-    t0 = time.time()
+def cmd_test(args, out_dir: Path):
     batch = read_records_csv(args.records, time_kind=args.time_type)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.mode == "known-h":
         rep1, rep2 = optimality_test_known_h(batch)
         _print_report("decision-1 cells (H=1 vs H=2)", rep1)
@@ -257,16 +247,14 @@ def cmd_test(args) -> int:
         rep = optimality_test_unknown_h(batch)
         _print_report("decision-1 vs decision-2 times", rep)
         reports = [("d1_vs_d2", rep)]
-    outputs = [
-        write_table(
-            out_dir / "test_report.csv",
-            "comparison,method,statistic,p_value,n1,n2",
-            [(name, r.method, r.statistic, r.p_value, r.n1, r.n2) for name, r in reports],
-        )
-    ]
-    payload = {"records": str(args.records), "mode": args.mode, "seed": None}
-    write_manifest(out_dir, "test", payload, outputs, t0)
-    return EXIT_OK
+    path = write_table(
+        out_dir / "test_report.csv",
+        "comparison,method,statistic,p_value,n1,n2",
+        [(name, r.method, r.statistic, r.p_value, r.n1, r.n2) for name, r in reports],
+    )
+    return [path], {
+        "records": str(args.records), "mode": args.mode, "time_kind": batch.time_kind, "seed": None
+    }
 
 
 def _clamped_error_spec(alpha1: float, alpha2: float, n: int) -> ErrorSpec:
@@ -331,15 +319,14 @@ def mi_scan_rows(
     return rows
 
 
-def cmd_mi_scan(args) -> int:
-    t0 = time.time()
+def cmd_mi_scan(args, out_dir: Path):
     cfg = load_config(args.config)
     base = build_experiment(cfg, seed_override=args.seed)
     if "scan" not in cfg:
         raise ConfigError("missing [scan] section")
     section = cfg["scan"]
     parameter = section.get("parameter")
-    kind, _ = build_model(cfg)
+    kind = cfg["model"]["kind"]
     if parameter not in MODEL_FIELDS[kind]:
         raise ConfigError(f"scan parameter {parameter!r} is not a field of {kind}")
     if "values" in section:
@@ -352,8 +339,6 @@ def cmd_mi_scan(args) -> int:
             raise ConfigError(f"[scan] points must be >= 1, got {points}")
         values = np.linspace(start, stop, points).tolist()
     rows = mi_scan_rows(base, parameter, values, threads=args.threads)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = write_table(
         out_dir / "mi_scan.csv",
         f"{parameter},mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,"
@@ -364,13 +349,11 @@ def cmd_mi_scan(args) -> int:
             for r in rows
         ],
     )
-    write_manifest(out_dir, "mi-scan", _config_payload(cfg, base.seed), [path], t0)
     print(f"mi-scan over {len(rows)} points -> {path}")
-    return EXIT_OK
+    return [path], _config_payload(cfg, base.seed)
 
 
-def cmd_overshoot(args) -> int:
-    t0 = time.time()
+def cmd_overshoot(args, out_dir: Path):
     cfg = load_config(args.config)
     kind, model = build_model(cfg)
     if kind == "drift_diffusion":
@@ -388,17 +371,14 @@ def cmd_overshoot(args) -> int:
         model, device, th, trials, seed=seed, max_steps=max_steps, estimator=estimator
     )
     flatness = condition51_flatness(series, mass_threshold=mass_threshold)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = write_table(
         out_dir / "overshoot.csv",
         "k,value,count,pmf",
         zip(series.k.tolist(), series.value.tolist(), series.count.tolist(), series.pmf.tolist()),
     )
-    write_manifest(out_dir, "overshoot", _config_payload(cfg, seed), [path], t0)
     print(f"flatness ratio over {mass_threshold:.0%} mass range: {flatness:.4f}")
     print(f"profile -> {path}")
-    return EXIT_OK
+    return [path], _config_payload(cfg, seed)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -412,14 +392,13 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"bad grid {spec!r}: use start:stop:points or a comma list") from exc
     if grid.size == 0:
         raise ConfigError(f"grid {spec!r} has no points")
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"grid {spec!r} has a non-finite point")
     return grid
 
 
-def cmd_analytic(args) -> int:
-    t0 = time.time()
+def cmd_analytic(args, out_dir: Path):
     p = ContinuousLLRParams(a1=args.a1, a2=args.a2, b=args.b)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.quantity in ("error-probs", "mean-times", "density"):
         if args.l2 is None:
             raise ConfigError(f"--quantity {args.quantity} needs --l2")
@@ -446,31 +425,34 @@ def cmd_analytic(args) -> int:
     else:
         raise ConfigError(f"unknown quantity {args.quantity!r}")
     path = write_table(out_dir / f"analytic_{args.quantity.replace('-', '_')}.csv", header, rows)
-    payload = {"parameters": vars(args).copy(), "seed": None}
-    payload["parameters"].pop("func", None)
-    write_manifest(out_dir, "analytic", payload, [path], t0)
     print(f"{args.quantity} -> {path}")
-    return EXIT_OK
+    parameters = {k: v for k, v in vars(args).items() if k != "func"}
+    return [path], {"parameters": parameters, "seed": None}
 
 
-def cmd_oracle(args) -> int:
-    t0 = time.time()
+def cmd_oracle(args, out_dir: Path):
     model = LatticeBernoulliModel(p=args.p, m1=args.m1, m2=args.m2)
     law = enumerate_exact_law(model, k_max=args.k_max)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = write_table(out_dir / "exact_law.csv", "k,d,h,probability", law.to_rows())
-    payload = {
-        "parameters": {"p": args.p, "m1": args.m1, "m2": args.m2, "k_max": law.k_max},
-        "seed": None,
-    }
-    write_manifest(out_dir, "oracle", payload, [path], t0)
     print(
         f"enumerated up to k={law.k_max}; surviving mass "
         f"H1={law.surviving[1]:.3g} H2={law.surviving[2]:.3g}"
     )
     print(f"law -> {path}")
-    return EXIT_OK
+    parameters = {"p": args.p, "m1": args.m1, "m2": args.m2, "k_max": law.k_max}
+    return [path], {"parameters": parameters, "seed": None}
+
+
+def cmd_reproduce(args, out_dir: Path):
+    from . import reproduce
+
+    seed = args.seed if args.seed is not None else 20180115
+    scale = args.scale if args.scale is not None else reproduce.DEFAULT_SCALE[args.figure]
+    outputs = reproduce.run_figure(
+        args.figure, out_dir, scale=scale, seed=seed, threads=args.threads
+    )
+    print(f"{args.figure}: wrote {len(outputs)} file(s) to {out_dir}")
+    return outputs, {"figure": args.figure, "scale": scale, "seed": seed}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -535,9 +517,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_rep.set_defaults(func=cmd_reproduce)
 
     args = parser.parse_args(argv)
+    t0 = time.time()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        outputs, payload = args.func(args, out_dir)
+    except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemaError as exc:
@@ -546,24 +531,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EmptyCellError, RegimeError) as exc:
         print(f"statistical precondition failed: {exc}", file=sys.stderr)
         return EXIT_STATS
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-
-def cmd_reproduce(args) -> int:
-    from . import reproduce
-
-    t0 = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 20180115
-    outputs = reproduce.run_figure(
-        args.figure, out_dir, scale=args.scale, seed=seed, threads=args.threads
-    )
-    payload = {"figure": args.figure, "scale": args.scale, "seed": seed}
-    write_manifest(out_dir, f"reproduce-{args.figure}", payload, outputs, t0)
-    print(f"{args.figure}: wrote {len(outputs)} file(s) to {out_dir}")
+    name = f"reproduce-{args.figure}" if args.command == "reproduce" else args.command
+    write_manifest(out_dir, name, payload, outputs, t0)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -466,7 +466,7 @@ _FIGURES = {
 def run_figure(
     figure: str,
     out_dir: Path,
-    scale: Optional[float] = None,
+    scale: float,
     seed: int = 20180115,
     threads: int = 1,
 ) -> List[str]:
@@ -474,6 +474,6 @@ def run_figure(
         raise ValidationError(
             f"unknown figure {figure!r}; valid ids: {', '.join(sorted(_FIGURES))}"
         )
-    if scale is None:
-        scale = DEFAULT_SCALE[figure]
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale must be positive and finite, got {scale}")
     return _FIGURES[figure](out_dir, scale, seed, threads)

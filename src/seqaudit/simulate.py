@@ -137,6 +137,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     Deterministic for a given config: rerunning yields an identical record
     multiset regardless of ``threads``.
     """
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     n_blocks = math.ceil(cfg.trials / BLOCK_SIZE)
     sizes = [
         min(BLOCK_SIZE, cfg.trials - i * BLOCK_SIZE) for i in range(n_blocks)

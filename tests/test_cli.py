@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqaudit.cli import main
+from seqaudit import cli, reproduce
+from seqaudit.cli import MODEL_FIELDS, main
+from seqaudit.core import Thresholds, ValidationError
+from seqaudit.models import GaussianIIDModel
+from seqaudit.simulate import ExperimentConfig, run_experiment
 
 BASE_CONFIG = """
 [experiment]
@@ -85,6 +90,31 @@ class TestSimulateCommand:
         assert run_cli("--out-dir", tmp_path, "simulate", config_path) == 2
         assert "window" in capsys.readouterr().err
 
+    def test_boolean_typo_names_key(self, tmp_path, config_path, capsys):
+        config_path.write_text(BASE_CONFIG.replace("window = 300", "window = 300\nstratified = ture"))
+        assert run_cli("--out-dir", tmp_path, "simulate", config_path) == 2
+        assert "stratified" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, config_path, capsys, threads):
+        assert run_cli("--out-dir", tmp_path, "--threads", threads, "simulate", config_path) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_run_experiment_rejects_threads_below_one(self):
+        model = GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0)
+        cfg = ExperimentConfig(model=model, thresholds=Thresholds(4.0, -2.0), trials=10, seed=1)
+        with pytest.raises(ValidationError, match="threads"):
+            run_experiment(cfg, threads=0)
+
+    def test_lattice_fields_cast_from_annotations(self, tmp_path, capsys):
+        assert MODEL_FIELDS["lattice"] == {"p": float, "m1": int, "m2": int}
+        assert MODEL_FIELDS["drift_diffusion"] == {"mu1": float, "mu2": float, "sigma": float}
+        bad = tmp_path / "bad.ini"
+        bad.write_text(overshoot_config().replace("m1 = 2", "m1 = 2.5"))
+        assert run_cli("--out-dir", tmp_path, "overshoot", bad) == 2
+        assert "m1" in capsys.readouterr().err
+
 
 class TestTestCommand:
     def test_known_h_on_simulated_records(self, tmp_path, config_path):
@@ -113,6 +143,19 @@ class TestTestCommand:
         rec = tmp_path / "records.csv"
         rec.write_text("hypothesis,decision,time,terminal_llr\n1,1,3,\n2,1,4,\n")
         assert run_cli("--out-dir", tmp_path, "test", rec, "--mode", "known-h") == 4
+
+    @pytest.mark.parametrize("time_type,expected", [
+        (None, "steps"),
+        # KS on step-valued times warns about its ties, as it should
+        pytest.param("seconds", "seconds", marks=pytest.mark.filterwarnings("ignore:.*tied")),
+    ])
+    def test_manifest_records_effective_time_kind(self, tmp_path, config_path, time_type, expected):
+        out = tmp_path / "out"
+        run_cli("--out-dir", out, "simulate", config_path)
+        flag = [] if time_type is None else ["--time-type", time_type]
+        assert run_cli("--out-dir", out, "test", out / "records.csv", *flag) == 0
+        manifest = json.loads((out / "manifest_test.json").read_text())
+        assert manifest["time_kind"] == expected
 
 
 class TestMiScanCommand:
@@ -237,6 +280,18 @@ class TestAnalyticCommand:
         assert code == 2
         assert "--l2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity,grid", [("mi-discretized", "nan,10"), ("density", "10,nan")])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, quantity, grid):
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "analytic", "--quantity", quantity,
+            "--a1", "0.02", "--a2", "-0.02", "--b", "0.02", "--l1", "4", "--l2", "-4",
+            "--grid", grid,
+        )
+        assert code == 2
+        assert grid in capsys.readouterr().err
+        assert not (out / f"analytic_{quantity.replace('-', '_')}.csv").exists()
+
     @pytest.mark.parametrize("quantity", ["mi-discretized", "density"])
     def test_empty_grid_rejected(self, tmp_path, capsys, quantity):
         out = tmp_path / "out"
@@ -311,3 +366,80 @@ class TestReproduceCommand:
             assert np.allclose(cols.sum(axis=0), 1.0, atol=1e-9)
         alphas = (out / "fig2a_alphas.csv").read_text().splitlines()[1].split(",")
         assert float(alphas[0]) == pytest.approx(0.0133, abs=0.01)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_scale_rejected(self, tmp_path, capsys, scale):
+        assert run_cli("--out-dir", tmp_path, "reproduce", "fig5", "--scale", scale) == 2
+        assert "scale" in capsys.readouterr().err
+        assert not (tmp_path / "fig5_pmf.csv").exists()
+
+    def test_run_figure_rejects_bad_scale(self, tmp_path):
+        with pytest.raises(ValidationError, match="scale"):
+            reproduce.run_figure("fig5", tmp_path, scale=0.0)
+
+    def test_manifest_records_default_scale(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(reproduce.DEFAULT_SCALE, "fig5", 0.01)
+        assert run_cli("--out-dir", tmp_path, "reproduce", "fig5") == 0
+        manifest = json.loads((tmp_path / "manifest_reproduce_fig5.json").read_text())
+        assert manifest["scale"] == 0.01
+
+
+def small_run(command, tmp_path):
+    """Arguments that run ``command`` at small scale; `test` reads simulated records."""
+    exp = tmp_path / "exp.ini"
+    exp.write_text(BASE_CONFIG + "\n[scan]\nparameter = mu2\nvalues = 1.0\n")
+    over = tmp_path / "over.ini"
+    over.write_text(overshoot_config())
+    if command == "test":
+        assert run_cli("--out-dir", tmp_path / "rec", "simulate", exp) == 0
+    return {
+        "simulate": ["simulate", exp],
+        "test": ["test", tmp_path / "rec" / "records.csv"],
+        "mi-scan": ["mi-scan", exp],
+        "overshoot": ["overshoot", over],
+        "analytic": ["analytic", "--quantity", "mean-times", "--a1", "0.02", "--a2", "-0.02",
+                     "--b", "0.02", "--l1", "4", "--l2", "-4"],
+        "oracle": ["oracle", "--p", "0.8", "--m1", "2", "--m2", "2"],
+        "reproduce": ["reproduce", "fig5", "--scale", "0.01"],
+    }[command]
+
+
+def _runner_calls(tree: ast.AST):
+    """(command, call) for each manifest write, mkdir or clock read inside a ``cmd_*``."""
+    return [
+        (func.name, ast.unparse(call.func))
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call)
+        and (
+            ast.unparse(call.func) in ("write_manifest", "time.time")
+            or getattr(call.func, "attr", None) == "mkdir"
+        )
+    ]
+
+
+class TestOneRunner:
+    @pytest.mark.parametrize(
+        "command", ["simulate", "test", "mi-scan", "overshoot", "analytic", "oracle", "reproduce"]
+    )
+    def test_every_command_writes_its_manifest(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, *small_run(command, tmp_path)) == 0
+        name = "reproduce-fig5" if command == "reproduce" else command
+        manifest = json.loads((out / f"manifest_{name.replace('-', '_')}.json").read_text())
+        assert manifest["command"] == name
+        assert manifest["outputs"]
+        assert all(Path(p).parent == out and Path(p).exists() for p in manifest["outputs"])
+
+    def test_only_main_writes_manifests_makes_dirs_or_reads_the_clock(self):
+        assert _runner_calls(ast.parse(Path(cli.__file__).read_text())) == []
+
+    def test_guard_sees_each_call(self):
+        tree = ast.parse(
+            "def cmd_x(args, out_dir):\n    t0 = time.time()\n    out_dir.mkdir()\n"
+            "    write_manifest(out_dir, 'x', {}, [], t0)\n"
+        )
+        assert [call for _, call in _runner_calls(tree)] == [
+            "time.time", "out_dir.mkdir", "write_manifest"
+        ]
