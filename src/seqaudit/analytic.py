@@ -48,8 +48,10 @@ class ContinuousLLRParams:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.b > 0.0):
-            raise ValidationError(f"diffusion parameter b must be positive, got {self.b}")
+        if not (math.isfinite(self.a1) and math.isfinite(self.a2)):
+            raise ValidationError(f"drifts must be finite, got a1={self.a1}, a2={self.a2}")
+        if not (0.0 < self.b < math.inf):
+            raise ValidationError(f"diffusion parameter b must be positive and finite, got {self.b}")
 
 
 def continuous_llr_params(
@@ -229,6 +231,8 @@ def mean_decision_times(p: ContinuousLLRParams, th: Thresholds) -> MeanDecisionT
 
 
 def _limit_alpha1(p: ContinuousLLRParams, l1: float) -> float:
+    if not (0.0 < l1 < math.inf):
+        raise ValidationError(f"l1 must be positive and finite, got {l1}")
     if p.a2 >= 0.0:
         raise ValidationError("need a2 < 0 for the lower-hypothesis drift")
     alpha1 = math.exp(p.a2 * l1 / p.b)
@@ -261,8 +265,6 @@ def mutual_info_continuous(p: ContinuousLLRParams, l1: float) -> float:
     Equal priors are assumed; alpha1 = exp(a2 l1 / b).  Vanishes exactly
     when |a1| = |a2| and is strictly positive otherwise.
     """
-    if l1 <= 0:
-        raise ValidationError("l1 must be positive")
     alpha1 = _limit_alpha1(p, l1)
     if abs(p.a1) == abs(p.a2):
         return 0.0

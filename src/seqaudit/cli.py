@@ -319,6 +319,19 @@ def mi_scan_rows(
     return rows
 
 
+def mi_scan_table(column: str, rows: Sequence[ScanRow]):
+    """The scan's CSV header and rows, the scanned value under ``column``."""
+    header = (
+        f"{column},mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,"
+        "alpha1_hat,alpha2_hat,truncated_fraction"
+    )
+    return header, [
+        (r.value, r.mi_bits, r.mean_time, r.mean_time_ref, r.time_ratio_minus_one,
+         r.alpha1_hat, r.alpha2_hat, r.truncated_fraction)
+        for r in rows
+    ]
+
+
 def cmd_mi_scan(args, out_dir: Path):
     cfg = load_config(args.config)
     base = build_experiment(cfg, seed_override=args.seed)
@@ -339,16 +352,7 @@ def cmd_mi_scan(args, out_dir: Path):
             raise ConfigError(f"[scan] points must be >= 1, got {points}")
         values = np.linspace(start, stop, points).tolist()
     rows = mi_scan_rows(base, parameter, values, threads=args.threads)
-    path = write_table(
-        out_dir / "mi_scan.csv",
-        f"{parameter},mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,"
-        "alpha1_hat,alpha2_hat,truncated_fraction",
-        [
-            (r.value, r.mi_bits, r.mean_time, r.mean_time_ref, r.time_ratio_minus_one,
-             r.alpha1_hat, r.alpha2_hat, r.truncated_fraction)
-            for r in rows
-        ],
-    )
+    path = write_table(out_dir / "mi_scan.csv", *mi_scan_table(parameter, rows))
     print(f"mi-scan over {len(rows)} points -> {path}")
     return [path], _config_payload(cfg, base.seed)
 
@@ -436,7 +440,7 @@ def cmd_oracle(args, out_dir: Path):
     path = write_table(out_dir / "exact_law.csv", "k,d,h,probability", law.to_rows())
     print(
         f"enumerated up to k={law.k_max}; surviving mass "
-        f"H1={law.surviving[1]:.3g} H2={law.surviving[2]:.3g}"
+        f"H1={law.surviving[0]:.3g} H2={law.surviving[1]:.3g}"
     )
     print(f"law -> {path}")
     parameters = {"p": args.p, "m1": args.m1, "m2": args.m2, "k_max": law.k_max}
@@ -447,7 +451,7 @@ def cmd_reproduce(args, out_dir: Path):
     from . import reproduce
 
     seed = args.seed if args.seed is not None else 20180115
-    scale = args.scale if args.scale is not None else reproduce.DEFAULT_SCALE[args.figure]
+    scale = args.scale if args.scale is not None else reproduce.FIGURES[args.figure].scale
     outputs = reproduce.run_figure(
         args.figure, out_dir, scale=scale, seed=seed, threads=args.threads
     )

@@ -165,7 +165,8 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     """Read the interchange CSV.
 
     When ``time_kind`` is not given it is inferred: a file whose times are
-    all integral is treated as step-valued.  Columns collect as raw bytes,
+    all integral is treated as step-valued.  Under an explicit ``"steps"`` a
+    fractional time is a :class:`SchemaError`.  Columns collect as raw bytes,
     one per label and eight per float, not as boxed Python numbers.
     """
     hs, ds, ts, ss = array("b"), array("b"), array("d"), array("d")
@@ -196,9 +197,15 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
             ts.append(t)
             ss.append(s)
     time = np.frombuffer(ts, dtype=np.float64)
+    whole = time == np.floor(time)
     if time_kind is None:
-        integral = time.size == 0 or bool(np.all(time == np.floor(time)))
-        time_kind = STEPS if integral else SECONDS
+        time_kind = STEPS if whole.all() else SECONDS
+    elif time_kind == STEPS:
+        # a non-finite time is not rejected here yet (ROADMAP item 3a)
+        fractional = np.flatnonzero(~whole & np.isfinite(time))
+        if fractional.size:
+            i = fractional[0]
+            raise SchemaError(f"record {i + 1}: time {time[i]} is not a whole number of steps")
     return RecordBatch(
         hypothesis=np.frombuffer(hs, dtype=np.int8),
         decision=np.frombuffer(ds, dtype=np.int8),

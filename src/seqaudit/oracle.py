@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -61,29 +60,33 @@ class LatticeBernoulliModel:
 class ExactLaw:
     """Exact joint law of (T, D) per hypothesis up to ``k_max``.
 
-    ``table[(k, d, h)]`` is P(T=k, D=d | H=h); ``surviving[h]`` is the mass
-    still unabsorbed at ``k_max``.
+    ``pmf[h-1, d-1, k-1]`` is P(T=k, D=d | H=h), held in the extended
+    precision it was enumerated in: a mass below the float64 range stays
+    positive.  ``surviving[h-1]`` is the mass still unabsorbed at ``k_max``.
     """
 
-    table: Dict[Tuple[int, int, int], float]
-    surviving: Dict[int, float]
-    k_max: int
+    pmf: np.ndarray
+    surviving: np.ndarray
     model: LatticeBernoulliModel
 
-    def decision_prob(self, d: int, h: int) -> float:
-        return sum(v for (k, dd, hh), v in self.table.items() if dd == d and hh == h)
+    @property
+    def k_max(self) -> int:
+        return self.pmf.shape[2]
 
-    def conditional_time_pmf(self, d: int, h: int) -> Dict[int, float]:
-        total = self.decision_prob(d, h)
-        return {
-            k: v / total
-            for (k, dd, hh), v in sorted(self.table.items())
-            if dd == d and hh == h and v > 0.0
-        }
+    def decision_prob(self, d: int, h: int) -> float:
+        return float(self.pmf[h - 1, d - 1].sum())
+
+    def conditional_time_pmf(self, d: int, h: int) -> np.ndarray:
+        """P(T=k | D=d, H=h) at index k-1."""
+        cell = self.pmf[h - 1, d - 1]
+        return (cell / cell.sum()).astype(np.float64)
 
     def to_rows(self):
-        for (k, d, h), v in sorted(self.table.items()):
-            yield k, d, h, v
+        """(k, d, h, probability) for every positive mass, in (k, d, h) order."""
+        by_kdh = self.pmf.transpose(2, 1, 0)
+        k, d, h = np.nonzero(by_kdh > 0)
+        values = by_kdh[k, d, h].astype(np.float64)
+        return zip((k + 1).tolist(), (d + 1).tolist(), (h + 1).tolist(), values.tolist())
 
 
 def enumerate_exact_law(model: LatticeBernoulliModel, k_max: int | None = None) -> ExactLaw:
@@ -102,35 +105,29 @@ def enumerate_exact_law(model: LatticeBernoulliModel, k_max: int | None = None) 
     start = np.zeros(n_levels, dtype=np.longdouble)
     start[np.where(levels == 0)[0][0]] = 1.0
 
-    table: Dict[Tuple[int, int, int], float] = {}
-    surviving: Dict[int, float] = {}
     hard_cap = k_max if k_max is not None else 100_000
-    reached = 0
+    absorbed = []  # per hypothesis, rows (P(T=k, D=1), P(T=k, D=2)) for k = 1, 2, ...
+    surviving = np.zeros(2)
     for h in (1, 2):
         up = np.longdouble(model.p if h == 1 else 1.0 - model.p)
         down = np.longdouble(1.0) - up
         state = start.copy()
-        k = 0
+        rows = []
         while True:
-            k += 1
             nxt = np.zeros(n_levels, dtype=np.longdouble)
             nxt[1:] += up * state[:-1]
             nxt[:-1] += down * state[1:]
-            p_up = up * state[-1]
-            p_down = down * state[0]
-            if p_up > 0:
-                table[(k, 1, h)] = float(p_up)
-            if p_down > 0:
-                table[(k, 2, h)] = float(p_down)
+            rows.append((up * state[-1], down * state[0]))
             state = nxt
             mass = float(state.sum())
-            if k_max is not None and k >= k_max:
+            if len(rows) >= hard_cap or (k_max is None and mass < SURVIVAL_TOL):
                 break
-            if k_max is None and (mass < SURVIVAL_TOL or k >= hard_cap):
-                break
-        surviving[h] = float(state.sum())
-        reached = max(reached, k)
-    return ExactLaw(table=table, surviving=surviving, k_max=reached, model=model)
+        surviving[h - 1] = mass
+        absorbed.append(np.array(rows, dtype=np.longdouble).T)
+    pmf = np.zeros((2, 2, max(a.shape[1] for a in absorbed)), dtype=np.longdouble)
+    for h, cells in enumerate(absorbed):
+        pmf[h, :, : cells.shape[1]] = cells
+    return ExactLaw(pmf=pmf, surviving=surviving, model=model)
 
 
 def verify_fluctuation_relation(law: ExactLaw, tol: float = 1e-12):
@@ -141,21 +138,15 @@ def verify_fluctuation_relation(law: ExactLaw, tol: float = 1e-12):
     P(D=1|H=1)/P(D=1|H=2) = exp(l1).  Returns (ok, max_deviation).
     """
     for h in (1, 2):
-        if law.surviving[h] >= max(tol, SURVIVAL_TOL * 10):
+        if law.surviving[h - 1] >= max(tol, SURVIVAL_TOL * 10):
             raise ValidationError(
-                f"law covers too little mass under H={h}: surviving {law.surviving[h]:.3g}"
+                f"law covers too little mass under H={h}: surviving {law.surviving[h - 1]:.3g}"
             )
-    max_dev = 0.0
-    for d in (1, 2):
-        pmf1 = law.conditional_time_pmf(d, 1)
-        pmf2 = law.conditional_time_pmf(d, 2)
-        for k in set(pmf1) | set(pmf2):
-            dev = abs(pmf1.get(k, 0.0) - pmf2.get(k, 0.0))
-            max_dev = max(max_dev, dev)
+    conditional = law.pmf / law.pmf.sum(axis=2, keepdims=True)
+    max_dev = float(np.abs(conditional[0] - conditional[1]).max())
     ratio = law.decision_prob(1, 1) / law.decision_prob(1, 2)
     ratio_dev = abs(ratio - math.exp(law.model.thresholds.l1)) / math.exp(
         law.model.thresholds.l1
     )
     max_dev = max(max_dev, ratio_dev)
     return max_dev <= tol, max_dev
-

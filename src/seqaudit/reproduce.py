@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -25,26 +25,68 @@ from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
 from .overshoot import overshoot_profile
 from .simulate import ExperimentConfig, run_experiment
 from .stats import (
-    DISCRETE_NATIVE,
     Binning,
     _hdt_table,
     conditional_mi_plugin,
+    native_binning,
     optimality_test_known_h,
 )
-from .cli import mi_scan_rows
-
-DEFAULT_SCALE = {
-    "fig2": 0.1,
-    "fig3": 0.001,
-    "fig4": 0.001,
-    "fig5": 0.1,
-    "fig6": 0.01,
-    "fig7": 0.001,
-    "fig8": 0.1,
-}
+from .cli import mi_scan_rows, mi_scan_table
 
 IID_MODEL = GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0)
 IID_TH = Thresholds(4.0, -2.0)
+PMF_COLUMNS = ("p_h1_d1", "p_h2_d1", "p_h1_d2", "p_h2_d2")
+BELIEF = "believed mean under hypothesis 2"
+
+
+class Panel(NamedTuple):
+    """One axes of a figure: a line per y column (and per group value) against x."""
+
+    csv: str
+    x: str
+    y: Tuple[str, ...]
+    group: Optional[str] = None
+    log: str = ""  # the axes on a log scale: "", "y" or "xy"
+    xlabel: str = ""
+
+
+PLOT_SCRIPT = '''#!/usr/bin/env python3
+"""Render {figure} from the CSVs next to this script."""
+import csv
+from pathlib import Path
+
+import matplotlib.pyplot as plt
+
+HERE = Path(__file__).parent
+# (csv, x column, y columns, group column, log axes, x label) per axes
+PANELS = {panels}
+
+fig, axes = plt.subplots(1, len(PANELS), figsize=(4.5 * len(PANELS), 3.5), squeeze=False)
+for ax, (name, x, ys, group, log, xlabel) in zip(axes[0], PANELS):
+    with open(HERE / name) as f:
+        rows = list(csv.DictReader(f))
+    keys = sorted(set(r[group] for r in rows), key=float) if group else [None]
+    for key in keys:
+        sub = [r for r in rows if key is None or r[group] == key]
+        for y in ys:
+            label = y if key is None else y + ", " + group + "=" + key
+            ax.plot([float(r[x]) for r in sub], [float(r[y]) for r in sub], "o-", ms=3,
+                    label=label)
+    ax.set_xscale("log" if "x" in log else "linear")
+    ax.set_yscale("log" if "y" in log else "linear")
+    ax.set_xlabel(xlabel)
+    ax.legend(fontsize=7)
+plt.tight_layout()
+plt.savefig(HERE / "{figure}.png", dpi=150)
+'''
+
+
+def _plot_script(out_dir: Path, figure: str, panels: Tuple[Panel, ...]) -> str:
+    """Write ``plot_<figure>.py``, which draws ``panels`` from the CSVs beside it."""
+    path = out_dir / f"plot_{figure}.py"
+    rows = "".join(f"    {tuple(p)!r},\n" for p in panels)
+    path.write_text(PLOT_SCRIPT.format(figure=figure, panels=f"[\n{rows}]"))
+    return str(path)
 
 
 def _conditional_pmf_table(batch: RecordBatch, pool_hypotheses: bool = False) -> List[tuple]:
@@ -52,7 +94,7 @@ def _conditional_pmf_table(batch: RecordBatch, pool_hypotheses: bool = False) ->
 
     With ``pool_hypotheses`` the rows are (k, P(T=k|D=1), P(T=k|D=2)).
     """
-    _, table = _hdt_table(batch, DISCRETE_NATIVE)
+    _, table = _hdt_table(batch, native_binning(batch.time))
     if pool_hypotheses:
         table = table.sum(axis=0, keepdims=True)
     pmf = table / np.maximum(table.sum(axis=2, keepdims=True), 1)
@@ -72,38 +114,16 @@ def _pmf_panels(out_dir: Path, figure: str, base: ExperimentConfig, panels, thre
     for name, wm in panels.items():
         cfg = replace(base, seed=base.seed + ord(name), world_model=wm)
         res = run_experiment(cfg, threads=threads)
-        outputs.append(
+        pmf = _conditional_pmf_table(res.records)
+        alphas = [(res.alpha1_hat, res.alpha2_hat, cfg.trials, res.truncated_count)]
+        outputs += [
+            write_table(out_dir / f"{figure}{name}_pmf.csv", "k," + ",".join(PMF_COLUMNS), pmf),
             write_table(
-                out_dir / f"{figure}{name}_pmf.csv",
-                "k,p_h1_d1,p_h2_d1,p_h1_d2,p_h2_d2",
-                _conditional_pmf_table(res.records),
-            )
-        )
-        outputs.append(
-            write_table(
-                out_dir / f"{figure}{name}_alphas.csv",
-                "alpha1_hat,alpha2_hat,trials,truncated",
-                [(res.alpha1_hat, res.alpha2_hat, cfg.trials, res.truncated_count)],
-            )
-        )
+                out_dir / f"{figure}{name}_alphas.csv", "alpha1_hat,alpha2_hat,trials,truncated",
+                alphas,
+            ),
+        ]
     return outputs
-
-
-def _plot_script(path: Path, body: str) -> str:
-    text = (
-        "#!/usr/bin/env python3\n"
-        '"""Render the figure from the CSVs next to this script."""\n'
-        "import csv\n"
-        "from pathlib import Path\n\n"
-        "import matplotlib.pyplot as plt\n\n"
-        "HERE = Path(__file__).parent\n\n\n"
-        "def load(name):\n"
-        "    with open(HERE / name) as f:\n"
-        "        rows = list(csv.DictReader(f))\n"
-        "    return rows\n\n\n" + body
-    )
-    path.write_text(text)
-    return str(path)
 
 
 def _fig2(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
@@ -111,28 +131,8 @@ def _fig2(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     base = ExperimentConfig(
         model=IID_MODEL, thresholds=IID_TH, trials=trials, seed=seed, window=400
     )
-    panels = {
-        "a": None,
-        "b": GaussianIIDModel(mu1=0.0, mu2=5.0, sigma1=5.0, sigma2=10.0),
-    }
-    outputs = _pmf_panels(out_dir, "fig2", base, panels, threads)
-    body = (
-        "fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))\n"
-        "for ax, panel in zip(axes, 'ab'):\n"
-        "    rows = load(f'fig2{panel}_pmf.csv')\n"
-        "    k = [int(r['k']) for r in rows]\n"
-        "    for col, style in [('p_h1_d1', 'o-'), ('p_h2_d1', 's--'),\n"
-        "                       ('p_h1_d2', '^-'), ('p_h2_d2', 'v--')]:\n"
-        "        ax.plot(k, [float(r[col]) for r in rows], style, label=col, ms=3)\n"
-        "    ax.set_xlabel('decision time k')\n"
-        "    ax.set_ylabel('conditional pmf')\n"
-        "    ax.set_xlim(0, 25)\n"
-        "    ax.legend(fontsize=7)\n"
-        "plt.tight_layout()\n"
-        "plt.savefig(HERE / 'fig2.png', dpi=150)\n"
-    )
-    outputs.append(_plot_script(out_dir / "plot_fig2.py", body))
-    return outputs
+    panels = {"a": None, "b": GaussianIIDModel(mu1=0.0, mu2=5.0, sigma1=5.0, sigma2=10.0)}
+    return _pmf_panels(out_dir, "fig2", base, panels, threads)
 
 
 def _fig3(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
@@ -149,12 +149,8 @@ def _fig3(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
                 run_index += 1
                 wm = replace(obs, mu2=float(mu2t))
                 cfg = ExperimentConfig(
-                    model=obs,
-                    thresholds=IID_TH,
-                    trials=records_per_test,
-                    seed=seed + 6007 * run_index,
-                    world_model=wm,
-                    window=10,
+                    model=obs, thresholds=IID_TH, trials=records_per_test,
+                    seed=seed + 6007 * run_index, world_model=wm, window=10,
                 )
                 batch = run_experiment(cfg, threads=threads).records
                 try:
@@ -164,109 +160,31 @@ def _fig3(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
                 p1s.append(rep1.p_value)
                 p2s.append(rep2.p_value)
             if p1s:
-                rows.append(
-                    (
-                        mu1,
-                        float(mu2t),
-                        float(np.mean(p1s)),
-                        float(np.mean(p2s)),
-                        float(np.mean(np.array(p1s) < 0.05)),
-                        float(np.mean(np.array(p2s) < 0.05)),
-                        len(p1s),
-                    )
-                )
-    path = write_table(
-        out_dir / "fig3_pvalues.csv",
-        "mu1,mu2_tilde,mean_p_d1,mean_p_d2,reject_frac_d1,reject_frac_d2,reps",
-        rows,
-    )
-    body = (
-        "rows = load('fig3_pvalues.csv')\n"
-        "fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))\n"
-        "mu1s = sorted({r['mu1'] for r in rows})\n"
-        "for mu1 in mu1s:\n"
-        "    sub = [r for r in rows if r['mu1'] == mu1]\n"
-        "    x = [float(r['mu2_tilde']) for r in sub]\n"
-        "    axes[0].semilogy(x, [max(float(r['mean_p_d1']), 1e-12) for r in sub], 'o-', label=f'mu1={mu1}')\n"
-        "    axes[1].semilogy(x, [max(float(r['mean_p_d2']), 1e-12) for r in sub], 'o-', label=f'mu1={mu1}')\n"
-        "for ax, lbl in zip(axes, ['decision 1', 'decision 2']):\n"
-        "    ax.set_xlabel('believed mean under hypothesis 2')\n"
-        "    ax.set_ylabel(f'mean p-value ({lbl})')\n"
-        "    ax.legend()\n"
-        "plt.tight_layout()\n"
-        "plt.savefig(HERE / 'fig3.png', dpi=150)\n"
-    )
-    return [path, _plot_script(out_dir / "plot_fig3.py", body)]
+                p1, p2 = np.array(p1s), np.array(p2s)
+                rows.append((mu1, float(mu2t), float(np.mean(p1)), float(np.mean(p2)),
+                             float(np.mean(p1 < 0.05)), float(np.mean(p2 < 0.05)), len(p1s)))
+    header = "mu1,mu2_tilde,mean_p_d1,mean_p_d2,reject_frac_d1,reject_frac_d2,reps"
+    return [write_table(out_dir / "fig3_pvalues.csv", header, rows)]
 
 
 def _fig4(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     trials = max(int(1_000_000_000 * scale), 100_000)
     base = ExperimentConfig(
-        model=IID_MODEL,
-        thresholds=IID_TH,
-        trials=trials,
-        seed=seed,
-        window=10,
+        model=IID_MODEL, thresholds=IID_TH, trials=trials, seed=seed, window=10
     )
     rows = mi_scan_rows(base, "mu2", np.linspace(-4.0, 6.0, 21).tolist(), threads=threads)
-    path = write_table(
-        out_dir / "fig4_mi_scan.csv",
-        "mu2_tilde,mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,alpha1_hat,alpha2_hat",
-        [
-            (
-                r.value,
-                r.mi_bits,
-                r.mean_time,
-                r.mean_time_ref,
-                r.time_ratio_minus_one,
-                r.alpha1_hat,
-                r.alpha2_hat,
-            )
-            for r in rows
-        ],
-    )
-    body = (
-        "rows = load('fig4_mi_scan.csv')\n"
-        "x = [float(r['mu2_tilde']) for r in rows]\n"
-        "fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))\n"
-        "axes[0].semilogy(x, [max(float(r['mi_bits']), 1e-9) for r in rows], 'o-')\n"
-        "axes[0].set_ylabel('conditional MI (bits)')\n"
-        "axes[1].plot(x, [float(r['time_ratio_minus_one']) for r in rows], 'o-')\n"
-        "axes[1].set_ylabel('mean time ratio - 1')\n"
-        "for ax, lbl in zip(axes, ['', '']):\n"
-        "    ax.set_xlabel('believed mean under hypothesis 2')\n"
-        "plt.tight_layout()\n"
-        "plt.savefig(HERE / 'fig4.png', dpi=150)\n"
-    )
-    return [path, _plot_script(out_dir / "plot_fig4.py", body)]
+    return [write_table(out_dir / "fig4_mi_scan.csv", *mi_scan_table("mu2_tilde", rows))]
 
 
 def _fig5(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     trials = max(int(1_000_000 * scale), 10_000)
     model = GaussianIIDModel(mu1=1.0, mu2=-1.0, sigma1=5.0, sigma2=5.0)
     cfg = ExperimentConfig(
-        model=model,
-        thresholds=Thresholds(4.0, -4.0),
-        trials=trials,
-        seed=seed,
-        window=800,
+        model=model, thresholds=Thresholds(4.0, -4.0), trials=trials, seed=seed, window=800
     )
     batch = run_experiment(cfg, threads=threads).records
     rows = _conditional_pmf_table(batch, pool_hypotheses=True)
-    path = write_table(out_dir / "fig5_pmf.csv", "k,p_t_given_d1,p_t_given_d2", rows)
-    body = (
-        "rows = load('fig5_pmf.csv')\n"
-        "k = [int(r['k']) for r in rows]\n"
-        "plt.figure(figsize=(5, 3.5))\n"
-        "plt.plot(k, [float(r['p_t_given_d1']) for r in rows], 'o-', label='decision 1', ms=3)\n"
-        "plt.plot(k, [float(r['p_t_given_d2']) for r in rows], 's--', label='decision 2', ms=3)\n"
-        "plt.xlabel('decision time k')\n"
-        "plt.ylabel('pmf given decision')\n"
-        "plt.legend()\n"
-        "plt.tight_layout()\n"
-        "plt.savefig(HERE / 'fig5.png', dpi=150)\n"
-    )
-    return [path, _plot_script(out_dir / "plot_fig5.py", body)]
+    return [write_table(out_dir / "fig5_pmf.csv", "k,p_t_given_d1,p_t_given_d2", rows)]
 
 
 def _fig6(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
@@ -275,27 +193,8 @@ def _fig6(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     base = ExperimentConfig(
         model=model, thresholds=Thresholds(4.0, -4.0), trials=trials, seed=seed, window=800
     )
-    panels = {
-        "a": None,
-        "b": replace(model, w2=-0.5),
-    }
-    outputs = _pmf_panels(out_dir, "fig6", base, panels, threads)
-    body = (
-        "fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))\n"
-        "for ax, panel in zip(axes, 'ab'):\n"
-        "    rows = load(f'fig6{panel}_pmf.csv')\n"
-        "    k = [int(r['k']) for r in rows]\n"
-        "    for col, style in [('p_h1_d1', 'o-'), ('p_h1_d2', '^--'),\n"
-        "                       ('p_h2_d1', 's-'), ('p_h2_d2', 'v--')]:\n"
-        "        ax.plot(k, [float(r[col]) for r in rows], style, label=col, ms=3)\n"
-        "    ax.set_xlabel('decision time k')\n"
-        "    ax.set_ylabel('conditional pmf')\n"
-        "    ax.legend(fontsize=7)\n"
-        "plt.tight_layout()\n"
-        "plt.savefig(HERE / 'fig6.png', dpi=150)\n"
-    )
-    outputs.append(_plot_script(out_dir / "plot_fig6.py", body))
-    return outputs
+    panels = {"a": None, "b": replace(model, w2=-0.5)}
+    return _pmf_panels(out_dir, "fig6", base, panels, threads)
 
 
 FIG7_LAMBDAS = (0.08, 0.12, 0.16, 0.2, 0.28, 0.36, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
@@ -316,14 +215,9 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
         batch = run_experiment(cfg, threads=threads).records
         for n in n_values:
             sub = RecordBatch(
-                batch.hypothesis[:n],
-                batch.decision[:n],
-                batch.time[:n],
-                batch.terminal_llr[:n],
-                time_kind=batch.time_kind,
+                batch.hypothesis[:n], batch.decision[:n], batch.time[:n], time_kind=batch.time_kind
             )
-            est = conditional_mi_plugin(sub)
-            rows_a.append((lam, n, est.value_bits))
+            rows_a.append((lam, n, conditional_mi_plugin(sub).value_bits))
     path_a = write_table(out_dir / "fig7ab_mi.csv", "lambda,n,mi_bits", rows_a)
 
     rows_c = []
@@ -340,32 +234,7 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
         for k, v, c, m in zip(series.k, series.value, series.count, series.pmf):
             rows_c.append((lam, int(k), float(v), int(c), float(m)))
     path_c = write_table(out_dir / "fig7c_overshoot.csv", "lambda,k,value,count,pmf", rows_c)
-    body = (
-        "mi = load('fig7ab_mi.csv')\n"
-        "ov = load('fig7c_overshoot.csv')\n"
-        "fig, axes = plt.subplots(1, 3, figsize=(13, 3.5))\n"
-        "ns = sorted({int(r['n']) for r in mi})\n"
-        "for n in ns:\n"
-        "    sub = [r for r in mi if int(r['n']) == n]\n"
-        "    axes[0].loglog([float(r['lambda']) for r in sub],\n"
-        "                   [max(float(r['mi_bits']), 1e-9) for r in sub], 'o-', label=f'N={n}')\n"
-        "lams = sorted({float(r['lambda']) for r in mi})\n"
-        "for lam in (0.16, 0.36, 1.0, 3.0):\n"
-        "    sub = [r for r in mi if abs(float(r['lambda']) - lam) < 1e-9]\n"
-        "    axes[1].loglog([int(r['n']) for r in sub],\n"
-        "                   [max(float(r['mi_bits']), 1e-9) for r in sub], 'o-', label=f'lam={lam}')\n"
-        "for lam in (0.16, 0.36):\n"
-        "    sub = [r for r in ov if abs(float(r['lambda']) - lam) < 1e-9]\n"
-        "    axes[2].plot([int(r['k']) for r in sub], [float(r['value']) for r in sub], 'o-', label=f'lam={lam}', ms=3)\n"
-        "    axes[2].plot([int(r['k']) for r in sub], [float(r['pmf']) for r in sub], '--')\n"
-        "axes[0].set_xlabel('threshold distance factor')\n"
-        "axes[1].set_xlabel('number of runs')\n"
-        "axes[2].set_xlabel('termination step k')\n"
-        "for ax in axes: ax.legend(fontsize=7)\n"
-        "plt.tight_layout()\n"
-        "plt.savefig(HERE / 'fig7.png', dpi=150)\n"
-    )
-    return [path_a, path_c, _plot_script(out_dir / "plot_fig7.py", body)]
+    return [path_a, path_c]
 
 
 def fig8_device(mu2_tilde: float, alpha1: float = 0.01, l1: float = 4.0):
@@ -386,25 +255,13 @@ def _fig8(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     rows_a, rows_b = [], []
     for mu2t in grid:
         p = fig8_device(float(mu2t))
-        cont = mutual_info_continuous(p, l1)
-        rows_a.append(
-            (
-                float(mu2t),
-                cont,
-                mutual_info_discretized(p, l1, e_wald),
-                mutual_info_discretized(p, l1, 0.1 * e_wald),
-                mutual_info_discretized(p, l1, 0.01 * e_wald),
-            )
-        )
+        discretized = [mutual_info_discretized(p, l1, f * e_wald) for f in (1.0, 0.1, 0.01)]
+        rows_a.append((float(mu2t), mutual_info_continuous(p, l1), *discretized))
         rows_b.append((float(mu2t), l1 / abs(p.a1), l1 / abs(p.a2), e_wald))
-    path_a = write_table(
-        out_dir / "fig8a_mi.csv",
-        "mu2_tilde,mi_continuous,mi_tr_full,mi_tr_tenth,mi_tr_hundredth",
-        rows_a,
-    )
-    path_b = write_table(
-        out_dir / "fig8b_times.csv", "mu2_tilde,t_d1_h1,t_d1_h2,wald_reference", rows_b
-    )
+    header_a = "mu2_tilde,mi_continuous,mi_tr_full,mi_tr_tenth,mi_tr_hundredth"
+    path_a = write_table(out_dir / "fig8a_mi.csv", header_a, rows_a)
+    header_b = "mu2_tilde,t_d1_h1,t_d1_h2,wald_reference"
+    path_b = write_table(out_dir / "fig8b_times.csv", header_b, rows_b)
 
     n_max = max(int(1_000_000 * scale), 20_000)
     th = Thresholds(l1, -30.0)
@@ -423,43 +280,53 @@ def _fig8(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
             est = conditional_mi_plugin(batch, binning=binning)
             rows_c.append((float(mu2t), n, est.value_bits, theory))
             n *= 2
-    path_c = write_table(
-        out_dir / "fig8c_mi_runs.csv", "mu2_tilde,n,mi_bits,mi_theory", rows_c
-    )
-    body = (
-        "a = load('fig8a_mi.csv')\n"
-        "b = load('fig8b_times.csv')\n"
-        "c = load('fig8c_mi_runs.csv')\n"
-        "fig, axes = plt.subplots(1, 3, figsize=(13, 3.5))\n"
-        "x = [float(r['mu2_tilde']) for r in a]\n"
-        "for col in ('mi_continuous', 'mi_tr_full', 'mi_tr_tenth', 'mi_tr_hundredth'):\n"
-        "    axes[0].plot(x, [float(r[col]) for r in a], label=col)\n"
-        "xb = [float(r['mu2_tilde']) for r in b]\n"
-        "for col in ('t_d1_h1', 't_d1_h2', 'wald_reference'):\n"
-        "    axes[1].plot(xb, [float(r[col]) for r in b], label=col)\n"
-        "for mu2t in (0.5, 1.0, 1.5):\n"
-        "    sub = [r for r in c if abs(float(r['mu2_tilde']) - mu2t) < 1e-9]\n"
-        "    axes[2].loglog([int(r['n']) for r in sub],\n"
-        "                   [max(float(r['mi_bits']), 1e-9) for r in sub], 'o-', label=f'mu2~={mu2t}')\n"
-        "    axes[2].axhline(max(float(sub[0]['mi_theory']), 1e-9), ls='--', lw=0.8)\n"
-        "axes[0].set_xlabel('believed mean under hypothesis 2')\n"
-        "axes[1].set_xlabel('believed mean under hypothesis 2')\n"
-        "axes[2].set_xlabel('number of runs')\n"
-        "for ax in axes: ax.legend(fontsize=7)\n"
-        "plt.tight_layout()\n"
-        "plt.savefig(HERE / 'fig8.png', dpi=150)\n"
-    )
-    return [path_a, path_b, path_c, _plot_script(out_dir / "plot_fig8.py", body)]
+    path_c = write_table(out_dir / "fig8c_mi_runs.csv", "mu2_tilde,n,mi_bits,mi_theory", rows_c)
+    return [path_a, path_b, path_c]
 
 
-_FIGURES = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
+class Figure(NamedTuple):
+    """A figure's runner, which writes its CSVs, and the panels its script draws."""
+
+    run: Callable[[Path, float, int, int], List[str]]
+    scale: float  # the default trial-count multiplier
+    panels: Tuple[Panel, ...]
+
+
+def _pmf_figure(run, scale: float, figure: str) -> Figure:
+    """A figure of the two pmf tables, a and b, that ``_pmf_panels`` writes."""
+    return Figure(run, scale, tuple(
+        Panel(f"{figure}{name}_pmf.csv", "k", PMF_COLUMNS, xlabel="decision time k")
+        for name in "ab"
+    ))
+
+
+FIGURES = {
+    "fig2": _pmf_figure(_fig2, 0.1, "fig2"),
+    "fig3": Figure(_fig3, 0.001, (
+        Panel("fig3_pvalues.csv", "mu2_tilde", ("mean_p_d1",), "mu1", "y", BELIEF),
+        Panel("fig3_pvalues.csv", "mu2_tilde", ("mean_p_d2",), "mu1", "y", BELIEF),
+    )),
+    "fig4": Figure(_fig4, 0.001, (
+        Panel("fig4_mi_scan.csv", "mu2_tilde", ("mi_bits",), None, "y", BELIEF),
+        Panel("fig4_mi_scan.csv", "mu2_tilde", ("time_ratio_minus_one",), xlabel=BELIEF),
+    )),
+    "fig5": Figure(_fig5, 0.1, (
+        Panel("fig5_pmf.csv", "k", ("p_t_given_d1", "p_t_given_d2"), xlabel="decision time k"),
+    )),
+    "fig6": _pmf_figure(_fig6, 0.01, "fig6"),
+    "fig7": Figure(_fig7, 0.001, (
+        Panel("fig7ab_mi.csv", "lambda", ("mi_bits",), "n", "xy", "threshold distance factor"),
+        Panel("fig7ab_mi.csv", "n", ("mi_bits",), "lambda", "xy", "number of runs"),
+        Panel("fig7c_overshoot.csv", "k", ("value", "pmf"), "lambda", "", "termination step k"),
+    )),
+    "fig8": Figure(_fig8, 0.1, (
+        Panel("fig8a_mi.csv", "mu2_tilde",
+              ("mi_continuous", "mi_tr_full", "mi_tr_tenth", "mi_tr_hundredth"), xlabel=BELIEF),
+        Panel("fig8b_times.csv", "mu2_tilde", ("t_d1_h1", "t_d1_h2", "wald_reference"),
+              xlabel=BELIEF),
+        Panel("fig8c_mi_runs.csv", "n", ("mi_bits", "mi_theory"), "mu2_tilde", "xy",
+              "number of runs"),
+    )),
 }
 
 
@@ -470,10 +337,11 @@ def run_figure(
     seed: int = 20180115,
     threads: int = 1,
 ) -> List[str]:
-    if figure not in _FIGURES:
+    if figure not in FIGURES:
         raise ValidationError(
-            f"unknown figure {figure!r}; valid ids: {', '.join(sorted(_FIGURES))}"
+            f"unknown figure {figure!r}; valid ids: {', '.join(sorted(FIGURES))}"
         )
     if not (math.isfinite(scale) and scale > 0):
         raise ValidationError(f"scale must be positive and finite, got {scale}")
-    return _FIGURES[figure](out_dir, scale, seed, threads)
+    fig = FIGURES[figure]
+    return fig.run(out_dir, scale, seed, threads) + [_plot_script(out_dir, figure, fig.panels)]

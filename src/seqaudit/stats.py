@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .core import SECONDS, STEPS, EmptyCellError, RecordBatch, ValidationError
+from .core import STEPS, EmptyCellError, RecordBatch, ValidationError
 
 DEFAULT_MERGE_FLOOR = 5.0
 DEFAULT_QUANTILE_BINS = 32
-DISCRETE_NATIVE = "discrete-native"
 
 
 @dataclass(frozen=True)
@@ -69,22 +68,23 @@ def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> 
     return Binning(edges=tuple(edges.tolist()))
 
 
-BinningSpec = Union[Binning, str, None]
+def native_binning(times: np.ndarray) -> Binning:
+    """One bin per distinct value, cut at the midpoints between neighbours."""
+    values = np.unique(times)
+    return Binning(edges=tuple(((values[:-1] + values[1:]) / 2.0).tolist()))
+
+
+# an explicit binning, or None for the default of the time kind
+BinningSpec = Optional[Binning]
 
 
 def _resolve_binning(times: np.ndarray, binning: BinningSpec, time_kind: str) -> Binning:
     """Native bins for step-valued times, quantile bins otherwise."""
     if isinstance(binning, Binning):
         return binning
-    if binning == DISCRETE_NATIVE or (binning is None and time_kind == STEPS):
-        values = np.unique(times)
-        if values.size > 1:
-            mid = (values[:-1] + values[1:]) / 2.0
-            return Binning(edges=tuple(mid.tolist()))
-        return Binning(edges=())
-    if binning is None:
-        return quantile_binning(times)
-    raise ValidationError(f"unknown binning spec {binning!r}")
+    if binning is not None:
+        raise ValidationError(f"unknown binning spec {binning!r}")
+    return native_binning(times) if time_kind == STEPS else quantile_binning(times)
 
 
 def _kolmogorov_sf(lam: float, terms: int = 20) -> float:
@@ -211,7 +211,7 @@ class MIEstimate:
 
     value_bits: float
     n: int
-    binning: Union[Binning, str]
+    binning: Binning
 
     def __post_init__(self) -> None:
         if self.value_bits < 0:
@@ -253,12 +253,12 @@ def _chain_rule(table: np.ndarray) -> Tuple[float, float, float]:
     return h_ent + dt_ent - hdt_ent, h_ent + d_ent - hd_ent, max(i_cond, 0.0)
 
 
-def mi_plugin(x_labels, y_values, binning: BinningSpec = DISCRETE_NATIVE) -> MIEstimate:
+def mi_plugin(x_labels, y_values, binning: BinningSpec = None) -> MIEstimate:
     """Generic two-variable plug-in mutual information in bits.
 
     ``x_labels`` are categories (the table holds one row per distinct
-    label); ``y_values`` are binned per ``binning`` (pass "discrete-native"
-    for categorical data); negative rounding artifacts are clipped at zero.
+    label); ``y_values`` fall into ``binning``, by default one bin per
+    distinct value; negative rounding artifacts are clipped at zero.
     """
     x = np.asarray(x_labels)
     y = np.asarray(y_values, dtype=np.float64)
@@ -266,7 +266,7 @@ def mi_plugin(x_labels, y_values, binning: BinningSpec = DISCRETE_NATIVE) -> MIE
         raise ValidationError("label and value arrays must have equal length")
     if x.size == 0:
         raise EmptyCellError("cannot estimate mutual information from no samples")
-    bng = _resolve_binning(y, binning, SECONDS)
+    bng = _resolve_binning(y, binning, STEPS)
     k = bng.n_bins
     labels, codes = np.unique(x, return_inverse=True)
     table = np.bincount(
@@ -277,8 +277,7 @@ def mi_plugin(x_labels, y_values, binning: BinningSpec = DISCRETE_NATIVE) -> MIE
         + _entropy_bits(table.sum(axis=0))
         - _entropy_bits(table)
     )
-    out_binning = binning if binning == DISCRETE_NATIVE else bng
-    return MIEstimate(value_bits=max(value, 0.0), n=int(x.size), binning=out_binning)
+    return MIEstimate(value_bits=max(value, 0.0), n=int(x.size), binning=bng)
 
 
 def conditional_mi_plugin(records: RecordBatch, binning: BinningSpec = None) -> MIEstimate:
@@ -287,8 +286,8 @@ def conditional_mi_plugin(records: RecordBatch, binning: BinningSpec = None) -> 
     Times are binned once over the pooled sample (native values for
     step-valued records, equal-mass quantile bins otherwise); the estimate
     then satisfies the chain rule against :func:`mi_plugin` on the same
-    table exactly.  A binning string other than "discrete-native" raises
-    :class:`ValidationError`.  The plug-in estimator carries a positive bias
+    table exactly.  A ``binning`` that is not a :class:`Binning` or None
+    raises :class:`ValidationError`.  The plug-in estimator carries a positive bias
     of order (cells/N); no correction is applied.
     """
     bng, table = _hdt_table(records, binning)

@@ -90,7 +90,7 @@ def test_criterion_03_exact_lattice_law():
     law = enumerate_exact_law(model)
     pmf1 = law.conditional_time_pmf(1, 1)
     pmf2 = law.conditional_time_pmf(1, 2)
-    exact_ok = abs(pmf1[2] - 0.68) < 1e-12 and abs(pmf2[2] - 0.68) < 1e-12
+    exact_ok = abs(pmf1[1] - 0.68) < 1e-12 and abs(pmf2[1] - 0.68) < 1e-12  # k = 2
     tvs = []
     for h in (1, 2):
         cfg = ExperimentConfig(
@@ -107,7 +107,7 @@ def test_criterion_03_exact_lattice_law():
             times = batch.cell_times(h, d)
             ks, counts = np.unique(times, return_counts=True)
             emp = dict(zip(ks.astype(int), counts / len(batch)))
-            exact = {k: v for (k, dd, hh), v in law.table.items() if dd == d and hh == h}
+            exact = dict(enumerate(law.pmf[h - 1, d - 1].astype(float).tolist(), start=1))
             for k in set(emp) | set(exact):
                 tv += abs(emp.get(k, 0.0) - exact.get(k, 0.0))
         tvs.append(tv / 2.0)
@@ -115,7 +115,7 @@ def test_criterion_03_exact_lattice_law():
     report(
         3,
         exact_ok and mc_ok,
-        f"P(T=2|D=1,H=1)={pmf1[2]:.15f}, P(T=2|D=1,H=2)={pmf2[2]:.15f}, "
+        f"P(T=2|D=1,H=1)={pmf1[1]:.15f}, P(T=2|D=1,H=2)={pmf2[1]:.15f}, "
         f"MC TV distances={tvs[0]:.4f}/{tvs[1]:.4f} (<0.01)",
     )
     assert exact_ok and mc_ok
@@ -447,8 +447,8 @@ def test_criterion_10_estimator_identities(fig2a_result):
     chi_p = np.empty(reps)
     law = enumerate_exact_law(lattice)
     pmf = law.conditional_time_pmf(1, 1)
-    ks_vals = np.array(sorted(pmf))
-    probs = np.array([pmf[k] for k in ks_vals])
+    ks_vals = np.flatnonzero(pmf > 0) + 1
+    probs = pmf[ks_vals - 1]
     probs /= probs.sum()
     for r in range(reps):
         a = sample_inverse_gaussian(10.0, 30.0, g, size=10_000)

@@ -48,6 +48,23 @@ def fig8_device(mu2_tilde, alpha1=0.01, l1=4.0):
     return continuous_llr_params(obs, wm)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("field", ["a1", "a2", "b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, field, bad):
+        values = {"a1": 0.02, "a2": -0.01, "b": 0.02, field: bad}
+        with pytest.raises(ValidationError, match="finite"):
+            ContinuousLLRParams(**values)
+
+    @pytest.mark.parametrize("l1", [math.nan, math.inf])
+    def test_mutual_information_rejects_non_finite_l1(self, l1):
+        p = ContinuousLLRParams(a1=0.02, a2=-0.01, b=0.02)
+        with pytest.raises(ValidationError, match="l1 must be positive and finite"):
+            mutual_info_continuous(p, l1)
+        with pytest.raises(ValidationError, match="l1 must be positive and finite"):
+            mutual_info_discretized(p, l1, 10.0)
+
+
 class TestContinuousLLRParams:
     def test_matched_fig_parameters(self):
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)

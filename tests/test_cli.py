@@ -144,6 +144,13 @@ class TestTestCommand:
         rec.write_text("hypothesis,decision,time,terminal_llr\n1,1,3,\n2,1,4,\n")
         assert run_cli("--out-dir", tmp_path, "test", rec, "--mode", "known-h") == 4
 
+    def test_fractional_time_under_steps_is_schema_error(self, tmp_path, capsys):
+        rec = tmp_path / "records.csv"
+        rec.write_text("hypothesis,decision,time,terminal_llr\n1,1,3,\n2,1,4.5,\n")
+        assert run_cli("--out-dir", tmp_path, "test", rec, "--time-type", "steps") == 3
+        assert "record 2: time 4.5 is not a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "test_report.csv").exists()
+
     @pytest.mark.parametrize("time_type,expected", [
         (None, "steps"),
         # KS on step-valued times warns about its ties, as it should
@@ -271,6 +278,21 @@ class TestAnalyticCommand:
         assert code == 4
         assert "regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity", ["mi-continuous", "mi-discretized"])
+    @pytest.mark.parametrize("option,bad", [
+        ("--a1", "nan"), ("--a1", "inf"), ("--l1", "nan"), ("--l1", "inf"),
+    ])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, quantity, option, bad):
+        values = {"--a1": "0.02", "--a2": "-0.01", "--b": "0.02", "--l1": "4", option: bad}
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "analytic", "--quantity", quantity, "--grid", "10,20",
+            *[item for pair in values.items() for item in pair],
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / f"analytic_{quantity.replace('-', '_')}.csv").exists()
+
     @pytest.mark.parametrize("quantity", ["error-probs", "mean-times", "density"])
     def test_missing_l2_names_option(self, tmp_path, capsys, quantity):
         code = run_cli(
@@ -378,7 +400,7 @@ class TestReproduceCommand:
             reproduce.run_figure("fig5", tmp_path, scale=0.0)
 
     def test_manifest_records_default_scale(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(reproduce.DEFAULT_SCALE, "fig5", 0.01)
+        monkeypatch.setitem(reproduce.FIGURES, "fig5", reproduce.FIGURES["fig5"]._replace(scale=0.01))
         assert run_cli("--out-dir", tmp_path, "reproduce", "fig5") == 0
         manifest = json.loads((tmp_path / "manifest_reproduce_fig5.json").read_text())
         assert manifest["scale"] == 0.01

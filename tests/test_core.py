@@ -143,6 +143,14 @@ class TestCsvRoundTrip:
         write_records_csv(path, batch)
         assert read_records_csv(path).time_kind == "seconds"
 
+    def test_fractional_time_under_explicit_steps_rejected(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("hypothesis,decision,time,terminal_llr\n1,1,3,\n2,1,4.5,\n")
+        with pytest.raises(SchemaError, match="record 2: time 4.5 is not a whole number"):
+            read_records_csv(path, time_kind="steps")
+        assert read_records_csv(path).time_kind == "seconds"
+        assert read_records_csv(path, time_kind="seconds").time[1] == 4.5
+
     def test_header_only_file_reads_as_empty_batch(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("hypothesis,decision,time,terminal_llr\n")
@@ -216,11 +224,17 @@ class TestWriteTable:
 
 
 # the functions allowed to open a file for writing: one per output format
-WRITERS = {("core", "write_table"), ("cli", "write_manifest"), ("simulate", "write_metadata")}
+WRITERS = {
+    ("core", "write_table"),
+    ("cli", "write_manifest"),
+    ("simulate", "write_metadata"),
+    ("reproduce", "_plot_script"),
+}
 
 
 def _write_opens(tree: ast.AST):
-    """Names of the functions holding an ``open(..., "w")`` call, one per call."""
+    """Names of the functions holding an ``open(..., "w")``, ``.write_text`` or
+    ``.write_bytes`` call, one per call."""
     found = []
 
     def visit(node, func):
@@ -230,6 +244,10 @@ def _write_opens(tree: ast.AST):
             modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
             if any(isinstance(m, ast.Constant) and "w" in str(m.value) for m in modes):
                 found.append(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "write_text", "write_bytes"
+        ):
+            found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -251,3 +269,7 @@ class TestOneWriter:
     def test_guard_sees_a_write_open(self):
         tree = ast.parse('def f(p):\n    with open(p, "w") as fh:\n        pass\n')
         assert _write_opens(tree) == ["f"]
+
+    def test_guard_sees_path_writes(self):
+        tree = ast.parse('def g(p):\n    p.write_text("x")\n\ndef h(p):\n    p.write_bytes(b"")\n')
+        assert _write_opens(tree) == ["g", "h"]

@@ -22,11 +22,11 @@ from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.reproduce import _conditional_pmf_table
 from seqaudit.simulate import ExperimentConfig, empirical_error_probs, run_experiment
 from seqaudit.stats import (
-    DISCRETE_NATIVE,
     Binning,
     conditional_mi_plugin,
     mi_decomposition,
     mi_plugin,
+    native_binning,
     optimality_test_known_h,
     optimality_test_unknown_h,
     quantile_binning,
@@ -59,7 +59,7 @@ def ref_native_binning(times):
 def ref_binning(batch, binning):
     if isinstance(binning, Binning):
         return binning
-    if binning == DISCRETE_NATIVE or (binning is None and batch.time_kind == STEPS):
+    if batch.time_kind == STEPS:
         return ref_native_binning(batch.time)
     return quantile_binning(batch.time)
 
@@ -88,12 +88,7 @@ def ref_mi_decomposition(batch, binning=None):
 def ref_mi_plugin(x, y, binning):
     x = np.asarray(x)
     y = np.asarray(y, dtype=np.float64)
-    if isinstance(binning, Binning):
-        bng = binning
-    elif binning == DISCRETE_NATIVE:
-        bng = ref_native_binning(y)
-    else:
-        bng = quantile_binning(y)
+    bng = binning if isinstance(binning, Binning) else ref_native_binning(y)
     yb = bng.assign(y)
     codes = np.unique(x, return_inverse=True)[1]
     value = ref_counts(x) + ref_counts(yb) - ref_joint_entropy(codes, yb)
@@ -229,15 +224,24 @@ explicit_binnings = st.one_of(
         lambda e: Binning(edges=tuple(sorted(e)))
     ),
 )
-binning_specs = st.one_of(st.none(), st.just(DISCRETE_NATIVE), explicit_binnings)
+binning_specs = st.one_of(st.none(), explicit_binnings)
 
 
 @st.composite
-def batches_and_binnings(draw):
-    """A batch with a binning spec, or with 1 to 40 quantile bins of its times."""
-    batch = draw(batches())
-    quantile = st.integers(1, 40).map(lambda n: quantile_binning(batch.time, n))
-    return batch, draw(st.one_of(binning_specs, quantile))
+def with_binning(draw, batch_strategy, quantile=False):
+    """A batch with a binning spec: None, explicit cut points or its native bins.
+
+    With ``quantile`` the spec may also be 1 to 40 quantile bins of its times.
+    """
+    batch = draw(batch_strategy)
+    specs = [binning_specs, st.just(native_binning(batch.time))]
+    if quantile:
+        specs.append(st.integers(1, 40).map(lambda n: quantile_binning(batch.time, n)))
+    return batch, draw(st.one_of(*specs))
+
+
+def batches_and_binnings():
+    return with_binning(batches(), quantile=True)
 
 
 def assert_triple_equal(batch, binning):
@@ -313,12 +317,14 @@ class TestCountTableEqualsSamplePath:
             min_size=1,
             max_size=300,
         ),
-        st.one_of(st.just(DISCRETE_NATIVE), st.none(), explicit_binnings),
+        st.one_of(st.none(), st.just(quantile_binning), explicit_binnings),
     )
     @settings(max_examples=300, deadline=None)
     def test_mi_plugin_any_labels(self, rows, binning):
         x = np.array([r[0] for r in rows])
         y = np.array([r[1] for r in rows])
+        if callable(binning):
+            binning = binning(y)
         assert mi_plugin(x, y, binning=binning).value_bits == ref_mi_plugin(x, y, binning)
 
     @given(st.lists(st.tuples(st.sampled_from(["b", "a", "c"]), real_times), min_size=1,
@@ -327,7 +333,7 @@ class TestCountTableEqualsSamplePath:
     def test_mi_plugin_string_labels_real_values(self, rows):
         x = np.array([r[0] for r in rows])
         y = np.array([r[1] for r in rows])
-        for binning in (DISCRETE_NATIVE, None, Binning(edges=(10.0, 50.0))):
+        for binning in (None, quantile_binning(y), Binning(edges=(10.0, 50.0))):
             assert mi_plugin(x, y, binning=binning).value_bits == ref_mi_plugin(x, y, binning)
 
     @pytest.mark.parametrize("empty", CELLS)
@@ -350,7 +356,7 @@ class TestCountTableEqualsSamplePath:
             model=model, thresholds=Thresholds(2.5, -2.5), trials=20_000, seed=5, window=300
         )
         batch = run_experiment(cfg).records
-        for binning in (None, DISCRETE_NATIVE, Binning(edges=(4.5, 9.5))):
+        for binning in (None, native_binning(batch.time), Binning(edges=(4.5, 9.5))):
             assert conditional_mi_plugin(batch, binning).value_bits == ref_conditional_mi(
                 batch, binning
             )
@@ -361,10 +367,10 @@ class TestCountTableEqualsSamplePath:
 
 
 class TestOptimalityTestsOnCountTable:
-    @given(step_batches(), binning_specs)
+    @given(with_binning(step_batches()))
     @settings(max_examples=400, deadline=None)
-    def test_equal_to_per_panel_path(self, batch, binning):
-        assert_tests_match(batch, binning)
+    def test_equal_to_per_panel_path(self, case):
+        assert_tests_match(*case)
 
     @pytest.mark.parametrize("empty", CELLS)
     @pytest.mark.parametrize("kind", [STEPS, "seconds"])
@@ -430,6 +436,19 @@ class TestConditionalPmfTable:
     @settings(max_examples=200, deadline=None)
     def test_equals_per_cell_counts(self, batch):
         assert _conditional_pmf_table(batch) == ref_conditional_pmf_table(batch)
+
+
+class TestNativeBinning:
+    @given(st.lists(st.one_of(step_times, real_times), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_midpoints_between_distinct_values(self, values):
+        times = np.array(values, dtype=float)
+        assert native_binning(times) == ref_native_binning(times)
+
+    def test_mi_plugin_reports_the_binning_it_used(self):
+        y = np.array([3.0, 1.0, 3.0, 7.0])
+        est = mi_plugin(np.array([1, 2, 1, 2]), y)
+        assert est.binning == native_binning(y) == Binning(edges=(2.0, 5.0))
 
 
 class TestBinningDispatch:

@@ -99,8 +99,8 @@ class TestChi2TwoSample:
     def test_null_calibration_from_exact_law(self):
         law = enumerate_exact_law(LatticeBernoulliModel(p=0.8, m1=2, m2=2))
         pmf = law.conditional_time_pmf(1, 1)
-        ks = np.array(sorted(pmf))
-        probs = np.array([pmf[k] for k in ks])
+        ks = np.flatnonzero(pmf > 0) + 1
+        probs = pmf[ks - 1]
         probs = probs / probs.sum()
         g = rng(2718)
         reps = 200
@@ -117,12 +117,12 @@ class TestMIPlugin:
         # population table: every (label, value) combination equally often
         labels = np.tile([1, 2], 50)
         values = np.repeat([10.0, 20.0], 50)
-        est = mi_plugin(labels, values, binning="discrete-native")
+        est = mi_plugin(labels, values)  # native bins
         assert est.value_bits == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_map_is_one_bit(self):
         labels = np.tile([1, 2], 100)
-        est = mi_plugin(labels, labels.astype(float), binning="discrete-native")
+        est = mi_plugin(labels, labels.astype(float))
         assert est.value_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_nonnegative(self):
@@ -180,7 +180,7 @@ class TestConditionalMIPlugin:
         )
         res = run_experiment(cfg)
         batch = res.records
-        est = mi_plugin(batch.decision, batch.time, binning="discrete-native")
+        est = mi_plugin(batch.decision, batch.time)
         k_cells = np.unique(batch.time).size
         bias_level = k_cells / (2 * len(batch) * math.log(2))
         assert est.value_bits < 6 * bias_level
