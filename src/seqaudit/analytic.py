@@ -148,7 +148,13 @@ def _d1_params(p: ContinuousLLRParams, l1: float, h: int) -> Tuple[float, float]
     a = abs(p.a1) if h == 1 else abs(p.a2)
     if a == 0.0:
         raise ValidationError("zero drift: the single-boundary density does not exist")
-    return l1 / a, l1**2 / (2.0 * p.b)
+    mean = l1 / a
+    if not (math.isfinite(mean * mean) and math.isfinite(l1 * l1 / p.b)):
+        raise ValidationError(
+            f"|a{h}| = {a:g}, b = {p.b:g} and l1 = {l1:g} put the decision-time density "
+            f"(mean {mean:.3g}) beyond float range"
+        )
+    return mean, l1**2 / (2.0 * p.b)
 
 
 def _d2_bracket(t, l1: float, l2: float, b: float):
@@ -311,6 +317,11 @@ def mutual_info_discretized(p: ContinuousLLRParams, l1: float, t_r: float) -> fl
     mean2, shape2 = _d1_params(p, l1, 2)
     hi = _upper_integration_limit(p, l1)
     n_bins = int(math.ceil(hi / t_r)) + 1
+    if n_bins > 2**53:  # float64 edges k * t_r stop being distinct
+        raise ValidationError(
+            f"t_r = {t_r:g} needs {n_bins:.3g} bins up to the tail limit {hi:.3g} "
+            f"of a1 = {p.a1:g}, a2 = {p.a2:g}, b = {p.b:g}"
+        )
     edges = np.arange(0, n_bins + 1, dtype=np.float64) * t_r
     cdf1 = _ig_cdf(edges, mean1, shape1)
     cdf2 = _ig_cdf(edges, mean2, shape2)

@@ -360,8 +360,6 @@ def cmd_mi_scan(args, out_dir: Path):
 def cmd_overshoot(args, out_dir: Path):
     cfg = load_config(args.config)
     kind, model = build_model(cfg)
-    if kind == "drift_diffusion":
-        raise ConfigError("overshoot diagnostics apply to discrete models only")
     wm, th = build_device(cfg, kind, model)
     # without an [overshoot] section every key takes its default
     section = cfg["overshoot"] if "overshoot" in cfg else cfg[cfg.default_section]
@@ -370,9 +368,9 @@ def cmd_overshoot(args, out_dir: Path):
     mass_threshold = _get(section, "mass_threshold", default=0.9)
     max_steps = _get(section, "max_steps", cast=int, default=2000)
     seed = args.seed if args.seed is not None else _get(section, "seed", cast=int, default=1)
-    device = wm if wm is not None else model
     series = overshoot_profile(
-        model, device, th, trials, seed=seed, max_steps=max_steps, estimator=estimator
+        model, wm, th, trials, seed=seed, max_steps=max_steps, estimator=estimator,
+        threads=args.threads,
     )
     flatness = condition51_flatness(series, mass_threshold=mass_threshold)
     path = write_table(

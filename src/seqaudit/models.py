@@ -94,9 +94,9 @@ class DriftDiffusionModel:
 def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
     """Vectorized discrete trials; one stream drives the whole block.
 
-    Returns (times, decisions, terminal_llrs, decided) arrays over the block.
-    A trial still inside (l2, l1) after ``max_steps`` is truncated: decision
-    0, time 0, terminal NaN, and ``decided`` False.
+    Returns (times, decisions, terminal_llrs) arrays over the block.  A
+    trial still inside (l2, l1) after ``max_steps`` is truncated: decision
+    0, time 0 and terminal NaN.
     """
     n = len(h)
     s = np.zeros(n)
@@ -120,8 +120,7 @@ def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
             alive = alive[~done]
             if alive.size == 0:
                 break
-    decided = decisions != 0
-    return times, decisions, terminal, decided
+    return times, decisions, terminal
 
 
 def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float, rng):
@@ -153,5 +152,4 @@ def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float,
             alive = alive[~done]
             if alive.size == 0:
                 break
-    decided = decisions != 0
-    return times, decisions, terminal, decided
+    return times, decisions, terminal

@@ -7,15 +7,14 @@ flatness over the range carrying the termination mass.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .core import Thresholds, ValidationError
-from .models import _wald_discrete_block
-from .simulate import BLOCK_SIZE, block_rng
+from .models import DriftDiffusionModel
+from .simulate import ExperimentConfig, run_experiment
 
 
 @dataclass
@@ -45,6 +44,7 @@ def overshoot_profile(
     seed: int,
     max_steps: int = 1000,
     estimator: str = "direct",
+    threads: int = 1,
 ) -> OvershootSeries:
     """Estimate the conditional exponentiated-overshoot profile.
 
@@ -54,27 +54,22 @@ def overshoot_profile(
     exact change of measure e^{-S_T}: on {T=k, D=1} the likelihood ratio
     makes E[e^M1 | T=k, D=1, H=2] equal 1 / E[e^-M1 | T=k, D=1, H=1], which
     gives usable statistics when upper-boundary errors under hypothesis 2
-    are too rare to simulate directly.
+    are too rare to simulate directly.  The trials are the records of
+    ``run_experiment`` at prior 0 or 1, so the profile does not depend on
+    ``threads``.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    if isinstance(model, DriftDiffusionModel):
+        raise ValidationError("overshoot diagnostics apply to discrete models only")
     if estimator not in ("direct", "tilted"):
         raise ValidationError(f"unknown estimator {estimator!r}")
-    h_value = 2 if estimator == "direct" else 1
-    n_blocks = math.ceil(trials / BLOCK_SIZE)
-    ks, overs = [], []
-    for i in range(n_blocks):
-        n = min(BLOCK_SIZE, trials - i * BLOCK_SIZE)
-        rng = block_rng(seed, i)
-        h = np.full(n, h_value, dtype=np.int8)
-        times, decisions, terminal, decided = _wald_discrete_block(
-            model, wm, th, h, max_steps, rng
-        )
-        sel = decided & (decisions == 1)
-        ks.append(times[sel].astype(np.int64))
-        overs.append(terminal[sel] - th.l1)
-    k_all = np.concatenate(ks)
-    m_all = np.concatenate(overs)
+    cfg = ExperimentConfig(
+        model, th, trials, seed, world_model=wm,
+        p1=0.0 if estimator == "direct" else 1.0, window=max_steps,
+    )
+    records = run_experiment(cfg, threads=threads).records
+    up = records.decision == 1
+    k_all = records.time[up].astype(np.int64)
+    m_all = records.terminal_llr[up] - th.l1
     if k_all.size == 0:
         raise ValidationError("no upper-threshold decisions observed; increase trials")
     k_grid, idx = np.unique(k_all, return_inverse=True)

@@ -230,6 +230,7 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
             profile_trials,
             seed=seed + int(lam * 7000),
             max_steps=2000,
+            threads=threads,
         )
         for k, v, c, m in zip(series.k, series.value, series.count, series.pmf):
             rows_c.append((lam, int(k), float(v), int(c), float(m)))
@@ -343,5 +344,7 @@ def run_figure(
         )
     if not (math.isfinite(scale) and scale > 0):
         raise ValidationError(f"scale must be positive and finite, got {scale}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     fig = FIGURES[figure]
     return fig.run(out_dir, scale, seed, threads) + [_plot_script(out_dir, figure, fig.panels)]

@@ -54,6 +54,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 <= self.p1 <= 1.0):
             raise ValidationError("prior p1 must lie in [0, 1]")
         if not 0 < self.window < math.inf:
@@ -110,10 +112,15 @@ def _block_hypotheses(cfg: ExperimentConfig, start: int, n: int, rng) -> np.ndar
         # exact alternation by global trial index; no draw consumed
         idx = np.arange(start, start + n)
         return np.where(idx % 2 == 0, 1, 2).astype(np.int8)
+    if cfg.p1 in (0.0, 1.0):
+        # a certain hypothesis; no draw consumed
+        return np.full(n, 1 if cfg.p1 == 1.0 else 2, dtype=np.int8)
     return np.where(rng.random(n) < cfg.p1, 1, 2).astype(np.int8)
 
 
-def _run_block(cfg: ExperimentConfig, block_index: int, start: int, n: int):
+def _run_block(cfg: ExperimentConfig, block_index: int):
+    start = block_index * BLOCK_SIZE
+    n = min(BLOCK_SIZE, cfg.trials - start)
     rng = block_rng(cfg.seed, block_index)
     h = _block_hypotheses(cfg, start, n, rng)
     if cfg.is_continuous:
@@ -121,14 +128,10 @@ def _run_block(cfg: ExperimentConfig, block_index: int, start: int, n: int):
 
         p = continuous_llr_params(cfg.model, cfg.device)
         a = np.where(h == 1, p.a1, p.a2)
-        times, decisions, terminal, decided = _wald_continuous_block(
-            a, p.b, cfg.thresholds, cfg.dt, cfg.window, rng
-        )
+        cols = _wald_continuous_block(a, p.b, cfg.thresholds, cfg.dt, cfg.window, rng)
     else:
-        times, decisions, terminal, decided = _wald_discrete_block(
-            cfg.model, cfg.device, cfg.thresholds, h, cfg.window, rng
-        )
-    return h, times, decisions, terminal, decided
+        cols = _wald_discrete_block(cfg.model, cfg.device, cfg.thresholds, h, cfg.window, rng)
+    return (h, *cols)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -139,26 +142,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    n_blocks = math.ceil(cfg.trials / BLOCK_SIZE)
-    sizes = [
-        min(BLOCK_SIZE, cfg.trials - i * BLOCK_SIZE) for i in range(n_blocks)
-    ]
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
-
-    def work(i):
-        return _run_block(cfg, i, starts[i], sizes[i])
-
+    blocks = range(math.ceil(cfg.trials / BLOCK_SIZE))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(work, range(n_blocks)))
+            parts = list(ex.map(lambda i: _run_block(cfg, i), blocks))
     else:
-        parts = [work(i) for i in range(n_blocks)]
+        parts = [_run_block(cfg, i) for i in blocks]
 
-    h = np.concatenate([p[0] for p in parts])
-    times = np.concatenate([p[1] for p in parts])
-    decisions = np.concatenate([p[2] for p in parts])
-    terminal = np.concatenate([p[3] for p in parts])
-    decided = np.concatenate([p[4] for p in parts])
+    h, times, decisions, terminal = (np.concatenate(col) for col in zip(*parts))
+    decided = decisions != 0
 
     batch = RecordBatch(
         hypothesis=h[decided],

@@ -47,6 +47,8 @@ class Binning:
 
     def __post_init__(self) -> None:
         e = np.asarray(self.edges, dtype=np.float64)
+        if np.isnan(e).any():
+            raise ValidationError("bin edges must not be NaN")
         if e.size and np.any(np.diff(e) <= 0):
             raise ValidationError("bin edges must be strictly increasing")
 

@@ -65,6 +65,22 @@ class TestNonFiniteParameters:
             mutual_info_discretized(p, l1, 10.0)
 
 
+class TestTinyDrift:
+    def test_overflowing_mean_time_named(self):
+        # l1/|a1| = 4e300, whose square the inverse-Gaussian density needs
+        p = ContinuousLLRParams(a1=1e-300, a2=-0.01, b=0.02)
+        with pytest.raises(ValidationError, match=r"\|a1\| = 1e-300, b = 0.02 and l1 = 4"):
+            mutual_info_continuous(p, 4.0)
+        with pytest.raises(ValidationError, match=r"\|a1\| = 1e-300, b = 0.02 and l1 = 4"):
+            mutual_info_discretized(p, 4.0, 10.0)
+
+    def test_grid_past_float_resolution_named(self):
+        # the tail limit 4e100 needs 4e99 bins of width 10
+        p = ContinuousLLRParams(a1=1e-100, a2=-0.01, b=0.02)
+        with pytest.raises(ValidationError, match="t_r = 10 needs 4e"):
+            mutual_info_discretized(p, 4.0, 10.0)
+
+
 class TestContinuousLLRParams:
     def test_matched_fig_parameters(self):
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import json
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,22 @@ def config_path(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the enclosed block once it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSimulateCommand:
@@ -234,6 +252,21 @@ class TestOvershootCommand:
         assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
         assert "l1/l2" in capsys.readouterr().err
 
+    def test_zero_threads_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(overshoot_config())
+        assert run_cli("--out-dir", tmp_path, "--threads", 0, "overshoot", cfg) == 2
+        assert "threads" in capsys.readouterr().err
+
+    def test_drift_diffusion_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(
+            "[model]\nkind = drift_diffusion\nmu1 = 0\nmu2 = 1\nsigma = 5\n\n"
+            "[device]\nl1 = 4\nl2 = -4\n\n[overshoot]\ntrials = 10\n"
+        )
+        assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
+        assert "discrete models only" in capsys.readouterr().err
+
 
 class TestAnalyticCommand:
     def test_error_probs_hand_value(self, tmp_path):
@@ -291,6 +324,20 @@ class TestAnalyticCommand:
         )
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not (out / f"analytic_{quantity.replace('-', '_')}.csv").exists()
+
+    @pytest.mark.parametrize("quantity,a1", [
+        ("mi-continuous", "1e-300"), ("mi-discretized", "1e-300"), ("mi-discretized", "1e-100"),
+    ])
+    def test_tiny_drift_rejected(self, tmp_path, capsys, quantity, a1):
+        out = tmp_path / "out"
+        with time_limit(30):
+            code = run_cli(
+                "--out-dir", out, "analytic", "--quantity", quantity, "--grid", "10,20",
+                "--a1", a1, "--a2=-0.01", "--b", "0.02", "--l1", "4",
+            )
+        assert code == 2
+        assert f"a1 = {a1}" in capsys.readouterr().err.replace("|", "")
         assert not (out / f"analytic_{quantity.replace('-', '_')}.csv").exists()
 
     @pytest.mark.parametrize("quantity", ["error-probs", "mean-times", "density"])
@@ -404,6 +451,25 @@ class TestReproduceCommand:
         assert run_cli("--out-dir", tmp_path, "reproduce", "fig5") == 0
         manifest = json.loads((tmp_path / "manifest_reproduce_fig5.json").read_text())
         assert manifest["scale"] == 0.01
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["simulate", "overshoot", "fig5", "fig8"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        exp = tmp_path / "exp.ini"
+        exp.write_text(BASE_CONFIG.replace("seed = 314", "seed = -5"))
+        over = tmp_path / "over.ini"
+        over.write_text(overshoot_config())
+        argv = {
+            "simulate": ["simulate", exp],
+            "overshoot": ["--seed", "-1", "overshoot", over],
+            "fig5": ["--seed", "-1", "reproduce", "fig5", "--scale", "0.01"],
+            "fig8": ["--seed", "-1", "reproduce", "fig8", "--scale", "0.01"],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, *argv) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 def small_run(command, tmp_path):

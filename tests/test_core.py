@@ -232,27 +232,44 @@ WRITERS = {
 }
 
 
-def _write_opens(tree: ast.AST):
-    """Names of the functions holding an ``open(..., "w")``, ``.write_text`` or
-    ``.write_bytes`` call, one per call."""
-    found = []
+def _calls(tree: ast.AST):
+    """(enclosing function name, call node) for every call in ``tree``."""
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
-            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        if isinstance(node, ast.Call):
+            yield func, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    return list(visit(tree, None))
+
+
+def _write_opens(tree: ast.AST):
+    """Names of the functions holding an ``open(..., "w")``, ``.write_text`` or
+    ``.write_bytes`` call, one per call."""
+    found = []
+    for func, call in _calls(tree):
+        if getattr(call.func, "id", None) == "open":
+            modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
             if any(isinstance(m, ast.Constant) and "w" in str(m.value) for m in modes):
                 found.append(func)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
-            "write_text", "write_bytes"
-        ):
+        if getattr(call.func, "attr", None) in ("write_text", "write_bytes"):
             found.append(func)
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
     return found
+
+
+KERNELS = ("_wald_discrete_block", "_wald_continuous_block")
+
+
+def _kernel_calls(tree: ast.AST):
+    """Names of the functions holding a device-kernel call, one per call."""
+    return [
+        func
+        for func, call in _calls(tree)
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) in KERNELS
+    ]
 
 
 class TestOneWriter:
@@ -273,3 +290,26 @@ class TestOneWriter:
     def test_guard_sees_path_writes(self):
         tree = ast.parse('def g(p):\n    p.write_text("x")\n\ndef h(p):\n    p.write_bytes(b"")\n')
         assert _write_opens(tree) == ["g", "h"]
+
+
+class TestOneKernelCaller:
+    def test_only_the_block_runner_calls_a_kernel(self):
+        src = Path(seqaudit.__file__).parent
+        callers = {
+            (path.stem, func)
+            for path in sorted(src.glob("*.py"))
+            for func in _kernel_calls(ast.parse(path.read_text()))
+        }
+        assert callers == {("simulate", "_run_block")}
+
+    def test_guard_sees_a_kernel_call(self):
+        # kernel calls outside the block runner, by name and by attribute
+        tree = ast.parse(
+            "def overshoot_profile(model, wm, th, h, max_steps, rng):\n"
+            "    times, decisions, terminal, decided = _wald_discrete_block(\n"
+            "        model, wm, th, h, max_steps, rng\n"
+            "    )\n\n"
+            "def g(a, b, th, rng):\n"
+            "    return models._wald_continuous_block(a, b, th, 0.1, 1.0, rng)\n"
+        )
+        assert _kernel_calls(tree) == ["overshoot_profile", "g"]

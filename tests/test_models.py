@@ -22,10 +22,10 @@ def rng(seed=0):
 
 def one_trial(model, wm, th, h, max_steps, g):
     """One discrete trial: a one-row block on the caller's generator."""
-    times, decisions, terminal, decided = _wald_discrete_block(
+    times, decisions, terminal = _wald_discrete_block(
         model, wm, th, np.array([h], dtype=np.int8), max_steps, g
     )
-    return times[0], decisions[0], terminal[0], decided[0]
+    return times[0], decisions[0], terminal[0], decisions[0] != 0
 
 
 class TestLLRIncrementIID:
@@ -160,10 +160,10 @@ class TestRunWaldContinuous:
 
         p = continuous_llr_params(obs, wm)
         assert p.a1 == 0.0 and p.a2 == 0.0
-        times, decisions, terminal, dec = _wald_continuous_block(
+        times, decisions, terminal = _wald_continuous_block(
             np.zeros(n), p.b, th, 0.001, 50.0, g
         )
-        decided = dec.sum()
+        decided = (decisions != 0).sum()
         d1 = (decisions == 1).sum()
         assert decided == n
         sigma = math.sqrt(0.25 / n)
@@ -178,7 +178,7 @@ class TestRunWaldContinuous:
         g = rng(9)
         outs = []
         for _ in range(800):
-            times, decisions, _, _ = _wald_continuous_block(
+            times, decisions, _ = _wald_continuous_block(
                 np.full(1, p.a1), p.b, th, 1.0, 4000.0, g
             )
             if decisions[0] == 1:
@@ -199,10 +199,10 @@ class TestRunWaldContinuous:
         alphas = []
         for i, dt in enumerate(dts):
             g = rng(100 + i)
-            _, decisions, _, dec = _wald_continuous_block(
+            _, decisions, _ = _wald_continuous_block(
                 np.full(n, p.a2), p.b, th, dt, 20_000.0, g
             )
-            alphas.append((decisions == 1).sum() / dec.sum())
+            alphas.append((decisions == 1).sum() / (decisions != 0).sum())
         x = np.sqrt(dts)
         coeffs = np.polyfit(x, alphas, 1)
         intercept = coeffs[1]
@@ -220,10 +220,10 @@ class TestRunWaldContinuous:
         ratios = []
         for dt in (0.02, 0.002):
             g = rng(11)
-            _, d_h1, _, dec1 = _wald_continuous_block(np.full(n, p.a1), p.b, th, dt, 100.0, g)
-            _, d_h2, _, dec2 = _wald_continuous_block(np.full(n, p.a2), p.b, th, dt, 100.0, g)
-            p1 = (d_h1 == 1).sum() / dec1.sum()
-            p2 = (d_h2 == 1).sum() / dec2.sum()
+            _, d_h1, _ = _wald_continuous_block(np.full(n, p.a1), p.b, th, dt, 100.0, g)
+            _, d_h2, _ = _wald_continuous_block(np.full(n, p.a2), p.b, th, dt, 100.0, g)
+            p1 = (d_h1 == 1).sum() / (d_h1 != 0).sum()
+            p2 = (d_h2 == 1).sum() / (d_h2 != 0).sum()
             ratios.append(p1 / p2)
         target = math.exp(th.l1)
         assert abs(ratios[1] - target) < abs(ratios[0] - target)

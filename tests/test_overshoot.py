@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqaudit.core import Thresholds, ValidationError
-from seqaudit.models import GaussianIIDModel
+from seqaudit.models import DriftDiffusionModel, GaussianIIDModel
 from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.overshoot import OvershootSeries, condition51_flatness, overshoot_profile
 from seqaudit.simulate import ExperimentConfig, run_experiment
@@ -72,9 +72,43 @@ class TestOvershootProfile:
         rhs = math.exp(th.l1) * k_mean
         assert lhs == pytest.approx(rhs, rel=0.06)
 
+    @pytest.mark.parametrize("estimator,p1", [("direct", 0.0), ("tilted", 1.0)])
+    def test_profile_reduces_run_experiment_records(self, estimator, p1):
+        th = fig7_thresholds(0.36)
+        series = overshoot_profile(FIG7_MODEL, FIG7_MODEL, th, 40_000, seed=12, estimator=estimator)
+        cfg = ExperimentConfig(model=FIG7_MODEL, thresholds=th, trials=40_000, seed=12, p1=p1)
+        records = run_experiment(cfg).records
+        assert np.all(records.hypothesis == (2 if p1 == 0.0 else 1))
+        up = records.decision == 1
+        k, counts = np.unique(records.time[up], return_counts=True)
+        assert series.k.tolist() == k.tolist()
+        assert series.count.tolist() == counts.tolist()
+        m = records.terminal_llr[up] - th.l1
+        times = records.time[up]
+        if estimator == "direct":
+            value = [np.exp(m[times == t]).mean() for t in k]
+        else:
+            value = [1.0 / np.exp(-m[times == t]).mean() for t in k]
+        np.testing.assert_allclose(series.value, value, rtol=1e-12)
+
+    def test_threads_do_not_change_the_profile(self):
+        th = fig7_thresholds(0.36)
+        one, two = (
+            overshoot_profile(FIG7_MODEL, FIG7_MODEL, th, 70_000, seed=3, threads=t) for t in (1, 2)
+        )
+        for field in ("k", "value", "count", "pmf"):
+            assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             overshoot_profile(FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 0, seed=0)
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            overshoot_profile(FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 10, seed=-1)
+        with pytest.raises(ValidationError, match="threads must be >= 1"):
+            overshoot_profile(FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 10, seed=0, threads=0)
+        ddm = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
+        with pytest.raises(ValidationError, match="discrete models only"):
+            overshoot_profile(ddm, ddm, fig7_thresholds(1.0), 10, seed=0)
         with pytest.raises(ValidationError):
             overshoot_profile(
                 FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 10, seed=0, estimator="weird"

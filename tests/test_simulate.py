@@ -7,6 +7,8 @@ from seqaudit.core import EmptyCellError, RecordBatch, Thresholds, ValidationErr
 from seqaudit.models import DriftDiffusionModel, GaussianIIDModel
 from seqaudit.simulate import (
     ExperimentConfig,
+    _block_hypotheses,
+    block_rng,
     empirical_error_probs,
     run_experiment,
     write_metadata,
@@ -32,6 +34,10 @@ class TestConfigValidation:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError):
             small_cfg(trials=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            small_cfg(seed=-1)
 
     def test_bad_prior_rejected(self):
         with pytest.raises(ValidationError):
@@ -89,6 +95,13 @@ class TestRunExperiment:
     def test_degenerate_prior_yields_single_hypothesis(self):
         result = run_experiment(small_cfg(trials=2000, p1=1.0))
         assert np.all(result.records.hypothesis == 1)
+
+    @pytest.mark.parametrize("p1,h", [(0.0, 2), (1.0, 1)])
+    def test_certain_hypothesis_draws_nothing(self, p1, h):
+        rng = block_rng(1234, 0)
+        hyp = _block_hypotheses(small_cfg(p1=p1), 0, 100, rng)
+        assert hyp.dtype == np.int8 and np.all(hyp == h)
+        assert rng.random(5).tolist() == block_rng(1234, 0).random(5).tolist()
 
     def test_conservation(self):
         result = run_experiment(small_cfg(trials=5000, window=8))

@@ -269,6 +269,11 @@ class TestBinning:
         with pytest.raises(ValidationError):
             Binning(edges=(1.0, 1.0))
 
+    @pytest.mark.parametrize("edges", [(math.nan,), (1.0, math.nan, 3.0)])
+    def test_nan_edge_rejected(self, edges):
+        with pytest.raises(ValidationError, match="NaN"):
+            Binning(edges=edges)
+
     def test_every_sample_lands_in_one_bin(self):
         bng = Binning(edges=(0.0, 1.0, 2.0))
         t = np.array([-5.0, 0.0, 0.5, 1.0, 3.0])
