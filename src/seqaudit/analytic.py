@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
 from .core import Thresholds, ValidationError
@@ -271,10 +270,12 @@ def mutual_info_continuous(p: ContinuousLLRParams, l1: float) -> float:
     Equal priors are assumed; alpha1 = exp(a2 l1 / b).  Vanishes exactly
     when |a1| = |a2| and is strictly positive otherwise.
     """
+    from scipy.integrate import quad  # loaded by the one caller that integrates
+
     alpha1 = _limit_alpha1(p, l1)
     if abs(p.a1) == abs(p.a2):
         return 0.0
-    log_alpha = math.log(alpha1)
+    log_alpha = p.a2 * l1 / p.b  # log(alpha1) would fail once alpha1 underflows to 0
     mean1, shape1 = _d1_params(p, l1, 1)
     mean2, shape2 = _d1_params(p, l1, 2)
 

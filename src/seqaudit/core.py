@@ -5,9 +5,11 @@ quantities are converted to bits only inside the estimators.
 """
 from __future__ import annotations
 
+import io
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -161,42 +163,111 @@ def write_records_csv(path, batch: RecordBatch) -> None:
     write_table(path, CSV_HEADER, zip(*columns))
 
 
+# one np.loadtxt call per chunk of the records file: about 65k step-valued lines
+_CHUNK_CHARS = 1 << 19
+_ROW = np.dtype([("h", "i1"), ("d", "i1"), ("t", "f8"), ("s", "f8")])
+# ASCII separators np.loadtxt strips from around a field, and int() and float() do not
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _count_newlines(path) -> int:
+    with open(path, "rb") as f:
+        return sum(block.count(b"\n") for block in iter(partial(f.read, 1 << 20), b""))
+
+
+def _parse_bulk(f, capacity: int):
+    """The record columns after the header, parsed chunk by chunk by ``np.loadtxt``.
+
+    Returns None when a chunk holds a character or a field that the line
+    parser might read differently, or a row that it rejects.
+    """
+    columns = [np.empty(capacity, dtype=_ROW[name]) for name in _ROW.names]
+    n = 0
+    while chunk := f.read(_CHUNK_CHARS):
+        chunk += f.readline()
+        # numpy 2.4's loadtxt can also crash on a high code point in an integer field
+        if not chunk.isascii() or any(c in chunk for c in _LOADTXT_ONLY_SPACE):
+            return None
+        if chunk.isspace():
+            continue  # blank lines only; loadtxt would warn of no data
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        try:
+            rows = np.loadtxt(io.StringIO(chunk.replace(",\n", ",nan\n")), dtype=_ROW,
+                              delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+        if n + len(rows) > capacity:  # lone carriage returns also end a text-mode line
+            return None
+        for column, name in zip(columns, _ROW.names):
+            column[n:n + len(rows)] = rows[name]
+        n += len(rows)
+    h, d, t, s = (column[:n] for column in columns)
+    if not (((h == 1) | (h == 2)) & ((d == 1) | (d == 2)) & ~(t < 0)).all():
+        return None
+    return h, d, t, s
+
+
+def _parse_lines(f):
+    """The record columns after the header, one Python-parsed line at a time.
+
+    The only reader of rows that raises :class:`SchemaError`, naming the line.
+    Columns collect as raw bytes, one per label and eight per float.
+    """
+    hs, ds, ts, ss = array("b"), array("b"), array("d"), array("d")
+    for lineno, line in enumerate(f, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise SchemaError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            h = int(parts[0])
+            d = int(parts[1])
+            t = float(parts[2])
+            s = np.nan if parts[3] == "" else float(parts[3])
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from exc
+        if h not in (1, 2) or d not in (1, 2):
+            raise SchemaError(f"line {lineno}: hypothesis/decision must be 1 or 2")
+        if t < 0:
+            raise SchemaError(f"line {lineno}: negative time")
+        hs.append(h)
+        ds.append(d)
+        ts.append(t)
+        ss.append(s)
+    return (np.frombuffer(hs, dtype=np.int8), np.frombuffer(ds, dtype=np.int8),
+            np.frombuffer(ts, dtype=np.float64), np.frombuffer(ss, dtype=np.float64))
+
+
 def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     """Read the interchange CSV.
 
+    After the header check the rows are parsed in bulk.  The file's newlines
+    are counted to preallocate the four columns, and ``np.loadtxt`` fills
+    them chunk by chunk; an empty terminal LLR reads as NaN.  A field that
+    ``loadtxt`` rejects, a non-ASCII character, a label other than 1 or 2
+    or a negative time sends the whole file through the line parser
+    instead.  That parser reads any file the bulk path reads to the same
+    columns, and it is the one that raises :class:`SchemaError`, naming
+    the line.
+
     When ``time_kind`` is not given it is inferred: a file whose times are
     all integral is treated as step-valued.  Under an explicit ``"steps"`` a
-    fractional time is a :class:`SchemaError`.  Columns collect as raw bytes,
-    one per label and eight per float, not as boxed Python numbers.
+    fractional time is a :class:`SchemaError`.
     """
-    hs, ds, ts, ss = array("b"), array("b"), array("d"), array("d")
+    capacity = _count_newlines(path) + 1
     with open(path, "r") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise SchemaError(f"expected header {CSV_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise SchemaError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                h = int(parts[0])
-                d = int(parts[1])
-                t = float(parts[2])
-                s = np.nan if parts[3] == "" else float(parts[3])
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from exc
-            if h not in (1, 2) or d not in (1, 2):
-                raise SchemaError(f"line {lineno}: hypothesis/decision must be 1 or 2")
-            if t < 0:
-                raise SchemaError(f"line {lineno}: negative time")
-            hs.append(h)
-            ds.append(d)
-            ts.append(t)
-            ss.append(s)
-    time = np.frombuffer(ts, dtype=np.float64)
+        columns = _parse_bulk(f, capacity)
+        if columns is None:
+            f.seek(0)
+            f.readline()
+            columns = _parse_lines(f)
+    hypothesis, decision, time, terminal_llr = columns
     whole = time == np.floor(time)
     if time_kind is None:
         time_kind = STEPS if whole.all() else SECONDS
@@ -206,10 +277,4 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
         if fractional.size:
             i = fractional[0]
             raise SchemaError(f"record {i + 1}: time {time[i]} is not a whole number of steps")
-    return RecordBatch(
-        hypothesis=np.frombuffer(hs, dtype=np.int8),
-        decision=np.frombuffer(ds, dtype=np.int8),
-        time=time,
-        terminal_llr=np.frombuffer(ss, dtype=np.float64),
-        time_kind=time_kind,
-    )
+    return RecordBatch(hypothesis, decision, time, terminal_llr, time_kind=time_kind)

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import seqaudit
 from seqaudit.analytic import (
     ContinuousLLRParams,
     RegimeError,
@@ -244,6 +249,19 @@ class TestMutualInfoContinuous:
         val = mutual_info_continuous(p, 4.0)
         assert val > 0.0
 
+    @pytest.mark.parametrize("l1,former", [
+        (4.0, 0.0822972183443042), (40.0, 2.2941419536200702e-08),
+    ])
+    def test_log_alpha_matches_former_log_of_exp(self, l1, former):
+        # ``former`` was computed with log_alpha = math.log(math.exp(a2 * l1 / b))
+        p = ContinuousLLRParams(a1=0.03, a2=-0.01, b=0.02)
+        assert mutual_info_continuous(p, l1) == pytest.approx(former, rel=1e-12, abs=0.0)
+
+    def test_underflowing_alpha1_gives_zero(self):
+        # alpha1 = exp(-1000) underflows to 0; its logarithm is still -1000
+        p = ContinuousLLRParams(a1=0.03, a2=-0.01, b=0.02)
+        assert mutual_info_continuous(p, 2000.0) == 0.0
+
     def test_zero_iff_symmetric_over_grid(self):
         for mu2t in [0.5, 0.8, 1.0, 1.3, 1.7]:
             p = fig8_device(mu2t)
@@ -393,3 +411,12 @@ class TestAsymptoticOutcomeSampler:
         h, d, t = sample_outcomes_asymptotic(MATCHED, TH44, 0.5, 1, rng(14))
         assert t.shape == (1,) and t[0] > 0
         assert h[0] in (1, 2) and d[0] in (1, 2)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # only mutual_info_continuous integrates; every other command skips scipy.integrate
+    probe = "import sys, seqaudit; print('scipy.integrate' in sys.modules)"
+    src = str(Path(seqaudit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -290,6 +290,17 @@ class TestAnalyticCommand:
         line = (out / "analytic_mi_continuous.csv").read_text().splitlines()[1]
         assert float(line.split(",")[1]) == 0.0
 
+    def test_mi_continuous_underflowing_alpha1(self, tmp_path):
+        # alpha1 = exp(a2 l1 / b) = exp(-1000) underflows to 0
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "analytic", "--quantity", "mi-continuous",
+            "--a1", "0.03", "--a2=-0.01", "--b", "0.02", "--l1", "2000",
+        )
+        assert code == 0
+        line = (out / "analytic_mi_continuous.csv").read_text().splitlines()[1]
+        assert line == "2000.0,0.0"
+
     def test_mi_discretized_non_increasing(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(

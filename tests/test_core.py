@@ -1,12 +1,15 @@
 import ast
 import math
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seqaudit
+from seqaudit import core
 from seqaudit.core import (
     CSV_HEADER,
     ErrorSpec,
@@ -154,7 +157,9 @@ class TestCsvRoundTrip:
     def test_header_only_file_reads_as_empty_batch(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("hypothesis,decision,time,terminal_llr\n")
-        back = read_records_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns when handed no rows
+            back = read_records_csv(path)
         assert len(back) == 0 and back.time_kind == "steps"
         assert back.hypothesis.dtype == np.int8 and back.time.dtype == np.float64
 
@@ -176,6 +181,126 @@ class TestCsvRoundTrip:
     def test_negative_time_rejected_in_record(self):
         with pytest.raises(ValidationError):
             RecordBatch(hypothesis=np.array([1]), decision=np.array([1]), time=np.array([-0.5]))
+
+
+def line_parser_outcome(path, time_kind=None):
+    """``read_records_csv`` with the bulk path switched off, or its error message."""
+    with mock.patch.object(core, "_parse_bulk", lambda f, capacity: None):
+        return reader_outcome(path, time_kind)
+
+
+def reader_outcome(path, time_kind=None):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+            return read_records_csv(path, time_kind)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def assert_same_batch(a: RecordBatch, b: RecordBatch) -> None:
+    assert a.time_kind == b.time_kind
+    for name in ("hypothesis", "decision", "time", "terminal_llr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+
+
+def label_fields(v, fallback):
+    padded = [str(v), f"+{v}", f" {v}", f"{v} ", f"0{v}"]
+    return st.sampled_from(padded + [f"\u00a0{v}"] * fallback)  # loadtxt takes only ASCII
+
+
+def time_fields(step, fallback):
+    if step:
+        times = st.integers(0, 10**6).map(str) | st.just("7.0")
+    else:
+        times = st.floats(0.0, 1e6).map(repr) | st.sampled_from(["nan", " 2.5 "])
+    return times | st.just("1_0") if fallback else times  # loadtxt rejects the underscore
+
+
+LLR_FIELDS = st.one_of(
+    st.sampled_from(["", "nan", "NaN", " -1.5", "inf"]), st.floats(allow_nan=False).map(repr)
+)
+# lines the line parser rejects, one per check it makes
+BROKEN_LINES = st.sampled_from([
+    "1,1,3", "1,1,3,4,5", "1.0,1,3,", "1,0,3,", "300,1,3,", "1,1,-2,", "#1,1,3,",
+    "1,1,abc,", "1,x,3,", "1,1,,", "1,\x1c1,3,",
+])
+
+
+@st.composite
+def records_files(draw, broken=False):
+    """Records CSV text; ``fallback`` files hold fields only the line parser reads."""
+    fallback = draw(st.booleans())
+    label = st.integers(1, 2).flatmap(lambda v: label_fields(v, fallback))
+    row = st.builds(lambda h, d, t, s: f"{h},{d},{t},{s}",
+                    label, label, time_fields(draw(st.booleans()), fallback), LLR_FIELDS)
+    blank = st.sampled_from(["", "  ", "\t"] if fallback else [""])  # loadtxt skips only ""
+    lines = draw(st.lists(row | row | blank, max_size=30))
+    if broken:
+        lines.insert(draw(st.integers(0, len(lines))), draw(BROKEN_LINES))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = CSV_HEADER + ends + ends.join(lines)
+    if lines and draw(st.booleans()):
+        text += ends
+    return text
+
+
+class TestBulkReader:
+    """The ``np.loadtxt`` path reads exactly what the line parser reads."""
+
+    @given(text=records_files(), chunk=st.integers(1, 80), kind=st.sampled_from([None, "steps", "seconds"]))
+    @example(text=CSV_HEADER + "\n1,2,1_0,\n2,1,3,", chunk=80, kind=None)
+    @settings(max_examples=300, deadline=None)
+    def test_valid_files_read_alike(self, tmp_path_factory, text, chunk, kind):
+        path = tmp_path_factory.mktemp("records") / "r.csv"
+        path.write_bytes(text.encode())
+        expected = line_parser_outcome(path, kind)
+        with mock.patch.object(core, "_CHUNK_CHARS", chunk):
+            got = reader_outcome(path, kind)
+        if isinstance(expected, str):  # only a fractional time under explicit steps
+            assert got == expected and "whole number" in expected
+        else:
+            assert_same_batch(got, expected)
+
+    @given(text=records_files(broken=True), chunk=st.integers(1, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_broken_files_raise_the_line_parsers_error(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("records") / "r.csv"
+        path.write_bytes(text.encode())
+        expected = line_parser_outcome(path)
+        with mock.patch.object(core, "_CHUNK_CHARS", chunk):
+            got = reader_outcome(path)
+        assert isinstance(expected, str) and expected.startswith("line ")
+        assert got == expected
+
+    def test_underscored_time_reads_through_the_fallback(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(CSV_HEADER + "\n1,1,1_0,\n")
+        with open(path) as f:
+            f.readline()
+            assert core._parse_bulk(f, 3) is None
+        assert read_records_csv(path).time.tolist() == [10.0]
+
+    def test_non_ascii_never_reaches_loadtxt(self, tmp_path):
+        # numpy 2.4's loadtxt can crash on a high code point in an integer field;
+        # a no-break space is harmless to it, and must still be declined
+        path = tmp_path / "r.csv"
+        path.write_text(CSV_HEADER + "\n1,1,3,\n1,\u00a01,3,\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            f.readline()
+            assert core._parse_bulk(f, 4) is None
+
+    @pytest.mark.parametrize("chunk", [5, 1 << 19])
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, chunk):
+        # chunks of 5 characters end mid-line; the last LLR is empty and unterminated
+        path = tmp_path / "r.csv"
+        path.write_text(CSV_HEADER + "\n1,1,3,nan\n2,1,4,0.5\n\n1,2,7,")
+        with open(path) as f, mock.patch.object(core, "_CHUNK_CHARS", chunk):
+            f.readline()
+            h, d, t, s = core._parse_bulk(f, 5)
+        assert h.tolist() == [1, 2, 1] and d.tolist() == [1, 1, 2] and t.tolist() == [3, 4, 7]
+        assert np.isnan(s[0]) and s[1] == 0.5 and np.isnan(s[2])
 
 
 def reference_write_records_csv(path, batch: RecordBatch) -> None:

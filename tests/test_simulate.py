@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from seqaudit.core import EmptyCellError, RecordBatch, Thresholds, ValidationError, thresholds_from_alphas, ErrorSpec
-from seqaudit.models import DriftDiffusionModel, GaussianIIDModel
+from seqaudit.core import (
+    EmptyCellError, RecordBatch, Thresholds, ValidationError, thresholds_from_alphas, ErrorSpec,
+    read_records_csv, write_records_csv,
+)
+from seqaudit.models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
+from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.simulate import (
     ExperimentConfig,
     _block_hypotheses,
@@ -195,3 +199,25 @@ class TestMetadata:
         assert "seed=1234" in text
         assert f"truncated_count={result.truncated_count}" in text
         assert "alpha1_hat=" in text
+
+
+LATTICE = LatticeBernoulliModel(p=0.8, m1=2, m2=2)
+
+
+@pytest.mark.parametrize("cfg", [
+    small_cfg(trials=5000),
+    small_cfg(model=MarkovGaussianModel(1.0, -1.0, -1.0, -1.0, 5.0, 5.0),
+              thresholds=Thresholds(4.0, -4.0), trials=5000),
+    small_cfg(model=LATTICE, thresholds=LATTICE.thresholds, trials=5000),
+    small_cfg(model=DriftDiffusionModel(0.0, 1.0, 5.0), dt=4.0, window=5000.0, trials=5000),
+], ids=["gaussian_iid", "markov_gaussian", "lattice", "drift_diffusion"])
+def test_records_csv_round_trip(tmp_path, cfg):
+    records = run_experiment(cfg).records
+    assert np.isfinite(records.terminal_llr).all()
+    write_records_csv(tmp_path / "records.csv", records)
+    # explicit: diffusion times on a dt grid of whole seconds would infer as steps
+    back = read_records_csv(tmp_path / "records.csv", records.time_kind)
+    for name in ("hypothesis", "decision", "time", "terminal_llr"):
+        column = getattr(back, name)
+        assert column.dtype == getattr(records, name).dtype
+        assert np.array_equal(column, getattr(records, name)), name
