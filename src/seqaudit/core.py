@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -193,9 +194,13 @@ def _parse_bulk(f, capacity: int):
         if not chunk.endswith("\n"):
             chunk += "\n"
         try:
-            rows = np.loadtxt(io.StringIO(chunk.replace(",\n", ",nan\n")), dtype=_ROW,
-                              delimiter=",", comments=None, ndmin=1)
-        except ValueError:
+            with warnings.catch_warnings():
+                # numpy releases that keep the 1.23 deprecation read an integer
+                # field such as 1.5 or 257 as a float cast to int8 and only warn
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(io.StringIO(chunk.replace(",\n", ",nan\n")), dtype=_ROW,
+                                  delimiter=",", comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
             return None
         if n + len(rows) > capacity:  # lone carriage returns also end a text-mode line
             return None
@@ -247,8 +252,9 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     After the header check the rows are parsed in bulk.  The file's newlines
     are counted to preallocate the four columns, and ``np.loadtxt`` fills
     them chunk by chunk; an empty terminal LLR reads as NaN.  A field that
-    ``loadtxt`` rejects, a non-ASCII character, a label other than 1 or 2
-    or a negative time sends the whole file through the line parser
+    ``loadtxt`` rejects (a label it would read only as a float cast to
+    int8 counts as rejected), a non-ASCII character, a label other than
+    1 or 2 or a negative time sends the whole file through the line parser
     instead.  That parser reads any file the bulk path reads to the same
     columns, and it is the one that raises :class:`SchemaError`, naming
     the line.

@@ -190,12 +190,15 @@ def line_parser_outcome(path, time_kind=None):
 
 
 def reader_outcome(path, time_kind=None):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
-            return read_records_csv(path, time_kind)
-    except SchemaError as exc:
-        return str(exc)
+    """``read_records_csv``'s batch or error message; no warning may escape it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = read_records_csv(path, time_kind)
+        except SchemaError as exc:
+            outcome = str(exc)
+    assert not caught, [str(w.message) for w in caught]
+    return outcome
 
 
 def assert_same_batch(a: RecordBatch, b: RecordBatch) -> None:
@@ -246,6 +249,26 @@ def records_files(draw, broken=False):
     return text
 
 
+def loadtxt_casting(fname, dtype, delimiter, comments, ndmin):
+    """``np.loadtxt`` as numpy 1.23 deprecated it: a label that is not an int8
+    literal is parsed as a float and cast to int8, with only a DeprecationWarning."""
+    rows = []
+    for line in fname.read().splitlines():
+        h, d, t, s = line.split(delimiter)
+        labels = []
+        for field in (h, d):
+            try:
+                v = int(field)
+                assert -128 <= v < 128
+            except (ValueError, AssertionError):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+                v = (int(float(field)) + 128) % 256 - 128
+            labels.append(v)
+        rows.append((*labels, float(t), float(s)))
+    return np.array(rows, dtype=dtype)
+
+
 class TestBulkReader:
     """The ``np.loadtxt`` path reads exactly what the line parser reads."""
 
@@ -281,6 +304,19 @@ class TestBulkReader:
             f.readline()
             assert core._parse_bulk(f, 3) is None
         assert read_records_csv(path).time.tolist() == [10.0]
+
+    @pytest.mark.parametrize("loadtxt", [np.loadtxt, loadtxt_casting], ids=["numpy", "casting"])
+    @pytest.mark.parametrize("label", ["1.5", "2.0", "1e0", "257", "-255"])
+    def test_float_cast_labels_fall_back(self, tmp_path, loadtxt, label):
+        path = tmp_path / "r.csv"
+        path.write_text(CSV_HEADER + f"\n1,1,3,\n{label},2,4,\n")
+        expected = line_parser_outcome(path)
+        assert expected.startswith("line 3: ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # as by default, DeprecationWarning unseen
+            with mock.patch.object(np, "loadtxt", loadtxt), pytest.raises(SchemaError) as got:
+                read_records_csv(path)
+        assert str(got.value) == expected
 
     def test_non_ascii_never_reaches_loadtxt(self, tmp_path):
         # numpy 2.4's loadtxt can crash on a high code point in an integer field;
