@@ -289,11 +289,18 @@ def mutual_info_continuous(p: ContinuousLLRParams, l1: float) -> float:
             log_alpha, -_log_density_gap(t, p, l1)
         ) / LN2
 
-    hi = _upper_integration_limit(p, l1)
-    pts = sorted({mean1, mean2})
+    # Integrate over u = ln t: for a tiny drift the mean l1/|a| and the tail
+    # limit run far past the mass near t ~ l1^2/b, which a grid in t misses.
+    # Below min(shape, mean)/1500 the inverse-Gaussian exponent is under -749.
+    lo = math.log(min(shape1, mean1, mean2) / 1500.0)
+    hi = math.log(_upper_integration_limit(p, l1))
+    pts = sorted({math.log(mean1), math.log(mean2)})
     total = (1.0 + alpha1) / 2.0 * math.log2(1.0 + alpha1)
     for weight, f in ((0.5, integrand1), (0.5 * alpha1, integrand2)):
-        val, err = quad(f, 0.0, hi, points=pts, limit=400, epsabs=1e-12, epsrel=1e-10)
+        val, err = quad(
+            lambda u: f(math.exp(u)) * math.exp(u), lo, hi,
+            points=pts, limit=400, epsabs=1e-12, epsrel=1e-10,
+        )
         if err > 1e-6 * max(1.0, abs(val)):
             raise QuadratureError(f"quadrature error estimate {err:.3g} too large")
         total -= weight * val

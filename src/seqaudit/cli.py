@@ -18,9 +18,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,7 @@ EXIT_SCHEMA = 3
 EXIT_STATS = 4
 
 
-class ConfigError(Exception):
+class ConfigError(ValidationError):
     """Bad or missing configuration; message names the offending key."""
 
 
@@ -71,11 +71,13 @@ MODEL_CLASSES = {
     "drift_diffusion": DriftDiffusionModel,
     "lattice": LatticeBernoulliModel,
 }
+CASTS = {"float": float, "int": int, "bool": bool}
 # kind -> {field: cast}, the cast read from the dataclass annotation
 MODEL_FIELDS = {
-    kind: {f.name: {"float": float, "int": int}[f.type] for f in fields(cls)}
-    for kind, cls in MODEL_CLASSES.items()
+    kind: {f.name: CASTS[f.type] for f in fields(cls)} for kind, cls in MODEL_CLASSES.items()
 }
+# the [experiment] keys: ExperimentConfig's scalar fields, required where they have no default
+EXPERIMENT_FIELDS = {f.name: f for f in fields(ExperimentConfig) if f.type in CASTS}
 
 
 def load_config(path) -> configparser.ConfigParser:
@@ -101,6 +103,23 @@ def _get(section, key, cast=float, default=None, required=False):
         raise ConfigError(f"key '{key}' in [{section.name}]: {exc}") from exc
 
 
+def _check_keys(cfg: configparser.ConfigParser, kind: str) -> None:
+    """Every section, and every key a section sets itself (not from [DEFAULT]), is read."""
+    known = {
+        "experiment": set(EXPERIMENT_FIELDS),
+        "model": {"kind", *MODEL_FIELDS[kind]},
+        "device": {*MODEL_FIELDS[kind], "l1", "l2", "dt"},
+        "scan": {"parameter", "values", "start", "stop", "points"},
+        "overshoot": {"trials", "estimator", "mass_threshold", "max_steps", "seed"},
+    }
+    for name in cfg.sections():
+        if name not in known:
+            raise ConfigError(f"unknown section [{name}]; expected one of {sorted(known)}")
+        unknown = sorted(set(cfg[name]) - set(cfg.defaults()) - known[name])
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown} in section [{name}]")
+
+
 def build_model(cfg: configparser.ConfigParser):
     if "model" not in cfg:
         raise ConfigError("missing [model] section")
@@ -110,14 +129,12 @@ def build_model(cfg: configparser.ConfigParser):
         raise ConfigError(
             f"unknown model kind {kind!r}; expected one of {sorted(MODEL_FIELDS)}"
         )
+    _check_keys(cfg, kind)
     values = {
         name: _get(section, name, cast=cast, required=True)
         for name, cast in MODEL_FIELDS[kind].items()
     }
-    try:
-        return kind, MODEL_CLASSES[kind](**values)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return kind, MODEL_CLASSES[kind](**values)
 
 
 def build_device(cfg: configparser.ConfigParser, kind: str, model):
@@ -143,10 +160,7 @@ def build_device(cfg: configparser.ConfigParser, kind: str, model):
         if l1 is not None or l2 is not None:
             if l1 is None or l2 is None:
                 raise ConfigError("thresholds need both l1 and l2")
-            try:
-                th = Thresholds(l1, l2)
-            except ValidationError as exc:
-                raise ConfigError(str(exc)) from exc
+            th = Thresholds(l1, l2)
     if th is None:
         if kind != "lattice":
             raise ConfigError("missing [device] l1/l2 thresholds")
@@ -160,24 +174,14 @@ def build_experiment(cfg: configparser.ConfigParser, seed_override=None) -> Expe
     if "experiment" not in cfg:
         raise ConfigError("missing [experiment] section")
     section = cfg["experiment"]
-    seed = seed_override if seed_override is not None else _get(
-        section, "seed", cast=int, required=True
-    )
+    values = {} if seed_override is None else {"seed": seed_override}
+    values |= {
+        name: _get(section, name, cast=CASTS[f.type], required=True)
+        for name, f in EXPERIMENT_FIELDS.items()
+        if name not in values and (name in section or f.default is MISSING)
+    }
     dt = _get(cfg["device"], "dt", cast=float) if "device" in cfg else None
-    try:
-        return ExperimentConfig(
-            model=model,
-            thresholds=th,
-            trials=_get(section, "trials", cast=int, required=True),
-            seed=seed,
-            world_model=wm,
-            p1=_get(section, "p1", cast=float, default=0.5),
-            window=_get(section, "window", cast=float, default=1000.0),
-            dt=dt,
-            stratified=_get(section, "stratified", cast=bool, default=False),
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(model=model, thresholds=th, world_model=wm, dt=dt, **values)
 
 
 def write_manifest(out_dir: Path, command: str, payload: Dict, outputs: List[str], t0: float):
@@ -263,19 +267,17 @@ def _clamped_error_spec(alpha1: float, alpha2: float, n: int) -> ErrorSpec:
     return ErrorSpec(clamp(alpha1), clamp(alpha2))
 
 
-@dataclass
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One grid point of a belief scan; the fields are the columns of ``mi_scan.csv``."""
+
     value: float
     mi_bits: float
     mean_time: float
     mean_time_ref: float
+    time_ratio_minus_one: float
     alpha1_hat: float
     alpha2_hat: float
     truncated_fraction: float
-
-    @property
-    def time_ratio_minus_one(self) -> float:
-        return self.mean_time / self.mean_time_ref - 1.0
 
 
 def mi_scan_rows(
@@ -305,12 +307,14 @@ def mi_scan_rows(
             thresholds=thresholds_from_alphas(spec),
         )
         ref = run_experiment(ref_cfg, threads=threads)
+        mean_time_ref = float(ref.records.time.mean())
         rows.append(
             ScanRow(
                 value=float(value),
                 mi_bits=est.value_bits,
                 mean_time=mean_time,
-                mean_time_ref=float(ref.records.time.mean()),
+                mean_time_ref=mean_time_ref,
+                time_ratio_minus_one=mean_time / mean_time_ref - 1.0,
                 alpha1_hat=res.alpha1_hat,
                 alpha2_hat=res.alpha2_hat,
                 truncated_fraction=res.truncated_count / cfg.trials,
@@ -321,15 +325,7 @@ def mi_scan_rows(
 
 def mi_scan_table(column: str, rows: Sequence[ScanRow]):
     """The scan's CSV header and rows, the scanned value under ``column``."""
-    header = (
-        f"{column},mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,"
-        "alpha1_hat,alpha2_hat,truncated_fraction"
-    )
-    return header, [
-        (r.value, r.mi_bits, r.mean_time, r.mean_time_ref, r.time_ratio_minus_one,
-         r.alpha1_hat, r.alpha2_hat, r.truncated_fraction)
-        for r in rows
-    ]
+    return ",".join((column, *ScanRow._fields[1:])), rows
 
 
 def cmd_mi_scan(args, out_dir: Path):
@@ -420,12 +416,10 @@ def cmd_analytic(args, out_dir: Path):
         ]
     elif args.quantity == "mi-continuous":
         header, rows = "l1,mi_bits", [(args.l1, mutual_info_continuous(p, args.l1))]
-    elif args.quantity == "mi-discretized":
+    else:  # mi-discretized
         grid = _parse_grid(args.grid).tolist()
         header = "t_r,mi_bits"
         rows = [(tr, mutual_info_discretized(p, args.l1, tr)) for tr in grid]
-    else:
-        raise ConfigError(f"unknown quantity {args.quantity!r}")
     path = write_table(out_dir / f"analytic_{args.quantity.replace('-', '_')}.csv", header, rows)
     print(f"{args.quantity} -> {path}")
     parameters = {k: v for k, v in vars(args).items() if k != "func"}
@@ -524,7 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outputs, payload = args.func(args, out_dir)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemaError as exc:

@@ -184,27 +184,18 @@ def _merge_bins(counts_a, counts_b, bng: Binning):
     pooled = counts_a + counts_b
     # a bin is viable when the smaller sample's expected count reaches the floor
     need = DEFAULT_MERGE_FLOOR * n / n_min if n_min > 0 else math.inf
-    out_a, out_b, cuts = [], [], []
-    acc_a = acc_b = 0.0
-    inner_edges = list(bng.edges) + [math.inf]
-    for j in range(len(pooled)):
-        acc_a += counts_a[j]
-        acc_b += counts_b[j]
-        if acc_a + acc_b >= need:
-            out_a.append(acc_a)
-            out_b.append(acc_b)
-            cuts.append(inner_edges[j])
-            acc_a = acc_b = 0.0
-    if acc_a + acc_b > 0:
-        if out_a:
-            out_a[-1] += acc_a
-            out_b[-1] += acc_b
-            cuts[-1] = math.inf
-        else:
-            out_a.append(acc_a)
-            out_b.append(acc_b)
-            cuts.append(math.inf)
-    return np.asarray(out_a), np.asarray(out_b), tuple(cuts)
+    ends, acc = [], 0.0  # the last bin of each group
+    for j, c in enumerate(pooled.tolist()):
+        acc += c
+        if acc >= need:
+            ends.append(j)
+            acc = 0.0
+    if acc > 0:  # a non-empty remainder joins the last group, or is the only one
+        ends[-1:] = [len(pooled) - 1]
+    starts = np.add([-1, *ends], 1)[:-1]
+    cuts = (*bng.edges, math.inf)
+    merged_a, merged_b = (np.add.reduceat(c, starts) for c in (counts_a, counts_b))
+    return merged_a, merged_b, tuple(cuts[e] for e in ends)
 
 
 @dataclass(frozen=True)

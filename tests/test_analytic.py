@@ -86,6 +86,38 @@ class TestTinyDrift:
             mutual_info_discretized(p, 4.0, 10.0)
 
 
+def log_time_trapezoid_mi(a1, a2, b, l1, n=100_000):
+    """The deep-lower-threshold I(H;T|D) in bits by the trapezoid rule over u = ln t.
+
+    Written out apart from ``seqaudit.analytic``: with equal priors and
+    alpha1 = exp(a2 l1 / b), only decision 1 carries information, and its
+    times are inverse Gaussian with mean l1/|a_h| and shape l1^2/(2b).
+    """
+    u = np.linspace(-10.0, 80.0, n)
+    t = np.exp(u)
+    shape = l1**2 / (2.0 * b)
+    m1, m2 = l1 / abs(a1), l1 / abs(a2)
+    pdf = lambda m: np.sqrt(shape / (2.0 * np.pi * t**3)) * np.exp(
+        -shape * (t - m) ** 2 / (2.0 * m**2 * t)
+    )
+    gap = shape / 2.0 * (t * (1.0 / m1**2 - 1.0 / m2**2) - 2.0 / m1 + 2.0 / m2)  # log p2 - log p1
+    log_alpha = a2 * l1 / b
+    alpha1 = math.exp(log_alpha)
+    info1 = np.trapezoid(t * pdf(m1) * np.logaddexp(0.0, log_alpha + gap), u) / math.log(2.0)
+    info2 = np.trapezoid(t * pdf(m2) * np.logaddexp(log_alpha, -gap), u) / math.log(2.0)
+    return (1.0 + alpha1) / 2.0 * math.log2(1.0 + alpha1) - 0.5 * info1 - 0.5 * alpha1 * info2
+
+
+class TestTinyDriftMutualInformation:
+    @pytest.mark.parametrize("a1", [1e-4, 1e-8, 1e-20, 1e-100])
+    def test_equals_log_time_trapezoid(self, a1):
+        # the mass near t ~ l1^2/b must be found however far the mean l1/a1 lies;
+        # at 4e6 points the trapezoid gives 0.04420315201 (1e-8) and 0.04420323953 (1e-20)
+        p = ContinuousLLRParams(a1=a1, a2=-0.01, b=0.02)
+        expected = log_time_trapezoid_mi(a1, -0.01, 0.02, 4.0)
+        assert mutual_info_continuous(p, 4.0) == pytest.approx(expected, rel=0.0, abs=1e-8)
+
+
 class TestContinuousLLRParams:
     def test_matched_fig_parameters(self):
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
@@ -250,10 +282,11 @@ class TestMutualInfoContinuous:
         assert val > 0.0
 
     @pytest.mark.parametrize("l1,former", [
-        (4.0, 0.0822972183443042), (40.0, 2.2941419536200702e-08),
+        (4.0, 0.0822972183443042), (40.0, 2.2941419536134664e-08),
     ])
     def test_log_alpha_matches_former_log_of_exp(self, l1, former):
-        # ``former`` was computed with log_alpha = math.log(math.exp(a2 * l1 / b))
+        # ``former`` was computed with log_alpha = math.log(math.exp(a2 * l1 / b)),
+        # by the same quadrature over u = ln t
         p = ContinuousLLRParams(a1=0.03, a2=-0.01, b=0.02)
         assert mutual_info_continuous(p, l1) == pytest.approx(former, rel=1e-12, abs=0.0)
 

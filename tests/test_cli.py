@@ -3,6 +3,7 @@ import contextlib
 import json
 import math
 import signal
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,62 @@ class TestSimulateCommand:
         assert "m1" in capsys.readouterr().err
 
 
+class TestConfigBoundary:
+    @pytest.mark.parametrize("old,new,message", [
+        ("sigma1 = 5.0", "sigma1 = -1", "standard deviations must be positive"),
+        ("l1 = 4.0", "l1 = -4", "l1 must be a positive finite real, got -4.0"),
+        ("p1 = 0.5", "p1 = 2", "prior p1 must lie in [0, 1]"),
+    ])
+    def test_invalid_value_is_config_error(self, tmp_path, config_path, capsys, old, new, message):
+        config_path.write_text(BASE_CONFIG.replace(old, new))
+        assert run_cli("--out-dir", tmp_path, "simulate", config_path) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("p1 = 0.5", "stratifed = true", "['stratifed'] in section [experiment]"),
+        ("l2 = -2.0", "l2 = -2.0\nmu22 = 5.0", "['mu22'] in section [device]"),
+        ("kind = gaussian_iid", "kind = gaussian_iid\nwindow = 9", "['window'] in section [model]"),
+        ("[device]", "[devise]", "unknown section [devise]"),
+    ])
+    def test_unknown_key_or_section_is_named(self, tmp_path, config_path, capsys, old, new, named):
+        config_path.write_text(BASE_CONFIG.replace(old, new))
+        assert run_cli("--out-dir", tmp_path, "simulate", config_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown") and named in err
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_unknown_overshoot_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(overshoot_config(trails="10"))
+        assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
+        assert "['trails'] in section [overshoot]" in capsys.readouterr().err
+
+    def test_unread_section_and_default_keys_pass(self, tmp_path, config_path):
+        # [scan] is not read by simulate; [DEFAULT] keys reach every section
+        config_path.write_text(
+            "[DEFAULT]\nnote = bench run\n" + BASE_CONFIG + "\n[scan]\nparameter = mu2\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "simulate", config_path) == 0
+        plain = tmp_path / "plain"
+        config_path.write_text(BASE_CONFIG)
+        assert run_cli("--out-dir", plain, "simulate", config_path) == 0
+        assert (out / "records.csv").read_bytes() == (plain / "records.csv").read_bytes()
+
+    def test_experiment_keys_are_the_scalar_fields(self):
+        assert {name: cli.CASTS[f.type] for name, f in cli.EXPERIMENT_FIELDS.items()} == {
+            "trials": int, "seed": int, "p1": float, "window": float, "stratified": bool
+        }
+        required = {name for name, f in cli.EXPERIMENT_FIELDS.items() if f.default is MISSING}
+        assert required == {"trials", "seed"}
+
+    def test_seed_override_needs_no_seed_key(self, tmp_path, config_path):
+        config_path.write_text(BASE_CONFIG.replace("seed = 314\n", "").replace("p1 = 0.5\n", ""))
+        cfg = cli.build_experiment(cli.load_config(config_path), seed_override=7)
+        assert (cfg.seed, cfg.trials, cfg.window) == (7, 8000, 300)
+        assert (cfg.p1, cfg.stratified) == (0.5, False)  # the dataclass defaults
+
+
 class TestTestCommand:
     def test_known_h_on_simulated_records(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -194,6 +251,13 @@ class TestMiScanCommand:
         assert run_cli("--out-dir", out, "mi-scan", cfg) == 0
         rows = (out / "mi_scan.csv").read_text().splitlines()
         assert len(rows) == 2  # header + one grid point
+
+    def test_table_header_is_the_csv_header(self):
+        header, rows = cli.mi_scan_table("mu2", [])
+        assert header == (
+            "mu2,mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,"
+            "alpha1_hat,alpha2_hat,truncated_fraction"
+        )
 
     def test_bad_parameter_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "scan.ini"

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
 from seqaudit import stats
@@ -461,3 +461,32 @@ class TestBinningDispatch:
             conditional_mi_plugin(batch, binning=spec)
         with pytest.raises(ValidationError, match="unknown binning"):
             mi_decomposition(batch, binning=spec)
+
+
+@st.composite
+def count_rows(draw):
+    """Two whole-number count rows over one binning: zero rows, trailing zeros, one bin."""
+    k = draw(st.integers(1, 40))
+    row = st.lists(st.one_of(st.just(0), st.integers(0, 60)), min_size=k, max_size=k)
+    a, b = draw(row), draw(row)
+    zeros = draw(st.integers(0, k))  # a tail of empty bins in both rows
+    a[k - zeros:] = b[k - zeros:] = [0] * zeros
+    edges = tuple(float(e) for e in range(1, k))
+    return np.array(a, dtype=np.float64), np.array(b, dtype=np.float64), Binning(edges)
+
+
+class TestMergeBins:
+    @given(count_rows())
+    @settings(max_examples=200, deadline=None)
+    @example((np.zeros(1), np.zeros(1), Binning(())))
+    @example((np.zeros(5), np.zeros(5), Binning((1.0, 2.0, 3.0, 4.0))))
+    @example((np.array([3.0]), np.array([9.0]), Binning(())))
+    @example((np.array([5.0, 5.0]), np.array([5.0, 5.0]), Binning((1.0,))))  # sums hit the floor
+    @example((np.array([9.0, 9.0, 0.0]), np.array([9.0, 9.0, 0.0]), Binning((1.0, 2.0))))
+    @example((np.array([9.0, 9.0, 1.0]), np.array([9.0, 9.0, 0.0]), Binning((1.0, 2.0))))
+    def test_equals_the_accumulating_loop(self, case):
+        got, want = stats._merge_bins(*case), ref_merge_bins(*case)
+        assert got[0].dtype == got[1].dtype == np.float64
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2] == want[2]
