@@ -152,8 +152,6 @@ def build_device(cfg: configparser.ConfigParser, kind: str, model):
             for name, cast in MODEL_FIELDS[kind].items()
             if name in section
         }
-        if kind == "lattice" and overrides:
-            raise ConfigError("lattice devices are always matched; remove belief overrides")
         wm = replace(model, **overrides) if overrides else None
         l1 = _get(section, "l1", cast=float)
         l2 = _get(section, "l2", cast=float)

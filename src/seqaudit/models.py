@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class GaussianIIDModel:
     def __post_init__(self) -> None:
         if self.sigma1 <= 0 or self.sigma2 <= 0:
             raise ValidationError("standard deviations must be positive")
+        check_finite(self)
 
     def sample(self, h, rng: np.random.Generator, size=None, x_prev=None):
         mu = np.where(np.asarray(h) == 1, self.mu1, self.mu2)
@@ -57,6 +58,7 @@ class MarkovGaussianModel:
     def __post_init__(self) -> None:
         if self.sigma1 <= 0 or self.sigma2 <= 0:
             raise ValidationError("standard deviations must be positive")
+        check_finite(self)
 
     def sample(self, h, rng: np.random.Generator, size=None, x_prev=0.0):
         h = np.asarray(h)
@@ -89,6 +91,7 @@ class DriftDiffusionModel:
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValidationError("noise amplitude must be positive")
+        check_finite(self)
 
 
 def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):

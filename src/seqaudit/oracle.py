@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Thresholds, ValidationError
+from .core import Thresholds, ValidationError, check_finite
 
 SURVIVAL_TOL = 1e-12
 
@@ -38,6 +38,7 @@ class LatticeBernoulliModel:
             raise ValidationError(f"p must lie in (0.5, 1), got {self.p}")
         if self.m1 < 1 or self.m2 < 1:
             raise ValidationError("m1 and m2 must be positive integers")
+        check_finite(self)
 
     @property
     def step(self) -> float:

@@ -20,6 +20,7 @@ from .models import (
     _wald_continuous_block,
     _wald_discrete_block,
 )
+from .oracle import LatticeBernoulliModel
 
 BLOCK_SIZE = 1 << 15
 
@@ -38,7 +39,7 @@ class ExperimentConfig:
     (a whole number, kept as an int) and the maximum observation time for
     continuous ones; trials that do not decide within it are recorded as
     truncated.  ``world_model`` of None means the device is matched to the
-    observation model.
+    observation model; a lattice device is always matched.
     """
 
     model: object
@@ -52,6 +53,8 @@ class ExperimentConfig:
     stratified: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.model, LatticeBernoulliModel) and self.device != self.model:
+            raise ValidationError("lattice devices are always matched; remove belief overrides")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if self.seed < 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, kolmogorov
 
 from .core import STEPS, EmptyCellError, RecordBatch, ValidationError
 
@@ -89,15 +89,6 @@ def _resolve_binning(times: np.ndarray, binning: BinningSpec, time_kind: str) ->
     return native_binning(times) if time_kind == STEPS else quantile_binning(times)
 
 
-def _kolmogorov_sf(lam: float, terms: int = 20) -> float:
-    """Asymptotic survival function of the Kolmogorov statistic."""
-    if lam <= 0.0:
-        return 1.0
-    j = np.arange(1, terms + 1)
-    total = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * (j * lam) ** 2))
-    return float(min(max(total, 0.0), 1.0))
-
-
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
     """Two-sample Kolmogorov-Smirnov test for real-valued decision times.
 
@@ -125,7 +116,7 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
     cdf2 = np.searchsorted(b, uniq, side="right") / n2
     d = float(np.max(np.abs(cdf1 - cdf2)))
     n_eff = n1 * n2 / (n1 + n2)
-    p = _kolmogorov_sf(math.sqrt(n_eff) * d)
+    p = float(kolmogorov(math.sqrt(n_eff) * d))
     return TestReport(statistic=d, p_value=p, n1=n1, n2=n2, method="KS2")
 
 

@@ -146,6 +146,42 @@ class TestConfigBoundary:
         assert run_cli("--out-dir", tmp_path, "simulate", config_path) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command,old,new,field", [
+        ("simulate", "mu2 = 1.0", "mu2 = nan", "mu2"),
+        ("simulate", "sigma1 = 5.0", "sigma1 = nan", "sigma1"),
+        ("simulate", "sigma1 = 5.0", "sigma1 = inf", "sigma1"),
+        ("mi-scan", "[scan]", "[scan]\nvalues = nan,1.0", "mu2"),
+        ("mi-scan", "[scan]", "[scan]\nvalues = inf,1.0", "mu2"),
+    ])
+    def test_non_finite_model_value_is_named(self, tmp_path, capsys, command, old, new, field):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text((BASE_CONFIG + "\n[scan]\nparameter = mu2\n").replace(old, new))
+        assert run_cli("--out-dir", tmp_path, command, cfg) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be finite, got ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,extra", [
+        ("simulate", "[device]\np = 0.7\n"),
+        ("overshoot", "[device]\np = 0.7\n"),
+        ("mi-scan", "[scan]\nparameter = p\nvalues = 0.6,0.8,0.95\n"),
+    ])
+    def test_lattice_device_is_matched_under_every_command(self, tmp_path, capsys, command, extra):
+        cfg = tmp_path / "lattice.ini"
+        cfg.write_text("[experiment]\ntrials = 2000\nseed = 3\n\n" + overshoot_config() + extra)
+        assert run_cli("--out-dir", tmp_path, command, cfg) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: lattice devices are always matched; remove belief overrides\n"
+
+    def test_lattice_override_equal_to_the_model_runs_matched(self, tmp_path):
+        cfg = tmp_path / "lattice.ini"
+        plain = "[experiment]\ntrials = 2000\nseed = 3\n\n" + overshoot_config()
+        cfg.write_text(plain + "[device]\np = 0.8\n")
+        assert run_cli("--out-dir", tmp_path / "a", "simulate", cfg) == 0
+        cfg.write_text(plain)
+        assert run_cli("--out-dir", tmp_path / "b", "simulate", cfg) == 0
+        a, b = (tmp_path / d / "records.csv" for d in "ab")
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("old,new,named", [
         ("p1 = 0.5", "stratifed = true", "['stratifed'] in section [experiment]"),
         ("l2 = -2.0", "l2 = -2.0\nmu22 = 5.0", "['mu22'] in section [device]"),

@@ -338,6 +338,32 @@ class TestBulkReader:
         assert h.tolist() == [1, 2, 1] and d.tolist() == [1, 1, 2] and t.tolist() == [3, 4, 7]
         assert np.isnan(s[0]) and s[1] == 0.5 and np.isnan(s[2])
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+    def test_minimal_rows_take_the_bulk_path(self, tmp_path, end, final):
+        # 1,1,0, is the shortest row: 7 bytes with a one-byte line end, 6 unterminated
+        path = tmp_path / "r.csv"
+        path.write_bytes((end.join([CSV_HEADER] + ["1,1,0,", "2,2,0,"] * 500) + end * final).encode())
+        parse_bulk, bulk_calls = core._parse_bulk, []
+
+        def bulk(f, capacity):
+            bulk_calls.append((capacity, parse_bulk(f, capacity)))
+            return bulk_calls[-1][1]
+
+        with mock.patch.object(core, "_parse_bulk", bulk):
+            got = reader_outcome(path)
+        [(capacity, columns)] = bulk_calls
+        assert capacity == path.stat().st_size // 7 + 1 and columns is not None
+        assert len(got) == 1000
+        assert_same_batch(got, line_parser_outcome(path))
+
+    def test_file_is_opened_once(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(CSV_HEADER + "\n1,1,3,\n2,1,4,0.5\n")
+        with mock.patch.object(core, "open", side_effect=open, create=True) as opened:
+            read_records_csv(path)
+        assert opened.call_count == 1
+
 
 def reference_write_records_csv(path, batch: RecordBatch) -> None:
     """The per-row writer the columnar ``write_records_csv`` must match."""

@@ -245,3 +245,14 @@ class TestModelValidation:
             MarkovGaussianModel(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValidationError):
             DriftDiffusionModel(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("cls,args,field", [
+        (GaussianIIDModel, (0.0, math.nan, 1.0, 1.0), "mu2"),
+        (GaussianIIDModel, (0.0, 1.0, math.inf, 1.0), "sigma1"),
+        (MarkovGaussianModel, (0.0, 0.0, -math.inf, 0.0, 1.0, 1.0), "w1"),
+        (DriftDiffusionModel, (math.nan, 1.0, 1.0), "mu1"),
+        (LatticeBernoulliModel, (0.8, math.inf, 2), "m1"),
+    ])
+    def test_non_finite_field_is_named(self, cls, args, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite, got"):
+            cls(*args)

@@ -47,6 +47,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_cfg(p1=1.5)
 
+    def test_lattice_device_must_be_matched(self):
+        model = LatticeBernoulliModel(0.8, 2, 2)
+        with pytest.raises(ValidationError, match="lattice devices are always matched"):
+            small_cfg(model=model, world_model=LatticeBernoulliModel(0.7, 2, 2))
+        with pytest.raises(ValidationError, match="lattice devices are always matched"):
+            small_cfg(model=model, world_model=FIG2A_MODEL)
+        # a world model equal to the model is the matched device
+        assert small_cfg(model=model, world_model=LatticeBernoulliModel(0.8, 2, 2)).device == model
+
     def test_continuous_needs_dt(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(

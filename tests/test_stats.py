@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import kolmogorov
 
 from seqaudit.core import (
     EmptyCellError,
@@ -59,6 +60,26 @@ class TestKSTwoSample:
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptyCellError):
             ks_two_sample([], [1.0])
+
+    @pytest.mark.filterwarnings("ignore:.*tied")
+    def test_one_differing_time_in_large_cells_is_not_rejected(self):
+        # lambda = 0.005: a truncated alternating series loses all precision here
+        a = np.arange(20000.0)
+        b = a.copy()
+        b[0] = -1.0
+        rep = ks_two_sample(a, b)
+        assert rep.statistic == 1 / 20000 and rep.p_value == 1.0
+
+    def test_p_value_is_the_kolmogorov_law(self):
+        # b is a shifted by s + 1/2: no ties, D = (s + 1) / n, lambda = (s + 1) / 200
+        a = np.arange(20000.0)
+        lambdas = []
+        for s in (0, 1, 4, 19, 39, 99, 199, 399, 599):
+            rep = ks_two_sample(a, a + s + 0.5)
+            lam = math.sqrt(rep.n1 * rep.n2 / (rep.n1 + rep.n2)) * rep.statistic
+            assert rep.p_value == kolmogorov(lam)
+            lambdas.append(lam)
+        assert min(lambdas) == pytest.approx(0.005) and max(lambdas) == pytest.approx(3.0)
 
     def test_null_calibration_inverse_gaussian(self):
         from seqaudit.analytic import sample_inverse_gaussian
