@@ -110,7 +110,7 @@ def _check_keys(cfg: configparser.ConfigParser, kind: str) -> None:
         "model": {"kind", *MODEL_FIELDS[kind]},
         "device": {*MODEL_FIELDS[kind], "l1", "l2", "dt"},
         "scan": {"parameter", "values", "start", "stop", "points"},
-        "overshoot": {"trials", "estimator", "mass_threshold", "max_steps", "seed"},
+        "overshoot": {"estimator", "mass_threshold"},
     }
     for name in cfg.sections():
         if name not in known:
@@ -353,19 +353,12 @@ def cmd_mi_scan(args, out_dir: Path):
 
 def cmd_overshoot(args, out_dir: Path):
     cfg = load_config(args.config)
-    kind, model = build_model(cfg)
-    wm, th = build_device(cfg, kind, model)
-    # without an [overshoot] section every key takes its default
+    exp = build_experiment(cfg, seed_override=args.seed)
+    # without an [overshoot] section both keys take their defaults
     section = cfg["overshoot"] if "overshoot" in cfg else cfg[cfg.default_section]
-    trials = _get(section, "trials", cast=int, default=1_000_000)
     estimator = section.get("estimator", "direct")
     mass_threshold = _get(section, "mass_threshold", default=0.9)
-    max_steps = _get(section, "max_steps", cast=int, default=2000)
-    seed = args.seed if args.seed is not None else _get(section, "seed", cast=int, default=1)
-    series = overshoot_profile(
-        model, wm, th, trials, seed=seed, max_steps=max_steps, estimator=estimator,
-        threads=args.threads,
-    )
+    series = overshoot_profile(exp, estimator=estimator, threads=args.threads)
     flatness = condition51_flatness(series, mass_threshold=mass_threshold)
     path = write_table(
         out_dir / "overshoot.csv",
@@ -374,7 +367,7 @@ def cmd_overshoot(args, out_dir: Path):
     )
     print(f"flatness ratio over {mass_threshold:.0%} mass range: {flatness:.4f}")
     print(f"profile -> {path}")
-    return [path], _config_payload(cfg, seed)
+    return [path], _config_payload(cfg, exp.seed)
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -7,13 +7,12 @@ flatness over the range carrying the termination mass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
 
-from .core import Thresholds, ValidationError
-from .models import DriftDiffusionModel
+from .core import ValidationError
 from .simulate import ExperimentConfig, run_experiment
 
 
@@ -37,16 +36,9 @@ class OvershootSeries:
 
 
 def overshoot_profile(
-    model,
-    wm,
-    th: Thresholds,
-    trials: int,
-    seed: int,
-    max_steps: int = 1000,
-    estimator: str = "direct",
-    threads: int = 1,
+    cfg: ExperimentConfig, estimator: str = "direct", threads: int = 1
 ) -> OvershootSeries:
-    """Estimate the conditional exponentiated-overshoot profile.
+    """Estimate the conditional exponentiated-overshoot profile of ``cfg``'s device.
 
     ``estimator="direct"`` runs trials under hypothesis 2 and averages
     e^(S_T - l1) over trials stopping at the upper threshold at each step
@@ -54,22 +46,19 @@ def overshoot_profile(
     exact change of measure e^{-S_T}: on {T=k, D=1} the likelihood ratio
     makes E[e^M1 | T=k, D=1, H=2] equal 1 / E[e^-M1 | T=k, D=1, H=1], which
     gives usable statistics when upper-boundary errors under hypothesis 2
-    are too rare to simulate directly.  The trials are the records of
-    ``run_experiment`` at prior 0 or 1, so the profile does not depend on
-    ``threads``.
+    are too rare to simulate directly.  The estimator fixes the prior (0
+    or 1) and turns stratification off; the trials are the records of
+    ``run_experiment``, so the profile does not depend on ``threads``.
     """
-    if isinstance(model, DriftDiffusionModel):
+    if cfg.is_continuous:
         raise ValidationError("overshoot diagnostics apply to discrete models only")
     if estimator not in ("direct", "tilted"):
         raise ValidationError(f"unknown estimator {estimator!r}")
-    cfg = ExperimentConfig(
-        model, th, trials, seed, world_model=wm,
-        p1=0.0 if estimator == "direct" else 1.0, window=max_steps,
-    )
+    cfg = replace(cfg, p1=0.0 if estimator == "direct" else 1.0, stratified=False)
     records = run_experiment(cfg, threads=threads).records
     up = records.decision == 1
     k_all = records.time[up].astype(np.int64)
-    m_all = records.terminal_llr[up] - th.l1
+    m_all = records.terminal_llr[up] - cfg.thresholds.l1
     if k_all.size == 0:
         raise ValidationError("no upper-threshold decisions observed; increase trials")
     k_grid, idx = np.unique(k_all, return_inverse=True)

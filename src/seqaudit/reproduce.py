@@ -223,15 +223,14 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     rows_c = []
     profile_trials = max(int(n_max), 100_000)
     for lam in (0.16, 0.36):
-        series = overshoot_profile(
-            IID_MODEL,
-            IID_MODEL,
-            Thresholds(4.0 * lam, -2.0 * lam),
-            profile_trials,
+        cfg = ExperimentConfig(
+            model=IID_MODEL,
+            thresholds=Thresholds(4.0 * lam, -2.0 * lam),
+            trials=profile_trials,
             seed=seed + int(lam * 7000),
-            max_steps=2000,
-            threads=threads,
+            window=2000,
         )
+        series = overshoot_profile(cfg, threads=threads)
         for k, v, c, m in zip(series.k, series.value, series.count, series.pmf):
             rows_c.append((lam, int(k), float(v), int(c), float(m)))
     path_c = write_table(out_dir / "fig7c_overshoot.csv", "lambda,k,value,count,pmf", rows_c)

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .analytic import continuous_llr_params
 from .core import EmptyCellError, RecordBatch, SECONDS, STEPS, Thresholds, ValidationError
 from .models import (
     DriftDiffusionModel,
@@ -61,6 +62,8 @@ class ExperimentConfig:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 <= self.p1 <= 1.0):
             raise ValidationError("prior p1 must lie in [0, 1]")
+        if self.stratified and self.p1 != 0.5:
+            raise ValidationError(f"stratified runs alternate H at p1 = 0.5, got p1 = {self.p1}")
         if not 0 < self.window < math.inf:
             raise ValidationError(f"window must be positive and finite, got {self.window}")
         if self.is_continuous:
@@ -127,8 +130,6 @@ def _run_block(cfg: ExperimentConfig, block_index: int):
     rng = block_rng(cfg.seed, block_index)
     h = _block_hypotheses(cfg, start, n, rng)
     if cfg.is_continuous:
-        from .analytic import continuous_llr_params
-
         p = continuous_llr_params(cfg.model, cfg.device)
         a = np.where(h == 1, p.a1, p.a2)
         cols = _wald_continuous_block(a, p.b, cfg.thresholds, cfg.dt, cfg.window, rng)

@@ -346,25 +346,18 @@ def test_criterion_08_sampler_correctness():
 
 def test_criterion_09_overshoot_diagnostics():
     lattice = LatticeBernoulliModel(p=0.8, m1=2, m2=2)
-    series_lat = overshoot_profile(
-        lattice, lattice, lattice.thresholds, 200_000, seed=9
-    )
+    series_lat = overshoot_profile(ExperimentConfig(lattice, lattice.thresholds, 200_000, seed=9))
     lat_ratio = condition51_flatness(series_lat)
     lattice_ok = lat_ratio == 1.0
 
     s016 = overshoot_profile(
-        FIG2A_MODEL, FIG2A_MODEL, Thresholds(4.0 * 0.16, -2.0 * 0.16), 1_000_000, seed=10
+        ExperimentConfig(FIG2A_MODEL, Thresholds(4.0 * 0.16, -2.0 * 0.16), 1_000_000, seed=10)
     )
     # decide-1-under-H2 events at lambda=3 are ~3e-6 likely; the tilted
     # estimator reweights abundant H1 runs through the exact change of
     # measure instead
     s300 = overshoot_profile(
-        FIG2A_MODEL,
-        FIG2A_MODEL,
-        Thresholds(12.0, -6.0),
-        1_000_000,
-        seed=11,
-        max_steps=2000,
+        ExperimentConfig(FIG2A_MODEL, Thresholds(12.0, -6.0), 1_000_000, seed=11, window=2000),
         estimator="tilted",
     )
     f016 = condition51_flatness(s016)

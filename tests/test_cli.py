@@ -13,6 +13,7 @@ from seqaudit import cli, reproduce
 from seqaudit.cli import MODEL_FIELDS, main
 from seqaudit.core import Thresholds, ValidationError
 from seqaudit.models import GaussianIIDModel
+from seqaudit.overshoot import overshoot_profile
 from seqaudit.simulate import ExperimentConfig, run_experiment
 
 BASE_CONFIG = """
@@ -140,6 +141,8 @@ class TestConfigBoundary:
         ("sigma1 = 5.0", "sigma1 = -1", "standard deviations must be positive"),
         ("l1 = 4.0", "l1 = -4", "l1 must be a positive finite real, got -4.0"),
         ("p1 = 0.5", "p1 = 2", "prior p1 must lie in [0, 1]"),
+        ("p1 = 0.5", "p1 = 0.3\nstratified = true",
+         "stratified runs alternate H at p1 = 0.5, got p1 = 0.3"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, config_path, capsys, old, new, message):
         config_path.write_text(BASE_CONFIG.replace(old, new))
@@ -167,14 +170,14 @@ class TestConfigBoundary:
     ])
     def test_lattice_device_is_matched_under_every_command(self, tmp_path, capsys, command, extra):
         cfg = tmp_path / "lattice.ini"
-        cfg.write_text("[experiment]\ntrials = 2000\nseed = 3\n\n" + overshoot_config() + extra)
+        cfg.write_text(overshoot_config(seed="3", window="1000") + extra)
         assert run_cli("--out-dir", tmp_path, command, cfg) == 2
         err = capsys.readouterr().err
         assert err == "config error: lattice devices are always matched; remove belief overrides\n"
 
     def test_lattice_override_equal_to_the_model_runs_matched(self, tmp_path):
         cfg = tmp_path / "lattice.ini"
-        plain = "[experiment]\ntrials = 2000\nseed = 3\n\n" + overshoot_config()
+        plain = overshoot_config(seed="3", window="1000")
         cfg.write_text(plain + "[device]\np = 0.8\n")
         assert run_cli("--out-dir", tmp_path / "a", "simulate", cfg) == 0
         cfg.write_text(plain)
@@ -318,10 +321,18 @@ class TestMiScanCommand:
 
 
 def overshoot_config(**overrides):
-    """Lattice device with small [overshoot] settings, ``overrides`` applied."""
-    settings = {"trials": "2000", "max_steps": "200", "seed": "5", **overrides}
-    return "[model]\nkind = lattice\np = 0.8\nm1 = 2\nm2 = 2\n\n[overshoot]\n" + "".join(
-        f"{key} = {value}\n" for key, value in settings.items()
+    """Lattice device with a small experiment, ``overrides`` applied.
+
+    ``trials``, ``seed`` and ``window`` go to [experiment], every other key
+    to [overshoot], which comes last.
+    """
+    settings = {"trials": "2000", "window": "200", "seed": "5", **overrides}
+    sections = {"experiment": [], "overshoot": []}
+    for key, value in settings.items():
+        name = "experiment" if key in ("trials", "seed", "window") else "overshoot"
+        sections[name].append(f"{key} = {value}\n")
+    return "[model]\nkind = lattice\np = 0.8\nm1 = 2\nm2 = 2\n" + "".join(
+        f"\n[{name}]\n" + "".join(lines) for name, lines in sections.items()
     )
 
 
@@ -338,7 +349,7 @@ class TestOvershootCommand:
         assert manifest["seed"] == 5
 
     @pytest.mark.parametrize(
-        "key,bad", [("trials", "abc"), ("mass_threshold", "high"), ("max_steps", "2.5"), ("seed", "x")]
+        "key,bad", [("trials", "abc"), ("mass_threshold", "high"), ("window", "2.5"), ("seed", "x")]
     )
     def test_bad_value_names_key(self, tmp_path, capsys, key, bad):
         cfg = tmp_path / "over.ini"
@@ -348,7 +359,9 @@ class TestOvershootCommand:
 
     def test_missing_thresholds_named(self, tmp_path, capsys):
         cfg = tmp_path / "over.ini"
-        cfg.write_text(BASE_CONFIG.replace("l1 = 4.0\nl2 = -2.0\n", "") + "[overshoot]\ntrials = 10\n")
+        cfg.write_text(
+            BASE_CONFIG.replace("l1 = 4.0\nl2 = -2.0\n", "") + "[overshoot]\nmass_threshold = 0.9\n"
+        )
         assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
         assert "l1/l2" in capsys.readouterr().err
 
@@ -361,11 +374,44 @@ class TestOvershootCommand:
     def test_drift_diffusion_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "over.ini"
         cfg.write_text(
+            "[experiment]\ntrials = 10\nseed = 1\n\n"
             "[model]\nkind = drift_diffusion\nmu1 = 0\nmu2 = 1\nsigma = 5\n\n"
-            "[device]\nl1 = 4\nl2 = -4\n\n[overshoot]\ntrials = 10\n"
+            "[device]\nl1 = 4\nl2 = -4\ndt = 0.5\n\n[overshoot]\n"
         )
         assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
         assert "discrete models only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["trials", "seed", "max_steps"])
+    def test_experiment_key_under_overshoot_is_named(self, tmp_path, capsys, key):
+        # trials, seed and window are read from [experiment] only
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(overshoot_config() + f"{key} = 10\n")
+        assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown key(s) ['{key}'] in section [overshoot]\n"
+        )
+
+    def test_missing_experiment_section_named(self, tmp_path, capsys):
+        cfg = tmp_path / "over.ini"
+        cfg.write_text("[model]\nkind = lattice\np = 0.8\nm1 = 2\nm2 = 2\n\n[overshoot]\n")
+        assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
+        assert capsys.readouterr().err == "config error: missing [experiment] section\n"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("estimator", ["direct", "tilted"])
+    def test_csv_is_the_library_profile(self, tmp_path, config_path, estimator, threads):
+        config_path.write_text(BASE_CONFIG + f"\n[overshoot]\nestimator = {estimator}\n")
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "--threads", threads, "overshoot", config_path) == 0
+        exp = ExperimentConfig(
+            GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0),
+            Thresholds(4.0, -2.0), trials=8000, seed=314, window=300,
+        )
+        series = overshoot_profile(exp, estimator=estimator)
+        rows = zip(*(getattr(series, f).tolist() for f in ("k", "value", "count", "pmf")))
+        assert (out / "overshoot.csv").read_text().splitlines()[1:] == [
+            ",".join(map(str, row)) for row in rows
+        ]
 
 
 class TestAnalyticCommand:
@@ -642,3 +688,39 @@ class TestOneRunner:
         assert [call for _, call in _runner_calls(tree)] == [
             "time.time", "out_dir.mkdir", "write_manifest"
         ]
+
+
+def _cli_importers(package: Path):
+    """Names of the modules in ``package`` that import ``seqaudit.cli``, in any spelling."""
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = ("." * node.level) + (node.module or "")
+                names = {alias.name for alias in node.names}
+                hit = module in (".cli", "seqaudit.cli") or (
+                    module in (".", "seqaudit") and "cli" in names
+                )
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name == "seqaudit.cli" for alias in node.names)
+            else:
+                continue
+            if hit:
+                importers.add(path.stem)
+    return importers
+
+
+class TestImportRule:
+    def test_only_reproduce_imports_the_cli(self):
+        # reproduce takes the belief scan from cli; the edge goes once the
+        # scan moves into the library (ROADMAP item 6)
+        assert _cli_importers(Path(cli.__file__).parent) == {"reproduce"}
+
+    def test_rule_sees_each_spelling(self, tmp_path):
+        for i, line in enumerate([
+            "from .cli import main", "from . import cli", "from seqaudit.cli import main",
+            "from seqaudit import cli", "import seqaudit.cli",
+        ]):
+            (tmp_path / f"m{i}.py").write_text(line + "\n")
+        (tmp_path / "clean.py").write_text("from .core import Thresholds\nimport seqaudit\n")
+        assert _cli_importers(tmp_path) == {f"m{i}" for i in range(5)}

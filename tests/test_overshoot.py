@@ -16,34 +16,31 @@ def fig7_thresholds(lam: float) -> Thresholds:
     return Thresholds(4.0 * lam, -2.0 * lam)
 
 
+def fig7_config(lam: float, trials: int, seed: int, window: int = 1000) -> ExperimentConfig:
+    return ExperimentConfig(FIG7_MODEL, fig7_thresholds(lam), trials, seed, window=window)
+
+
 class TestOvershootProfile:
     def test_lattice_walk_has_no_overshoot(self):
         model = LatticeBernoulliModel(p=0.8, m1=2, m2=2)
-        series = overshoot_profile(model, model, model.thresholds, 50_000, seed=1)
+        series = overshoot_profile(ExperimentConfig(model, model.thresholds, 50_000, seed=1))
         assert np.all(series.count[series.value > 0] >= 0)
         assert np.allclose(series.value, 1.0, atol=1e-12)
 
     def test_small_thresholds_profile_is_visibly_nonflat(self):
-        series = overshoot_profile(
-            FIG7_MODEL, FIG7_MODEL, fig7_thresholds(0.16), 200_000, seed=2
-        )
+        series = overshoot_profile(fig7_config(0.16, 200_000, seed=2))
         assert condition51_flatness(series) > 1.2
 
     def test_third_minimum_lambda_is_flatter(self):
-        s016 = overshoot_profile(
-            FIG7_MODEL, FIG7_MODEL, fig7_thresholds(0.16), 200_000, seed=3
-        )
-        s036 = overshoot_profile(
-            FIG7_MODEL, FIG7_MODEL, fig7_thresholds(0.36), 200_000, seed=3
-        )
+        s016 = overshoot_profile(fig7_config(0.16, 200_000, seed=3))
+        s036 = overshoot_profile(fig7_config(0.36, 200_000, seed=3))
         assert condition51_flatness(s036) < condition51_flatness(s016)
 
     def test_tilted_estimator_agrees_with_direct(self):
         # at moderate thresholds both estimators have support; they target
         # the same conditional expectation through an exact change of measure
-        th = fig7_thresholds(1.0)
-        direct = overshoot_profile(FIG7_MODEL, FIG7_MODEL, th, 800_000, seed=4, estimator="direct")
-        tilted = overshoot_profile(FIG7_MODEL, FIG7_MODEL, th, 200_000, seed=5, estimator="tilted")
+        direct = overshoot_profile(fig7_config(1.0, 800_000, seed=4), estimator="direct")
+        tilted = overshoot_profile(fig7_config(1.0, 200_000, seed=5), estimator="tilted")
         k_direct = float((direct.pmf * direct.value).sum())
         k_tilted = float((tilted.pmf * tilted.value).sum())
         assert k_direct == pytest.approx(k_tilted, rel=0.05)
@@ -58,7 +55,7 @@ class TestOvershootProfile:
     def test_corrected_decision_ratio_identity(self):
         # P(D=1|H=1) / P(D=1|H=2) = e^l1 * E[e^M1 | D=1, H=2]
         th = fig7_thresholds(1.0)
-        series = overshoot_profile(FIG7_MODEL, FIG7_MODEL, th, 400_000, seed=6)
+        series = overshoot_profile(fig7_config(1.0, 400_000, seed=6))
         k_mean = float((series.pmf * series.value).sum())
         cfg1 = ExperimentConfig(
             model=FIG7_MODEL, thresholds=th, trials=400_000, seed=7, p1=1.0, window=1000
@@ -75,7 +72,7 @@ class TestOvershootProfile:
     @pytest.mark.parametrize("estimator,p1", [("direct", 0.0), ("tilted", 1.0)])
     def test_profile_reduces_run_experiment_records(self, estimator, p1):
         th = fig7_thresholds(0.36)
-        series = overshoot_profile(FIG7_MODEL, FIG7_MODEL, th, 40_000, seed=12, estimator=estimator)
+        series = overshoot_profile(fig7_config(0.36, 40_000, seed=12), estimator=estimator)
         cfg = ExperimentConfig(model=FIG7_MODEL, thresholds=th, trials=40_000, seed=12, p1=p1)
         records = run_experiment(cfg).records
         assert np.all(records.hypothesis == (2 if p1 == 0.0 else 1))
@@ -92,27 +89,24 @@ class TestOvershootProfile:
         np.testing.assert_allclose(series.value, value, rtol=1e-12)
 
     def test_threads_do_not_change_the_profile(self):
-        th = fig7_thresholds(0.36)
-        one, two = (
-            overshoot_profile(FIG7_MODEL, FIG7_MODEL, th, 70_000, seed=3, threads=t) for t in (1, 2)
-        )
+        cfg = fig7_config(0.36, 70_000, seed=3)
+        one, two = (overshoot_profile(cfg, threads=t) for t in (1, 2))
         for field in ("k", "value", "count", "pmf"):
             assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            overshoot_profile(FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 0, seed=0)
+        # trials and seed are checked where the experiment is specified
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            fig7_config(1.0, 0, seed=0)
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
-            overshoot_profile(FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 10, seed=-1)
+            fig7_config(1.0, 10, seed=-1)
         with pytest.raises(ValidationError, match="threads must be >= 1"):
-            overshoot_profile(FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 10, seed=0, threads=0)
+            overshoot_profile(fig7_config(1.0, 10, seed=0), threads=0)
         ddm = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
         with pytest.raises(ValidationError, match="discrete models only"):
-            overshoot_profile(ddm, ddm, fig7_thresholds(1.0), 10, seed=0)
-        with pytest.raises(ValidationError):
-            overshoot_profile(
-                FIG7_MODEL, FIG7_MODEL, fig7_thresholds(1.0), 10, seed=0, estimator="weird"
-            )
+            overshoot_profile(ExperimentConfig(ddm, fig7_thresholds(1.0), 10, seed=0, dt=0.5))
+        with pytest.raises(ValidationError, match="unknown estimator"):
+            overshoot_profile(fig7_config(1.0, 10, seed=0), estimator="weird")
 
 
 class TestCondition51Flatness:
@@ -146,15 +140,8 @@ class TestCondition51Flatness:
     def test_monotone_trend_in_threshold_distance(self):
         ratios = []
         for lam, est in [(0.16, "direct"), (1.0, "tilted"), (3.0, "tilted")]:
-            series = overshoot_profile(
-                FIG7_MODEL,
-                FIG7_MODEL,
-                fig7_thresholds(lam),
-                200_000,
-                seed=10,
-                max_steps=2000,
-                estimator=est,
-            )
+            cfg = fig7_config(lam, 200_000, seed=10, window=2000)
+            series = overshoot_profile(cfg, estimator=est)
             ratios.append(condition51_flatness(series))
         assert ratios[0] > ratios[1] > ratios[2]
 

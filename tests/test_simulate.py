@@ -47,6 +47,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_cfg(p1=1.5)
 
+    def test_stratified_run_needs_the_even_prior(self):
+        # a stratified run alternates H by trial index and never reads p1
+        with pytest.raises(ValidationError, match=r"stratified runs .* p1 = 0.5, got p1 = 0.3"):
+            small_cfg(stratified=True, p1=0.3)
+        assert small_cfg(stratified=True).p1 == 0.5
+
     def test_lattice_device_must_be_matched(self):
         model = LatticeBernoulliModel(0.8, 2, 2)
         with pytest.raises(ValidationError, match="lattice devices are always matched"):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.stats
 from scipy.special import kolmogorov
 
 from seqaudit.core import (
@@ -277,6 +278,31 @@ class TestOptimalityTests:
         )
         batch = run_experiment(cfg).records
         rep = optimality_test_unknown_h(batch)
+        assert rep.p_value < 1e-6
+
+    @staticmethod
+    def wald_batch(seed, scale_d2, n=4000):
+        # untied real-valued times whose law depends on D through scale_d2 only
+        g = rng(seed)
+        h = g.integers(1, 3, n)
+        d = g.integers(1, 3, n)
+        t = g.wald(10.0, 40.0, n) * np.where(d == 2, scale_d2, 1.0)
+        return make_batch(h, d, t, kind="seconds"), d, t
+
+    def test_unknown_h_ks_accepts_times_independent_of_decision(self):
+        batch, d, t = self.wald_batch(seed=21, scale_d2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = optimality_test_unknown_h(batch)
+        assert rep.method == "KS2"
+        assert rep.p_value > 0.01
+        assert rep.statistic == pytest.approx(scipy.stats.ks_2samp(t[d == 1], t[d == 2]).statistic)
+
+    def test_unknown_h_ks_rejects_times_that_depend_on_decision(self):
+        batch, _, _ = self.wald_batch(seed=22, scale_d2=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = optimality_test_unknown_h(batch)
         assert rep.p_value < 1e-6
 
     def test_unknown_h_single_decision_signalled(self):
