@@ -8,10 +8,12 @@ the observation model instance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from .core import ValidationError, check_finite
 
@@ -126,33 +128,151 @@ def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
     return times, decisions, terminal
 
 
-def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float, rng):
-    """Vectorized Euler-Maruyama runs of dS = a dt + sqrt(2b) dW per trial.
+# Rows of the exit-law table filled per pass; bounds the series' temporaries.
+TABLE_CHUNK = 256
+# Stop the table once the undecided mass is below one float64 uniform step.
+UNDECIDED_FLOOR = 2.0**-53
+# Below u = t * 2b / (l1 - l2)^2 the image (small-time) series converges faster.
+SMALL_TIME_U = 0.25
+# Series terms are summed until one falls below this absolute size.
+SERIES_TOL = 1e-20
 
-    The device's log-likelihood ratio is itself a drift-diffusion, so it is
-    integrated directly; the terminal value is clamped to the crossed
-    threshold, which is exact in the continuum limit.
+
+def _exit_mass(d: float, mu: float, w: float, b: float) -> float:
+    """P(leave through the barrier at distance ``d``), drift ``mu`` toward it.
+
+    The other barrier lies at distance ``w - d``; the diffusion coefficient
+    is 2b.  Written with ``expm1`` so that neither sign of ``mu`` overflows.
+    """
+    if mu == 0.0:
+        return (w - d) / w
+    x, y = mu * (w - d) / b, mu * w / b
+    if mu > 0.0:
+        return math.expm1(-x) / math.expm1(-y)
+    return math.exp(mu * d / b) * math.expm1(x) / math.expm1(y)
+
+
+def _small_time_cdf(t: np.ndarray, d: float, mu: float, w: float, b: float) -> np.ndarray:
+    """Defective exit CDF by the method of images (Navarro & Fuss 2009).
+
+    Each image at signed distance c contributes the single-barrier passage
+    law of |c| under drift |mu|, in log space so no prefactor overflows.
+    """
+    s = np.sqrt(2.0 * b * t)
+    m = abs(mu)
+    lead = mu * d / (2.0 * b)
+
+    def image(c: float) -> np.ndarray:
+        ac = abs(c)
+        near = np.exp(lead - ac * m / (2.0 * b) + log_ndtr((m * t - ac) / s))
+        far = np.exp(lead + ac * m / (2.0 * b) + log_ndtr(-(m * t + ac) / s))
+        return math.copysign(1.0, c) * (near + far)
+
+    total = image(d)
+    for j in range(1, 200):
+        pair = (image(d + 2.0 * j * w), image(d - 2.0 * j * w))
+        total += pair[0] + pair[1]
+        if max(np.abs(pair[0]).max(), np.abs(pair[1]).max()) < SERIES_TOL:
+            break
+    return total
+
+
+def _large_time_tail(t: np.ndarray, d: float, mu: float, w: float, b: float) -> np.ndarray:
+    """Exit mass still to come after t, by the eigenfunction series.
+
+    Termwise integral of the large-time density of Navarro & Fuss 2009, as in
+    Blurton, Kesselmeier & Gondan 2012.
+    """
+    scale = 2.0 * math.pi * b / (w * w)
+    lead = mu * d / (2.0 * b)
+    total = np.zeros_like(t)
+    for k in range(1, 200):
+        lam = mu * mu / (4.0 * b) + (k * math.pi) ** 2 * b / (w * w)
+        size = scale * k / lam * np.exp(lead - lam * t)
+        total += math.sin(k * math.pi * d / w) * size
+        if size.max() < SERIES_TOL:
+            break
+    return total
+
+
+def _exit_cdf(t: np.ndarray, d: float, mu: float, w: float, b: float, mass: float):
+    """(F(t), mass - F(t)) for the barrier at distance ``d``, on rows ``t``.
+
+    The eigenfunction series carries the prefactor e^{mu d / 2b - mu^2 t / 4b}
+    and loses that much absolute precision; the image series takes every row
+    where it exceeds e, and every row below ``SMALL_TIME_U``.
+    """
+    lead = mu * d / (2.0 * b)
+    t_switch = SMALL_TIME_U * w * w / (2.0 * b)
+    if lead > 1.0:
+        t_switch = max(t_switch, 4.0 * b * (lead - 1.0) / (mu * mu))
+    small = t < t_switch
+    f = np.empty_like(t)
+    tail = np.empty_like(t)
+    if small.any():
+        f[small] = _small_time_cdf(t[small], d, mu, w, b)
+        tail[small] = mass - f[small]
+    if not small.all():
+        tail[~small] = _large_time_tail(t[~small], d, mu, w, b)
+        f[~small] = mass - tail[~small]
+    return f, tail
+
+
+@functools.lru_cache(maxsize=16)
+def _exit_cdfs(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int):
+    """Defective CDFs (F_1, F_2) of the upper and lower exits at dt, 2dt, ...
+
+    The LLR is S_t = a t + sqrt(2b) W_t from 0 between l2 < 0 < l1.  The
+    rows run to ``n_steps`` or to the first one whose undecided mass is below
+    ``UNDECIDED_FLOOR``, whichever comes first; the arrays are read-only
+    because the cache hands the same ones to every caller.
+    """
+    w = l1 - l2
+    sides = ((l1, a), (-l2, -a))  # (distance to the barrier, drift toward it)
+    masses = [_exit_mass(d, mu, w, b) for d, mu in sides]
+    rows = ([], [])
+    for start in range(1, n_steps + 1, TABLE_CHUNK):
+        t = np.arange(start, min(start + TABLE_CHUNK, n_steps + 1)) * dt
+        undecided = np.zeros_like(t)
+        for (d, mu), mass, out in zip(sides, masses, rows):
+            f, tail = _exit_cdf(t, d, mu, w, b, mass)
+            out.append(f)
+            undecided += tail
+        done = np.flatnonzero(undecided < UNDECIDED_FLOOR)
+        if done.size:
+            for out in rows:
+                out[-1] = out[-1][: done[0] + 1]
+            break
+    tables = []
+    for out in rows:
+        f = np.maximum.accumulate(np.maximum(np.concatenate(out), 0.0))
+        f.flags.writeable = False
+        tables.append(f)
+    return tuple(tables)
+
+
+def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float, rng):
+    """Exact trials of the device whose LLR is dS = a dt + sqrt(2b) dW.
+
+    Each trial takes one uniform from ``rng`` and inverts the joint law of
+    (decision, dt-step of the first crossing) tabulated by ``_exit_cdfs``:
+    a crossing in ((k-1) dt, k dt] is recorded at time k dt with the crossed
+    threshold as its terminal LLR.  Trials undecided after ceil(t_max/dt)
+    steps are truncated: decision 0, time 0 and terminal NaN.
     """
     n = len(a)
-    s = np.zeros(n)
+    n_steps = int(math.ceil(t_max / dt))
+    u = rng.random(n)
     times = np.zeros(n)
     decisions = np.zeros(n, dtype=np.int8)
     terminal = np.full(n, np.nan)
-    alive = np.arange(n)
-    drift = a * dt
-    diff = math.sqrt(2.0 * b * dt)
-    n_steps = int(math.ceil(t_max / dt))
-    for k in range(1, n_steps + 1):
-        s[alive] += drift[alive] + diff * rng.standard_normal(alive.size)
-        s_alive = s[alive]
-        done = (s_alive >= th.l1) | (s_alive <= th.l2)
-        if done.any():
-            idx = alive[done]
-            times[idx] = k * dt
-            up = s[idx] >= th.l1
-            decisions[idx] = np.where(up, 1, 2)
-            terminal[idx] = np.where(up, th.l1, th.l2)
-            alive = alive[~done]
-            if alive.size == 0:
-                break
+    for drift in np.unique(a):
+        idx = np.flatnonzero(a == drift)
+        f1, f2 = _exit_cdfs(float(drift), b, th.l1, th.l2, dt, n_steps)
+        rows = len(f1)
+        cell = np.searchsorted(np.concatenate((f1, f1[-1] + f2)), u[idx], side="right")
+        d = np.where(cell < rows, 1, np.where(cell < 2 * rows, 2, 0))
+        decisions[idx] = d
+        times[idx] = np.where(d > 0, cell % rows + 1, 0) * dt
+        terminal[idx] = np.array([np.nan, th.l1, th.l2])[d]
     return times, decisions, terminal

@@ -46,7 +46,9 @@ def overshoot_profile(
     exact change of measure e^{-S_T}: on {T=k, D=1} the likelihood ratio
     makes E[e^M1 | T=k, D=1, H=2] equal 1 / E[e^-M1 | T=k, D=1, H=1], which
     gives usable statistics when upper-boundary errors under hypothesis 2
-    are too rare to simulate directly.  The estimator fixes the prior (0
+    are too rare to simulate directly.  That weight is the change of measure
+    only when the device's belief is the observation model, so ``tilted``
+    rejects a belief override.  The estimator fixes the prior (0
     or 1) and turns stratification off; the trials are the records of
     ``run_experiment``, so the profile does not depend on ``threads``.
     """
@@ -54,6 +56,11 @@ def overshoot_profile(
         raise ValidationError("overshoot diagnostics apply to discrete models only")
     if estimator not in ("direct", "tilted"):
         raise ValidationError(f"unknown estimator {estimator!r}")
+    if estimator == "tilted" and cfg.device != cfg.model:
+        raise ValidationError(
+            "the tilted estimator needs a matched device; remove belief overrides "
+            "or use the direct estimator"
+        )
     cfg = replace(cfg, p1=0.0 if estimator == "direct" else 1.0, stratified=False)
     records = run_experiment(cfg, threads=threads).records
     up = records.decision == 1

@@ -38,9 +38,12 @@ class ExperimentConfig:
 
     ``window`` is the maximum number of observations for discrete devices
     (a whole number, kept as an int) and the maximum observation time for
-    continuous ones; trials that do not decide within it are recorded as
-    truncated.  ``world_model`` of None means the device is matched to the
-    observation model; a lattice device is always matched.
+    continuous ones, rounded up to ceil(window/dt) whole ``dt`` steps;
+    trials that do not decide within it are recorded as truncated.  A
+    continuous trial that first crosses a threshold at time T is recorded
+    at ceil(T/dt)*dt with the crossed threshold as its terminal LLR.
+    ``world_model`` of None means the device is matched to the observation
+    model; a lattice device is always matched.
     """
 
     model: object

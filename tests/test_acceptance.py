@@ -216,10 +216,10 @@ def test_criterion_05a_mi_scan_minimum_location():
     # grow.  A window of 100 moves the exact minimum to 1.0, but by 0.8e-6
     # bits, far under the plug-in bias of about 100 time bins; at lambda = 3
     # errors are so rare that every value is about 1e-7.  On the diffusion
-    # the dip is wide: 1e5 trials per point already put 5.8e-4 bits at 1.0
-    # (the plug-in bias floor is 4.5e-4) against 9.3e-3 at 1.25 and 1.25e-2
-    # at 0.75.  Checking the thresholds every dt = 1, a step of 0.2 nats
-    # standard deviation, leaves an overshoot far below that contrast.
+    # the dip is wide: 1e5 trials per point already put 4.8e-4 bits at 1.0
+    # (the plug-in bias floor is 4.5e-4) against 7.5e-3 at 1.25 and 1.45e-2
+    # at 0.75.  The diffusion trials are exact first-passage draws, so the
+    # device has no overshoot; dt = 1 only rounds the recorded times up.
     grid = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
     base = ExperimentConfig(
         model=DIFFUSION_MODEL,

@@ -397,6 +397,18 @@ class TestOvershootCommand:
         assert run_cli("--out-dir", tmp_path, "overshoot", cfg) == 2
         assert capsys.readouterr().err == "config error: missing [experiment] section\n"
 
+    def test_tilted_rejects_a_belief_override(self, tmp_path, config_path, capsys):
+        config_path.write_text(
+            BASE_CONFIG.replace("l1 = 4.0", "sigma2 = 6.0\nl1 = 4.0")
+            + "\n[overshoot]\nestimator = tilted\n"
+        )
+        assert run_cli("--out-dir", tmp_path, "overshoot", config_path) == 2
+        assert capsys.readouterr().err == (
+            "config error: the tilted estimator needs a matched device; "
+            "remove belief overrides or use the direct estimator\n"
+        )
+        assert not (tmp_path / "overshoot.csv").exists()
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("estimator", ["direct", "tilted"])
     def test_csv_is_the_library_profile(self, tmp_path, config_path, estimator, threads):

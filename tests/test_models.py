@@ -9,6 +9,7 @@ from seqaudit.models import (
     DriftDiffusionModel,
     GaussianIIDModel,
     MarkovGaussianModel,
+    _exit_cdfs,
     _wald_continuous_block,
     _wald_discrete_block,
 )
@@ -187,8 +188,9 @@ class TestRunWaldContinuous:
         assert mean_t == pytest.approx(200.0, rel=0.05)
 
     def test_alpha1_extrapolates_to_closed_form(self):
-        # Euler-Maruyama misses boundary crossings at rate O(sqrt(dt));
-        # fit alpha(dt) ~ a0 + c sqrt(dt) and compare the intercept
+        # exact first-passage draws carry no O(sqrt(dt)) bias of a grid
+        # check: the fit alpha(dt) ~ a0 + c sqrt(dt) has the closed form as
+        # its intercept, and each rate lies within 4 SE of it
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
         th = Thresholds(l1=4.0, l2=-4.0)
         from seqaudit.analytic import continuous_llr_params
@@ -209,15 +211,19 @@ class TestRunWaldContinuous:
         exact = 0.017986209962091558
         assert abs(alphas[-1] - exact) < abs(alphas[0] - exact) + 0.003
         assert intercept == pytest.approx(exact, abs=0.004)
+        se = math.sqrt(exact * (1.0 - exact) / n)
+        assert all(abs(alpha - exact) < 4.0 * se for alpha in alphas)
 
-    def test_decision_probability_ratio_approaches_exp_l1(self):
+    def test_decision_probability_ratio_is_exp_l1_at_every_dt(self):
+        # the decision law does not depend on the reporting grid, so the same
+        # stream draws the same decisions at both dt
         obs = DriftDiffusionModel(mu1=-0.5, mu2=0.5, sigma=1.0)
         th = Thresholds(l1=1.0, l2=-1.0)
         from seqaudit.analytic import continuous_llr_params
 
         p = continuous_llr_params(obs, obs)
         n = 30_000
-        ratios = []
+        ratios, columns = [], []
         for dt in (0.02, 0.002):
             g = rng(11)
             _, d_h1, _ = _wald_continuous_block(np.full(n, p.a1), p.b, th, dt, 100.0, g)
@@ -225,9 +231,25 @@ class TestRunWaldContinuous:
             p1 = (d_h1 == 1).sum() / (d_h1 != 0).sum()
             p2 = (d_h2 == 1).sum() / (d_h2 != 0).sum()
             ratios.append(p1 / p2)
+            columns.append(np.concatenate((d_h1, d_h2)))
         target = math.exp(th.l1)
-        assert abs(ratios[1] - target) < abs(ratios[0] - target)
+        assert ratios[0] == pytest.approx(target, rel=0.06)
         assert ratios[1] == pytest.approx(target, rel=0.06)
+        assert np.array_equal(columns[0], columns[1])
+
+    def test_window_truncates_the_table_mass_past_it(self):
+        # window 150.5 rounds up to 151 whole steps of dt = 1
+        n = 40_000
+        times, decisions, terminal = _wald_continuous_block(
+            np.full(n, 0.02), 0.02, Thresholds(4.0, -2.0), 1.0, 150.5, rng(12)
+        )
+        f1, f2 = _exit_cdfs(0.02, 0.02, 4.0, -2.0, 1.0, 151)
+        assert len(f1) == 151
+        undecided = 1.0 - f1[-1] - f2[-1]
+        cut = decisions == 0
+        assert abs(cut.mean() - undecided) < 4.0 * math.sqrt(undecided * (1.0 - undecided) / n)
+        assert np.all(times[cut] == 0.0) and np.all(np.isnan(terminal[cut]))
+        assert times[~cut].max() == 151.0 and np.all(times[~cut] == np.ceil(times[~cut]))
 
     def test_validation(self):
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
@@ -235,6 +257,56 @@ class TestRunWaldContinuous:
             ExperimentConfig(
                 model=obs, thresholds=Thresholds(1, -1), trials=1, seed=0, window=10.0, dt=0.0
             )
+
+
+class TestExitTable:
+    """The tabulated two-barrier exit law behind ``_wald_continuous_block``."""
+
+    @pytest.mark.parametrize("ratio", [4.0, 20.0, 40.0])
+    def test_upper_cdf_is_inverse_gaussian_for_a_deep_lower_threshold(self, ratio):
+        from seqaudit.analytic import _ig_cdf
+
+        a = b = 0.5
+        l1, l2 = ratio * b / a, -400.0  # P(reach l2) ~ e^{-a |l2| / b}
+        dt = 0.05
+        f1, f2 = _exit_cdfs(a, b, l1, l2, dt, 10**6)
+        t = np.arange(1, len(f1) + 1) * dt
+        assert np.abs(f1 - _ig_cdf(t, l1 / a, l1**2 / (2.0 * b))).max() < 1e-12
+        assert f2[-1] < 1e-80
+
+    @pytest.mark.parametrize("a,b,l1,l2,dt", [
+        (0.02, 0.02, 4.0, -2.0, 1.0),      # the mi-scan device, matched
+        (-0.02, 0.02, 4.0, -2.0, 4.0),
+        (0.005, 0.0125, 4.0, -2.0, 1.0),   # a mismatched belief
+        (0.0, 2.0, 1.0, -3.0, 0.01),       # zero drift
+    ])
+    def test_wald_mean_time_between_riemann_sums(self, a, b, l1, l2, dt):
+        f1, f2 = _exit_cdfs(a, b, l1, l2, dt, 10**6)
+        survival = np.concatenate(([1.0], 1.0 - f1 - f2))
+        p1, p2 = f1[-1], f2[-1]
+        assert p1 + p2 == pytest.approx(1.0, abs=1e-15)
+        if a == 0.0:
+            mean = l1 * -l2 / (2.0 * b)
+        else:
+            mean = (l1 * p1 + l2 * p2) / a
+        assert dt * survival[1:].sum() < mean < dt * survival[:-1].sum()
+
+    def test_zero_drift_masses_split_by_distance(self):
+        f1, f2 = _exit_cdfs(0.0, 0.5, 1.0, -3.0, 0.01, 10**6)
+        assert f1[-1] == pytest.approx(0.75, abs=1e-15)
+        assert f2[-1] == pytest.approx(0.25, abs=1e-15)
+        assert np.all(np.diff(f1) >= 0.0) and np.all(np.diff(f2) >= 0.0)
+
+    def test_huge_window_stops_at_the_undecided_floor(self):
+        f1, f2 = _exit_cdfs(0.5, 0.5, 1.0, -1.0, 1e-3, int(math.ceil(1e9 / 1e-3)))
+        # the undecided mass decays as e^{-1.36 t}: below 2^-53 by t ~ 27
+        assert len(f1) == len(f2) < 30_000
+        assert 1.0 - f1[-1] - f2[-1] < 1e-15
+
+    def test_tables_are_read_only(self):
+        f1, _ = _exit_cdfs(0.02, 0.02, 4.0, -2.0, 1.0, 5000)
+        with pytest.raises(ValueError):
+            f1[0] = 0.0
 
 
 class TestModelValidation:

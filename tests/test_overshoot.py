@@ -108,6 +108,14 @@ class TestOvershootProfile:
         with pytest.raises(ValidationError, match="unknown estimator"):
             overshoot_profile(fig7_config(1.0, 10, seed=0), estimator="weird")
 
+    def test_tilted_needs_a_matched_device(self):
+        # e^{-S_T} from a wrong belief is no change of measure to H2
+        belief = GaussianIIDModel(0.0, 1.0, 5.0, 6.0)
+        cfg = ExperimentConfig(FIG7_MODEL, fig7_thresholds(0.36), 5000, seed=0, world_model=belief)
+        with pytest.raises(ValidationError, match="tilted estimator needs a matched device"):
+            overshoot_profile(cfg, estimator="tilted")
+        assert overshoot_profile(cfg, estimator="direct").count.sum() > 0
+
 
 class TestCondition51Flatness:
     def test_constant_series_ratio_one(self):

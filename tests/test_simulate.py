@@ -7,7 +7,8 @@ from seqaudit.core import (
     EmptyCellError, RecordBatch, Thresholds, ValidationError, thresholds_from_alphas, ErrorSpec,
     read_records_csv, write_records_csv,
 )
-from seqaudit.models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
+from seqaudit.analytic import continuous_llr_params, error_probs_continuous
+from seqaudit.models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel, _exit_cdfs
 from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.simulate import (
     ExperimentConfig,
@@ -127,8 +128,13 @@ class TestRunExperiment:
         assert len(result.records) + result.truncated_count == 5000
         assert result.truncated_count > 0  # window 8 clips the slow tail
 
-    def test_determinism_and_thread_independence(self):
-        cfg = small_cfg(trials=70_000)
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        # three blocks on two threads share the exit-law table cache
+        {"model": DriftDiffusionModel(0.0, 1.0, 5.0), "dt": 1.0, "window": 5000.0},
+    ], ids=["gaussian_iid", "drift_diffusion"])
+    def test_determinism_and_thread_independence(self, kwargs):
+        cfg = small_cfg(trials=70_000, **kwargs)
         r1 = run_experiment(cfg, threads=1)
         r2 = run_experiment(cfg, threads=2)
         assert np.array_equal(r1.records.time, r2.records.time)
@@ -214,6 +220,30 @@ class TestMetadata:
         assert "seed=1234" in text
         assert f"truncated_count={result.truncated_count}" in text
         assert "alpha1_hat=" in text
+
+
+DIFFUSION_MODEL = DriftDiffusionModel(0.0, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("mu2,dt", [(1.0, 1.0), (1.0, 4.0), (0.75, 1.0), (1.5, 4.0)])
+def test_diffusion_records_follow_the_exit_law(mu2, dt):
+    # mu2 is the device's belief; 1.0 is the matched device
+    cfg = small_cfg(model=DIFFUSION_MODEL, world_model=DriftDiffusionModel(0.0, mu2, 5.0),
+                    trials=100_000, stratified=True, dt=dt, window=5000.0)
+    result = run_experiment(cfg)
+    rec = result.records
+    p = continuous_llr_params(cfg.model, cfg.device)
+    alphas = error_probs_continuous(p, cfg.thresholds)
+    for h, a, hat, alpha in ((2, p.a2, result.alpha1_hat, alphas[0]),
+                             (1, p.a1, result.alpha2_hat, alphas[1])):
+        times = rec.time[rec.hypothesis == h]
+        assert abs(hat - alpha) < 4.0 * math.sqrt(alpha * (1.0 - alpha) / times.size)
+        # mean of the recorded ceil(T/dt)*dt under the tabulated law
+        f1, f2 = _exit_cdfs(a, p.b, cfg.thresholds.l1, cfg.thresholds.l2, dt, 5000 // int(dt))
+        mass = np.diff(f1, prepend=0.0) + np.diff(f2, prepend=0.0)
+        mean = (mass * np.arange(1, len(f1) + 1) * dt).sum() / mass.sum()
+        assert abs(times.mean() - mean) < 4.0 * times.std() / math.sqrt(times.size)
+    assert np.all(rec.terminal_llr == np.where(rec.decision == 1, 4.0, -2.0))
 
 
 LATTICE = LatticeBernoulliModel(p=0.8, m1=2, m2=2)
