@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .core import Thresholds, ValidationError
-from .models import DriftDiffusionModel
+from .models import DriftDiffusionModel, _exit_mass
 
 LN2 = math.log(2.0)
 TAIL_MASS = 1e-12
@@ -71,32 +71,18 @@ def continuous_llr_params(
     return ContinuousLLRParams(a1=a1, a2=a2, b=b)
 
 
-def _ratio_exp_diff(x_num: Tuple[float, float], x_den: Tuple[float, float]) -> float:
-    """(e^p - e^q) / (e^r - e^s) rescaled to avoid overflow."""
-    p, q = x_num
-    r, s = x_den
-    m = max(p, q, r, s)
-    num = math.exp(p - m) - math.exp(q - m)
-    den = math.exp(r - m) - math.exp(s - m)
-    if den == 0.0:
-        raise ValidationError("error-probability formula is degenerate for these parameters")
-    return num / den
-
-
 def error_probs_continuous(p: ContinuousLLRParams, th: Thresholds) -> Tuple[float, float]:
     """Exact error probabilities of the continuous device.
 
     alpha1 = (1 - e^{a2 l2 / b}) / (1 - e^{a2 (l2 - l1) / b}) and
     alpha2 = (e^{a1 l2 / b} - e^{a1 (l2 - l1) / b}) / (1 - e^{a1 (l2 - l1) / b}).
-    Raises when a result falls outside [0, 1/2], the range for which the
-    parameterization is meaningful.
+    At zero drift they take their limits, -l2 / (l1 - l2) and
+    l1 / (l1 - l2).  Raises when a result falls outside [0, 1/2], the range
+    for which the parameterization is meaningful.
     """
-    x2 = p.a2 * th.l2 / p.b
-    y2 = p.a2 * (th.l2 - th.l1) / p.b
-    x1 = p.a1 * th.l2 / p.b
-    y1 = p.a1 * (th.l2 - th.l1) / p.b
-    alpha1 = _ratio_exp_diff((0.0, x2), (0.0, y2))
-    alpha2 = _ratio_exp_diff((x1, y1), (0.0, y1))
+    w = th.l1 - th.l2
+    alpha1 = _exit_mass(th.l1, p.a2, w, p.b)
+    alpha2 = _exit_mass(-th.l2, -p.a1, w, p.b)
     for name, val in (("alpha1", alpha1), ("alpha2", alpha2)):
         if not (0.0 <= val <= 0.5):
             raise ValidationError(

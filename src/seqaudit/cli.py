@@ -109,7 +109,7 @@ def _check_keys(cfg: configparser.ConfigParser, kind: str) -> None:
         "experiment": set(EXPERIMENT_FIELDS),
         "model": {"kind", *MODEL_FIELDS[kind]},
         "device": {*MODEL_FIELDS[kind], "l1", "l2", "dt"},
-        "scan": {"parameter", "values", "start", "stop", "points"},
+        "scan": {"parameter", "values"},
         "overshoot": {"estimator", "mass_threshold"},
     }
     for name in cfg.sections():
@@ -336,15 +336,7 @@ def cmd_mi_scan(args, out_dir: Path):
     kind = cfg["model"]["kind"]
     if parameter not in MODEL_FIELDS[kind]:
         raise ConfigError(f"scan parameter {parameter!r} is not a field of {kind}")
-    if "values" in section:
-        values = _get(section, "values", cast=lambda raw: [float(v) for v in raw.split(",")])
-    else:
-        start = _get(section, "start", required=True)
-        stop = _get(section, "stop", required=True)
-        points = _get(section, "points", cast=int, required=True)
-        if points < 1:
-            raise ConfigError(f"[scan] points must be >= 1, got {points}")
-        values = np.linspace(start, stop, points).tolist()
+    values = _get(section, "values", cast=_parse_grid, required=True)
     rows = mi_scan_rows(base, parameter, values, threads=args.threads)
     path = write_table(out_dir / "mi_scan.csv", *mi_scan_table(parameter, rows))
     print(f"mi-scan over {len(rows)} points -> {path}")
@@ -381,8 +373,6 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"bad grid {spec!r}: use start:stop:points or a comma list") from exc
     if grid.size == 0:
         raise ConfigError(f"grid {spec!r} has no points")
-    if not np.isfinite(grid).all():
-        raise ConfigError(f"grid {spec!r} has a non-finite point")
     return grid
 
 
@@ -392,12 +382,15 @@ def cmd_analytic(args, out_dir: Path):
         if args.l2 is None:
             raise ConfigError(f"--quantity {args.quantity} needs --l2")
         th = Thresholds(args.l1, args.l2)
+    if args.quantity in ("density", "mi-discretized"):
+        grid = _parse_grid(args.grid)
+        if not np.isfinite(grid).all():
+            raise ConfigError(f"grid {args.grid!r} has a non-finite point")
     if args.quantity == "error-probs":
         header, rows = "alpha1,alpha2", [error_probs_continuous(p, th)]
     elif args.quantity == "mean-times":
         header, rows = "cell,mean_time", asdict(mean_decision_times(p, th)).items()
     elif args.quantity == "density":
-        grid = _parse_grid(args.grid)
         header = "t,d,h,density"
         rows = [
             (t, d, h, v)
@@ -408,9 +401,8 @@ def cmd_analytic(args, out_dir: Path):
     elif args.quantity == "mi-continuous":
         header, rows = "l1,mi_bits", [(args.l1, mutual_info_continuous(p, args.l1))]
     else:  # mi-discretized
-        grid = _parse_grid(args.grid).tolist()
         header = "t_r,mi_bits"
-        rows = [(tr, mutual_info_discretized(p, args.l1, tr)) for tr in grid]
+        rows = [(tr, mutual_info_discretized(p, args.l1, tr)) for tr in grid.tolist()]
     path = write_table(out_dir / f"analytic_{args.quantity.replace('-', '_')}.csv", header, rows)
     print(f"{args.quantity} -> {path}")
     parameters = {k: v for k, v in vars(args).items() if k != "func"}

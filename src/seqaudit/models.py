@@ -144,9 +144,9 @@ def _exit_mass(d: float, mu: float, w: float, b: float) -> float:
     The other barrier lies at distance ``w - d``; the diffusion coefficient
     is 2b.  Written with ``expm1`` so that neither sign of ``mu`` overflows.
     """
-    if mu == 0.0:
-        return (w - d) / w
     x, y = mu * (w - d) / b, mu * w / b
+    if y == 0.0:  # zero drift, or one so small that mu * w / b underflows
+        return (w - d) / w
     if mu > 0.0:
         return math.expm1(-x) / math.expm1(-y)
     return math.exp(mu * d / b) * math.expm1(x) / math.expm1(y)

@@ -256,11 +256,8 @@ def mi_plugin(x_labels, y_values, binning: BinningSpec = None) -> MIEstimate:
     table = np.bincount(
         codes * k + bng.assign(y), minlength=labels.size * k
     ).reshape(labels.size, k)
-    value = (
-        _entropy_bits(table.sum(axis=1))
-        + _entropy_bits(table.sum(axis=0))
-        - _entropy_bits(table)
-    )
+    # the joint term of the chain rule over a single decision is I(X;Y)
+    value = _chain_rule(table[:, None, :])[0]
     return MIEstimate(value_bits=max(value, 0.0), n=int(x.size), binning=bng)
 
 

@@ -178,6 +178,24 @@ class TestErrorProbsContinuous:
         assert back1 == pytest.approx(alpha1, abs=1e-12)
         assert back2 == pytest.approx(alpha2, abs=1e-12)
 
+    def test_zero_drift_takes_the_limit(self):
+        p = ContinuousLLRParams(0.02, 0.0, 0.02)
+        a1, a2 = error_probs_continuous(p, Thresholds(4.0, -2.0))
+        assert a1 == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert a2 == pytest.approx((math.exp(-2) - math.exp(-6)) / (1 - math.exp(-6)), rel=1e-14)
+
+    def test_near_zero_drift_accurate(self):
+        # 50-digit mpmath value of (1 - e^{a2 l2 / b}) / (1 - e^{a2 (l2 - l1) / b})
+        p = ContinuousLLRParams(0.02, -1e-9, 0.02)
+        a1, _ = error_probs_continuous(p, Thresholds(4.0, -2.0))
+        assert a1 == pytest.approx(0.33333330000000055555561, rel=1e-14)
+
+    @pytest.mark.parametrize("a2", [5e-324, -5e-324])
+    def test_drift_below_float_range_takes_the_zero_drift_limit(self, a2):
+        # a2 * (l1 - l2) / b underflows to 0, so the expm1 ratio would be 0/0
+        p = ContinuousLLRParams(0.02, a2, 4.0)
+        assert error_probs_continuous(p, Thresholds(1.0, -1.0))[0] == 0.5
+
     def test_out_of_range_signalled(self):
         # device drift with the wrong sign under H2 drives alpha1 past 1/2
         p = ContinuousLLRParams(a1=0.02, a2=0.02, b=0.02)

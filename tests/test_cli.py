@@ -313,11 +313,30 @@ class TestMiScanCommand:
 
     def test_negative_points_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "scan.ini"
-        cfg.write_text(
-            BASE_CONFIG + "\n[scan]\nparameter = mu2\nstart = 0.5\nstop = 1.5\npoints = -1\n"
-        )
+        cfg.write_text(BASE_CONFIG + "\n[scan]\nparameter = mu2\nvalues = 0.5:1.5:-1\n")
         assert run_cli("--out-dir", tmp_path, "mi-scan", cfg) == 2
-        assert "points" in capsys.readouterr().err
+        assert "values" in capsys.readouterr().err
+
+    def test_range_and_list_grids_agree(self, tmp_path):
+        small = BASE_CONFIG.replace("trials = 8000", "trials = 2000").replace(
+            "window = 300", "window = 10"
+        )
+        tables = []
+        for i, values in enumerate(("0.5:1.5:5", "0.5,0.75,1.0,1.25,1.5")):
+            out = tmp_path / f"out{i}"
+            cfg = tmp_path / "scan.ini"
+            cfg.write_text(small + f"\n[scan]\nparameter = mu2\nvalues = {values}\n")
+            assert run_cli("--out-dir", out, "mi-scan", cfg) == 0
+            tables.append((out / "mi_scan.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("key", ["start", "stop", "points"])
+    def test_range_keys_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text(BASE_CONFIG + f"\n[scan]\nparameter = mu2\nvalues = 1.0\n{key} = 1\n")
+        assert run_cli("--out-dir", tmp_path, "mi-scan", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key") and repr(key) in err
 
 
 def overshoot_config(**overrides):
@@ -437,6 +456,16 @@ class TestAnalyticCommand:
         line = (out / "analytic_error_probs.csv").read_text().splitlines()[1]
         a1 = float(line.split(",")[0])
         assert a1 == pytest.approx(0.017986209962091558, abs=1e-9)
+
+    def test_error_probs_at_zero_drift(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "analytic", "--quantity", "error-probs",
+            "--a1", "0.02", "--a2", "0", "--b", "0.02", "--l1", "4", "--l2", "-2",
+        )
+        assert code == 0
+        line = (out / "analytic_error_probs.csv").read_text().splitlines()[1]
+        assert line == "0.3333333333333333,0.1331866678026651"
 
     def test_mi_continuous_symmetric_zero(self, tmp_path):
         out = tmp_path / "out"
