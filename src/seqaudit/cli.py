@@ -35,6 +35,8 @@ from .analytic import (
     mutual_info_discretized,
 )
 from .core import (
+    SECONDS,
+    STEPS,
     EmptyCellError,
     ErrorSpec,
     SchemaError,
@@ -410,16 +412,15 @@ def cmd_analytic(args, out_dir: Path):
 
 
 def cmd_oracle(args, out_dir: Path):
-    model = LatticeBernoulliModel(p=args.p, m1=args.m1, m2=args.m2)
-    law = enumerate_exact_law(model, k_max=args.k_max)
+    values = {name: getattr(args, name) for name in MODEL_FIELDS["lattice"]}
+    law = enumerate_exact_law(LatticeBernoulliModel(**values), k_max=args.k_max)
     path = write_table(out_dir / "exact_law.csv", "k,d,h,probability", law.to_rows())
     print(
         f"enumerated up to k={law.k_max}; surviving mass "
         f"H1={law.surviving[0]:.3g} H2={law.surviving[1]:.3g}"
     )
     print(f"law -> {path}")
-    parameters = {"p": args.p, "m1": args.m1, "m2": args.m2, "k_max": law.k_max}
-    return [path], {"parameters": parameters, "seed": None}
+    return [path], {"parameters": {**values, "k_max": law.k_max}, "seed": None}
 
 
 def cmd_reproduce(args, out_dir: Path):
@@ -444,28 +445,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a configured experiment, write records CSV")
-    p_sim.add_argument("config")
-    p_sim.set_defaults(func=cmd_simulate)
+    for name, func, help_ in (
+        ("simulate", cmd_simulate, "run a configured experiment, write records CSV"),
+        ("mi-scan", cmd_mi_scan, "scan a device belief, estimating MI per point"),
+        ("overshoot", cmd_overshoot, "estimate the exponentiated-overshoot profile"),
+    ):
+        p_config = sub.add_parser(name, help=help_)
+        p_config.add_argument("config")
+        p_config.set_defaults(func=func)
 
     p_test = sub.add_parser("test", help="run an optimality test on a records CSV")
     p_test.add_argument("records")
     p_test.add_argument("--mode", choices=["known-h", "unknown-h"], default="known-h")
     p_test.add_argument(
         "--time-type",
-        choices=["steps", "seconds"],
+        choices=[STEPS, SECONDS],
         default=None,
         help="time representation; inferred from the file when omitted",
     )
     p_test.set_defaults(func=cmd_test)
-
-    p_scan = sub.add_parser("mi-scan", help="scan a device belief, estimating MI per point")
-    p_scan.add_argument("config")
-    p_scan.set_defaults(func=cmd_mi_scan)
-
-    p_over = sub.add_parser("overshoot", help="estimate the exponentiated-overshoot profile")
-    p_over.add_argument("config")
-    p_over.set_defaults(func=cmd_overshoot)
 
     p_ana = sub.add_parser("analytic", help="tabulate continuous-case closed forms")
     p_ana.add_argument(
@@ -473,18 +471,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         required=True,
         choices=["error-probs", "density", "mean-times", "mi-continuous", "mi-discretized"],
     )
-    p_ana.add_argument("--a1", type=float, required=True)
-    p_ana.add_argument("--a2", type=float, required=True)
-    p_ana.add_argument("--b", type=float, required=True)
-    p_ana.add_argument("--l1", type=float, required=True)
+    for name in [f.name for f in fields(ContinuousLLRParams)] + ["l1"]:
+        p_ana.add_argument(f"--{name}", type=float, required=True)
     p_ana.add_argument("--l2", type=float, default=None)
     p_ana.add_argument("--grid", default="1:1000:200", help="start:stop:points or comma list")
     p_ana.set_defaults(func=cmd_analytic)
 
     p_or = sub.add_parser("oracle", help="enumerate the exact lattice law")
-    p_or.add_argument("--p", type=float, required=True)
-    p_or.add_argument("--m1", type=int, required=True)
-    p_or.add_argument("--m2", type=int, required=True)
+    for name, cast in MODEL_FIELDS["lattice"].items():
+        p_or.add_argument(f"--{name}", type=cast, required=True)
     p_or.add_argument("--k-max", type=int, default=None)
     p_or.set_defaults(func=cmd_oracle)
 

@@ -86,14 +86,21 @@ def thresholds_from_alphas(spec: ErrorSpec) -> Thresholds:
     )
 
 
+def _whole(time: np.ndarray) -> np.ndarray:
+    """Which times are step times: finite whole numbers."""
+    return np.isfinite(time) & (time == np.floor(time))
+
+
 class RecordBatch:
     """Columnar trial records: true hypothesis, decision, decision time.
 
-    The hypothesis and decision columns hold 1 or 2.  ``time`` counts steps
-    for discrete devices and seconds for continuous ones; ``time_kind``
-    tags which (``"steps"`` or ``"seconds"``), and statistical modules
-    dispatch on it.  ``terminal_llr`` is an optional diagnostic, NaN when
-    absent: the device's cumulative log-likelihood ratio when it stopped.
+    The hypothesis and decision columns hold 1 or 2, checked before they
+    are narrowed to int8.  ``time`` counts steps for discrete devices and
+    seconds for continuous ones; ``time_kind`` tags which (``"steps"`` or
+    ``"seconds"``), and statistical modules dispatch on it.  A step time
+    is a finite whole number.  ``terminal_llr`` is an optional diagnostic,
+    NaN when absent: the device's cumulative log-likelihood ratio when it
+    stopped.
     """
 
     __slots__ = ("hypothesis", "decision", "time", "terminal_llr", "time_kind")
@@ -111,6 +118,8 @@ class RecordBatch:
             raise ValidationError("record columns must have equal length")
         if time_kind not in (STEPS, SECONDS):
             raise ValidationError(f"unknown time kind {time_kind!r}")
+        if not (np.isin(hypothesis, (1, 2)).all() and np.isin(decision, (1, 2)).all()):
+            raise ValidationError("hypothesis/decision values must be 1 or 2")
         self.hypothesis = np.asarray(hypothesis, dtype=np.int8)
         self.decision = np.asarray(decision, dtype=np.int8)
         self.time = np.asarray(time, dtype=np.float64)
@@ -118,11 +127,11 @@ class RecordBatch:
             terminal_llr = np.full(n, np.nan)
         self.terminal_llr = np.asarray(terminal_llr, dtype=np.float64)
         self.time_kind = time_kind
-        bad = ~np.isin(self.hypothesis, (1, 2)) | ~np.isin(self.decision, (1, 2))
-        if bad.any():
-            raise ValidationError("hypothesis/decision values must be 1 or 2")
         if (self.time < 0).any():
             raise ValidationError("decision times must be nonnegative")
+        if time_kind == STEPS and not (whole := _whole(self.time)).all():
+            i = np.argmin(whole)
+            raise ValidationError(f"record {i + 1}: time {self.time[i]} is not a whole number of steps")
 
     def __len__(self) -> int:
         return len(self.hypothesis)
@@ -260,9 +269,11 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     the line.
 
     When ``time_kind`` is not given it is inferred: a file whose times are
-    all integral is treated as step-valued.  Under an explicit ``"steps"`` a
-    fractional time is a :class:`SchemaError`.
+    all step times (finite whole numbers) is treated as step-valued.  Under
+    an explicit ``"steps"`` any other time is a :class:`SchemaError`.
     """
+    if time_kind not in (None, STEPS, SECONDS):
+        raise ValidationError(f"unknown time kind {time_kind!r}")
     # a row takes at least 7 bytes (1,1,0, and its line end), the last one 6
     capacity = os.path.getsize(path) // 7 + 1
     with open(path, "r") as f:
@@ -274,14 +285,9 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
             f.seek(0)
             f.readline()
             columns = _parse_lines(f)
-    hypothesis, decision, time, terminal_llr = columns
-    whole = time == np.floor(time)
     if time_kind is None:
-        time_kind = STEPS if whole.all() else SECONDS
-    elif time_kind == STEPS:
-        # a non-finite time is not rejected here yet (ROADMAP item 3a)
-        fractional = np.flatnonzero(~whole & np.isfinite(time))
-        if fractional.size:
-            i = fractional[0]
-            raise SchemaError(f"record {i + 1}: time {time[i]} is not a whole number of steps")
-    return RecordBatch(hypothesis, decision, time, terminal_llr, time_kind=time_kind)
+        time_kind = STEPS if _whole(columns[2]).all() else SECONDS
+    try:  # the parsers checked labels and signs: only the step-time rule is left
+        return RecordBatch(*columns, time_kind=time_kind)
+    except ValidationError as exc:
+        raise SchemaError(str(exc)) from exc

@@ -76,17 +76,24 @@ def native_binning(times: np.ndarray) -> Binning:
     return Binning(edges=tuple(((values[:-1] + values[1:]) / 2.0).tolist()))
 
 
-# an explicit binning, or None for the default of the time kind
-BinningSpec = Optional[Binning]
+def _count_table(
+    codes: np.ndarray, rows: int, times: np.ndarray, binning: Optional[Binning], time_kind: str
+) -> Tuple[Binning, np.ndarray]:
+    """The binning and the (row, time-bin) count table of samples ``(codes, times)``.
 
-
-def _resolve_binning(times: np.ndarray, binning: BinningSpec, time_kind: str) -> Binning:
-    """Native bins for step-valued times, quantile bins otherwise."""
-    if isinstance(binning, Binning):
-        return binning
-    if binning is not None:
+    ``binning`` None takes native bins for step-valued times and quantile
+    bins otherwise; any other value that is not a :class:`Binning` raises
+    :class:`ValidationError`.  One ``bincount`` fills the ``rows`` x K table.
+    """
+    if binning is None:
+        binning = native_binning(times) if time_kind == STEPS else quantile_binning(times)
+    elif not isinstance(binning, Binning):
         raise ValidationError(f"unknown binning spec {binning!r}")
-    return native_binning(times) if time_kind == STEPS else quantile_binning(times)
+    k = binning.n_bins
+    # bin-major codes: numpy adds ``codes`` into the fresh bin array in place,
+    # where ``codes * k``, with ``codes`` still held by the caller, is one more column
+    table = np.bincount(binning.assign(times) * rows + codes, minlength=rows * k)
+    return binning, table.reshape(k, rows).T
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
@@ -121,7 +128,7 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
 
 
 def chi2_two_sample(
-    a: Sequence[float], b: Sequence[float], binning: BinningSpec = None
+    a: Sequence[float], b: Sequence[float], binning: Optional[Binning] = None
 ) -> TestReport:
     """Two-sample chi-squared homogeneity test for step-valued decision times.
 
@@ -134,12 +141,9 @@ def chi2_two_sample(
     b = np.asarray(b, dtype=np.float64)
     if a.size < 1 or b.size < 1:
         raise EmptyCellError("both samples must be nonempty")
-    bng = _resolve_binning(np.concatenate([a, b]), binning, STEPS)
-    return _chi2_counts(
-        np.bincount(bng.assign(a), minlength=bng.n_bins),
-        np.bincount(bng.assign(b), minlength=bng.n_bins),
-        bng,
-    )
+    codes = np.repeat([0, 1], [a.size, b.size])
+    bng, table = _count_table(codes, 2, np.concatenate([a, b]), binning, STEPS)
+    return _chi2_counts(table[0], table[1], bng)
 
 
 def _chi2_counts(row_a: np.ndarray, row_b: np.ndarray, binning: Binning) -> TestReport:
@@ -209,19 +213,16 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _hdt_table(batch: RecordBatch, binning: BinningSpec) -> Tuple[Binning, np.ndarray]:
+def _hdt_table(batch: RecordBatch, binning: Optional[Binning]) -> Tuple[Binning, np.ndarray]:
     """The binning and the (hypothesis, decision, time-bin) count table.
 
-    One ``bincount`` fills the 2 x 2 x K table; every plug-in entropy below
-    is a sum over it taken in (h, d, bin) order, and the step-valued
-    chi-squared tests compare its rows.
+    Every plug-in entropy below is a sum over the 2 x 2 x K table taken in
+    (h, d, bin) order, and the step-valued chi-squared tests compare its rows.
     """
     if len(batch) == 0:
         raise EmptyCellError("no records")
-    bng = _resolve_binning(batch.time, binning, batch.time_kind)
-    k = bng.n_bins
-    table = np.bincount(batch.cell_code() * k + bng.assign(batch.time), minlength=4 * k)
-    return bng, table.reshape(2, 2, k)
+    bng, table = _count_table(batch.cell_code(), 4, batch.time, binning, batch.time_kind)
+    return bng, table.reshape(2, 2, -1)
 
 
 def _chain_rule(table: np.ndarray) -> Tuple[float, float, float]:
@@ -237,7 +238,7 @@ def _chain_rule(table: np.ndarray) -> Tuple[float, float, float]:
     return h_ent + dt_ent - hdt_ent, h_ent + d_ent - hd_ent, max(i_cond, 0.0)
 
 
-def mi_plugin(x_labels, y_values, binning: BinningSpec = None) -> MIEstimate:
+def mi_plugin(x_labels, y_values, binning: Optional[Binning] = None) -> MIEstimate:
     """Generic two-variable plug-in mutual information in bits.
 
     ``x_labels`` are categories (the table holds one row per distinct
@@ -250,18 +251,14 @@ def mi_plugin(x_labels, y_values, binning: BinningSpec = None) -> MIEstimate:
         raise ValidationError("label and value arrays must have equal length")
     if x.size == 0:
         raise EmptyCellError("cannot estimate mutual information from no samples")
-    bng = _resolve_binning(y, binning, STEPS)
-    k = bng.n_bins
     labels, codes = np.unique(x, return_inverse=True)
-    table = np.bincount(
-        codes * k + bng.assign(y), minlength=labels.size * k
-    ).reshape(labels.size, k)
+    bng, table = _count_table(codes, labels.size, y, binning, STEPS)
     # the joint term of the chain rule over a single decision is I(X;Y)
     value = _chain_rule(table[:, None, :])[0]
     return MIEstimate(value_bits=max(value, 0.0), n=int(x.size), binning=bng)
 
 
-def conditional_mi_plugin(records: RecordBatch, binning: BinningSpec = None) -> MIEstimate:
+def conditional_mi_plugin(records: RecordBatch, binning: Optional[Binning] = None) -> MIEstimate:
     """Plug-in estimate of I(hypothesis; time | decision) in bits.
 
     Times are binned once over the pooled sample (native values for
@@ -275,12 +272,12 @@ def conditional_mi_plugin(records: RecordBatch, binning: BinningSpec = None) -> 
     return MIEstimate(value_bits=_chain_rule(table)[2], n=len(records), binning=bng)
 
 
-def mi_decomposition(records: RecordBatch, binning: BinningSpec = None):
+def mi_decomposition(records: RecordBatch, binning: Optional[Binning] = None):
     """The chain-rule triple (I(H;(D,T)), I(H;D), I(H;T|D)) from one table."""
     return _chain_rule(_hdt_table(records, binning)[1])
 
 
-def optimality_test_known_h(records: RecordBatch, binning: BinningSpec = None) -> Tuple[TestReport, TestReport]:
+def optimality_test_known_h(records: RecordBatch, binning: Optional[Binning] = None) -> Tuple[TestReport, TestReport]:
     """Known-hypothesis optimality test.
 
     Compares decision times across hypotheses within each decision cell:
@@ -301,7 +298,7 @@ def optimality_test_known_h(records: RecordBatch, binning: BinningSpec = None) -
     )
 
 
-def optimality_test_unknown_h(records: RecordBatch, binning: BinningSpec = None) -> TestReport:
+def optimality_test_unknown_h(records: RecordBatch, binning: Optional[Binning] = None) -> TestReport:
     """Unknown-hypothesis optimality test.
 
     Compares decision times across decisions only; valid when the caller

@@ -3,7 +3,7 @@ import contextlib
 import json
 import math
 import signal
-from dataclasses import MISSING
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +11,10 @@ import pytest
 
 from seqaudit import cli, reproduce
 from seqaudit.cli import MODEL_FIELDS, main
+from seqaudit.analytic import ContinuousLLRParams
 from seqaudit.core import Thresholds, ValidationError
 from seqaudit.models import GaussianIIDModel
+from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.overshoot import overshoot_profile
 from seqaudit.simulate import ExperimentConfig, run_experiment
 
@@ -263,6 +265,16 @@ class TestTestCommand:
         rec.write_text("hypothesis,decision,time,terminal_llr\n1,1,3,\n2,1,4.5,\n")
         assert run_cli("--out-dir", tmp_path, "test", rec, "--time-type", "steps") == 3
         assert "record 2: time 4.5 is not a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "test_report.csv").exists()
+
+    def test_nan_time_under_steps_is_schema_error(self, tmp_path, capsys):
+        # 40 valid step-valued rows, then one NaN time
+        rec = tmp_path / "malformed.csv"
+        cells = [(1, 1), (1, 2), (2, 1), (2, 2)] * 10
+        rows = "".join(f"{h},{d},{1 + i % 7},\n" for i, (h, d) in enumerate(cells))
+        rec.write_text("hypothesis,decision,time,terminal_llr\n" + rows + "1,1,nan,\n")
+        assert run_cli("--out-dir", tmp_path, "test", rec, "--time-type", "steps") == 3
+        assert "record 41: time nan is not a whole number of steps" in capsys.readouterr().err
         assert not (tmp_path / "test_report.csv").exists()
 
     @pytest.mark.parametrize("time_type,expected", [
@@ -583,6 +595,60 @@ class TestAnalyticCommand:
         assert lines[0] == "t,d,h,density"
         assert len(lines) == 1 + 4 * 8  # both decisions x both hypotheses
         assert all(float(l.split(",")[3]) >= 0 for l in lines[1:])
+
+
+# each subcommand's usage line as argparse prints it, whitespace collapsed
+USAGE = {
+    "simulate": "[-h] config",
+    "test": "[-h] [--mode {known-h,unknown-h}] [--time-type {steps,seconds}] records",
+    "mi-scan": "[-h] config",
+    "overshoot": "[-h] config",
+    "analytic": "[-h] --quantity {error-probs,density,mean-times,mi-continuous,mi-discretized}"
+                " --a1 A1 --a2 A2 --b B --l1 L1 [--l2 L2] [--grid GRID]",
+    "oracle": "[-h] --p P --m1 M1 --m2 M2 [--k-max K_MAX]",
+    "reproduce": "[-h] [--scale SCALE] {fig2,fig3,fig4,fig5,fig6,fig7,fig8}",
+}
+
+
+def required_options(capsys, command):
+    """The options argparse names as missing when ``command`` is given none."""
+    with pytest.raises(SystemExit) as exit_:
+        main([command])
+    assert exit_.value.code == 2
+    return capsys.readouterr().err.split("arguments are required: ")[1].strip().split(", ")
+
+
+@dataclass(frozen=True)
+class WiderParams:
+    a1: float
+    a2: float
+    b: float
+    c: float
+
+
+class TestOptionsFromDataclasses:
+    @pytest.mark.parametrize("command", sorted(USAGE))
+    def test_help_lists_the_same_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert " ".join(usage.split()) == f"usage: seqaudit {command} {USAGE[command]}"
+
+    def test_oracle_requires_the_lattice_fields(self, capsys, monkeypatch):
+        assert required_options(capsys, "oracle") == [
+            f"--{f.name}" for f in fields(LatticeBernoulliModel)
+        ]
+        monkeypatch.setitem(MODEL_FIELDS, "lattice", {**MODEL_FIELDS["lattice"], "q": float})
+        assert required_options(capsys, "oracle") == ["--p", "--m1", "--m2", "--q"]
+
+    def test_analytic_requires_the_drift_diffusion_fields(self, capsys, monkeypatch):
+        names = [f"--{f.name}" for f in fields(ContinuousLLRParams)]
+        assert required_options(capsys, "analytic") == ["--quantity", *names, "--l1"]
+        monkeypatch.setattr(cli, "ContinuousLLRParams", WiderParams)
+        assert required_options(capsys, "analytic") == [
+            "--quantity", "--a1", "--a2", "--b", "--c", "--l1"
+        ]
 
 
 class TestOracleCommand:

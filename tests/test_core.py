@@ -182,6 +182,35 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError):
             RecordBatch(hypothesis=np.array([1]), decision=np.array([1]), time=np.array([-0.5]))
 
+    @pytest.mark.parametrize("label", [257, -255, 1.9, "1"])
+    @pytest.mark.parametrize("column", ["hypothesis", "decision"])
+    def test_labels_checked_before_narrowing(self, column, label):
+        # int8 narrowing would read 257 and -255 as 1, 1.9 as 1, and "1" as 1
+        labels = {"hypothesis": np.array([1, 2]), "decision": np.array([2, 1])}
+        labels[column] = np.array([label, 2])
+        with pytest.raises(ValidationError, match="must be 1 or 2"):
+            RecordBatch(**labels, time=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+    def test_step_time_rule_in_record(self, bad):
+        # the writer would put 1.5 down as 1, and NaN as -9223372036854775808
+        with pytest.raises(ValidationError, match=f"record 2: time {bad} is not a whole number"):
+            RecordBatch([1, 2], [1, 1], [3.0, bad], time_kind="steps")
+        with pytest.raises(ValidationError, match="record 1: time 1.5 is not a whole number"):
+            RecordBatch([1], [1], [1.5], time_kind="steps")
+
+    def test_inf_time_infers_seconds(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(CSV_HEADER + "\n1,1,3,\n2,1,inf,\n")
+        assert read_records_csv(path).time_kind == "seconds"
+        with pytest.raises(SchemaError, match="record 2: time inf is not a whole number of steps"):
+            read_records_csv(path, time_kind="steps")
+
+    def test_unknown_time_kind_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ValidationError, match="unknown time kind 'minutes'") as got:
+            read_records_csv(tmp_path / "absent.csv", time_kind="minutes")
+        assert not isinstance(got.value, SchemaError)
+
 
 def line_parser_outcome(path, time_kind=None):
     """``read_records_csv`` with the bulk path switched off, or its error message."""

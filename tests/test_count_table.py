@@ -415,6 +415,31 @@ class TestOptimalityTestsOnCountTable:
         monkeypatch.setattr(stats, "chi2_two_sample", forbidden)
         assert (optimality_test_known_h(batch), optimality_test_unknown_h(batch)) == expected
 
+    def test_each_statistic_builds_one_count_table(self, monkeypatch):
+        g = np.random.default_rng(4)
+        n = 2000
+        h, d = g.integers(1, 3, size=n), g.integers(1, 3, size=n)
+        t = g.integers(0, 30, size=n).astype(float)
+        batch = RecordBatch(h, d, t, time_kind=STEPS)
+        build, calls = stats._count_table, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "_count_table", counted)
+        for statistic, args in [
+            (stats.chi2_two_sample, (t[:n // 2], t[n // 2:])),
+            (mi_plugin, (h, t)),
+            (conditional_mi_plugin, (batch,)),
+            (mi_decomposition, (batch,)),
+            (optimality_test_known_h, (batch,)),
+            (optimality_test_unknown_h, (batch,)),
+        ]:
+            calls.clear()
+            statistic(*args)
+            assert len(calls) == 1, statistic.__name__
+
 
 class TestCellCounts:
     @given(batches())
