@@ -113,8 +113,11 @@ class RecordBatch:
         terminal_llr: Optional[np.ndarray] = None,
         time_kind: str = SECONDS,
     ) -> None:
+        columns = [hypothesis, decision, time] + ([] if terminal_llr is None else [terminal_llr])
+        if any(np.ndim(c) != 1 for c in columns):
+            raise ValidationError("record columns must be one-dimensional")
         n = len(hypothesis)
-        if not (len(decision) == n and len(time) == n):
+        if any(len(c) != n for c in columns):
             raise ValidationError("record columns must have equal length")
         if time_kind not in (STEPS, SECONDS):
             raise ValidationError(f"unknown time kind {time_kind!r}")
@@ -159,7 +162,8 @@ def write_table(path, header: str, rows) -> str:
 
     Rows hold Python scalars; ``str`` of a Python float is its shortest
     round-trip ``repr``, so every table the toolkit writes reads back
-    exactly.  Returns ``str(path)``.
+    exactly.  A row may also be one string of whole lines, as the records
+    writer passes its chunks.  Returns ``str(path)``.
     """
     with open(path, "w", newline="\n") as f:
         f.write(header + "\n")
@@ -167,17 +171,41 @@ def write_table(path, header: str, rows) -> str:
     return str(path)
 
 
+_WRITE_CHUNK_ROWS = 1 << 16
+_CELL_TEXTS = np.array(["1,1,", "1,2,", "2,1,", "2,2,"], dtype=object)
+
+
+def _distinct_texts(column: np.ndarray, text):
+    """``text`` of each distinct value of an 8-byte column, and each row's index into them.
+
+    Values are told apart by bit pattern, so -0.0 stays apart from 0.0.
+    """
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(column.dtype).tolist()
+    return np.array([text(v) for v in values], dtype=object), index
+
+
 def write_records_csv(path, batch: RecordBatch) -> None:
     """Write records in the interchange CSV schema.
 
     Header ``hypothesis,decision,time,terminal_llr``; hypothesis and
     decision serialize as 1 or 2, a missing terminal LLR as an empty field.
-    Output bytes depend only on the batch contents.
+    Output bytes depend only on the batch contents.  Rows go out in chunks,
+    and within a chunk ``str`` runs once per distinct time and LLR.
     """
     time = batch.time.astype(np.int64) if batch.time_kind == STEPS else batch.time
-    llr = ["" if math.isnan(s) else s for s in batch.terminal_llr.tolist()]
-    columns = (batch.hypothesis.tolist(), batch.decision.tolist(), time.tolist(), llr)
-    write_table(path, CSV_HEADER, zip(*columns))
+    code = batch.cell_code()
+    chunks = []
+    for i in range(0, len(batch), _WRITE_CHUNK_ROWS):
+        rows = slice(i, i + _WRITE_CHUNK_ROWS)
+        times, t_index = _distinct_texts(time[rows], lambda t: f"{t},")
+        llrs, s_index = _distinct_texts(
+            batch.terminal_llr[rows], lambda s: "" if math.isnan(s) else str(s))
+        # the "h,d,t," prefix of each (cell, time) pair, 4 x K
+        prefixes = (_CELL_TEXTS[:, None] + times).ravel()
+        lines = prefixes[code[rows] * len(times) + t_index] + llrs[s_index]
+        chunks.append(("\n".join(lines.tolist()),))
+    write_table(path, CSV_HEADER, chunks)
 
 
 # one np.loadtxt call per chunk of the records file: about 65k step-valued lines

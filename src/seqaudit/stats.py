@@ -85,6 +85,8 @@ def _count_table(
     bins otherwise; any other value that is not a :class:`Binning` raises
     :class:`ValidationError`.  One ``bincount`` fills the ``rows`` x K table.
     """
+    if binning is None and time_kind == STEPS and (keyed := _time_keyed_table(codes, rows, times)):
+        return keyed
     if binning is None:
         binning = native_binning(times) if time_kind == STEPS else quantile_binning(times)
     elif not isinstance(binning, Binning):
@@ -94,6 +96,29 @@ def _count_table(
     # where ``codes * k``, with ``codes`` still held by the caller, is one more column
     table = np.bincount(binning.assign(times) * rows + codes, minlength=rows * k)
     return binning, table.reshape(k, rows).T
+
+
+def _time_keyed_table(codes: np.ndarray, rows: int, times: np.ndarray):
+    """The native binning and count table with no pass to find the distinct times.
+
+    One ``bincount`` over ``time * rows + code`` counts every whole time
+    from 0 to the largest, and the all-zero time columns are dropped.
+    Returns None for times that are not all whole and nonnegative, or when
+    that table would hold more than two cells per sample (plus 4096).
+    """
+    if not (times.size and times.min() >= 0):
+        return None
+    cells = rows * (times.max() + 1)
+    if not cells <= 2 * times.size + 4096:
+        return None
+    t = times.astype(np.int64)
+    if not np.array_equal(t, times):
+        return None
+    t *= rows  # in place: ``t * rows + codes`` would hold one more int64 column
+    t += codes
+    table = np.bincount(t, minlength=int(cells)).reshape(-1, rows)
+    keep = table.any(axis=1)
+    return native_binning(np.flatnonzero(keep).astype(np.float64)), table[keep].T
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:

@@ -199,6 +199,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match="record 1: time 1.5 is not a whole number"):
             RecordBatch([1], [1], [1.5], time_kind="steps")
 
+    @pytest.mark.parametrize("llr", [[0.5], [0.5, 1.0, 2.0], []])
+    def test_terminal_llr_length_checked(self, llr):
+        # a short LLR column would make the writer drop the records past its end
+        with pytest.raises(ValidationError, match="equal length"):
+            RecordBatch([1, 2], [1, 2], [3.0, 4.0], terminal_llr=llr)
+
+    @pytest.mark.parametrize("column", ["hypothesis", "decision", "time", "terminal_llr"])
+    def test_columns_must_be_one_dimensional(self, column):
+        columns = {"hypothesis": [1, 2], "decision": [2, 1], "time": [3.0, 4.0],
+                   "terminal_llr": [0.5, -0.5]}
+        columns[column] = np.array([columns[column]] * 2)  # shape (2, 2)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            RecordBatch(**columns)
+        columns[column] = columns[column][0, 0]  # a scalar
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            RecordBatch(**columns)
+
     def test_inf_time_infers_seconds(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text(CSV_HEADER + "\n1,1,3,\n2,1,inf,\n")
@@ -422,14 +439,52 @@ def record_batches(draw):
 
 
 class TestWriteTable:
-    @given(record_batches())
-    @example(RecordBatch(np.array([]), np.array([]), np.array([]), time_kind="steps"))
-    @example(RecordBatch(np.array([]), np.array([]), np.array([]), time_kind="seconds"))
-    def test_records_bytes_match_row_writer(self, tmp_path_factory, batch):
+    @given(record_batches(), st.sampled_from([1, 2, 3, 7, core._WRITE_CHUNK_ROWS]))
+    @example(RecordBatch(np.array([]), np.array([]), np.array([]), time_kind="steps"), 1)
+    @example(RecordBatch(np.array([]), np.array([]), np.array([]), time_kind="seconds"), 1)
+    def test_records_bytes_match_row_writer(self, tmp_path_factory, batch, chunk):
         out = tmp_path_factory.mktemp("records")
-        write_records_csv(out / "new.csv", batch)
+        with mock.patch.object(core, "_WRITE_CHUNK_ROWS", chunk):  # rows per written chunk
+            write_records_csv(out / "new.csv", batch)
         reference_write_records_csv(out / "ref.csv", batch)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["steps", "seconds"])
+    def test_batch_longer_than_one_chunk(self, tmp_path, kind):
+        # each chunk of rows holds its own times and LLRs, and LLRs repeat within one
+        n = 2 * core._WRITE_CHUNK_ROWS + 1000
+        g = np.random.default_rng(11)
+        chunk = np.arange(n) // core._WRITE_CHUNK_ROWS
+        time = chunk * 100.0 + g.integers(0, 100, size=n)
+        if kind == "seconds":
+            time *= 0.25
+        llr = np.round(g.normal(chunk * 3.0, 1.0), 2)
+        llr[g.random(n) < 0.1] = np.nan
+        batch = RecordBatch(g.integers(1, 3, size=n), g.integers(1, 3, size=n), time, llr,
+                            time_kind=kind)
+        write_records_csv(tmp_path / "new.csv", batch)
+        reference_write_records_csv(tmp_path / "ref.csv", batch)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_same_batch(read_records_csv(tmp_path / "new.csv", kind), batch)
+
+    @pytest.mark.parametrize("kind", ["steps", "seconds"])
+    def test_special_values(self, tmp_path, kind):
+        other_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(np.float64)[0]
+        llr = np.array([-0.0, 0.0, np.nan, other_nan, -np.nan, np.inf, -np.inf, 5e-324,
+                        -2.2250738585072e-310, 0.0, -0.0, np.nan])
+        time = np.array([-0.0, 0.0, 1.0, -0.0, 2.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        n = len(llr)
+        batch = RecordBatch(np.array([1, 2] * (n // 2)), np.repeat([1, 2], n // 2), time, llr,
+                            time_kind=kind)
+        write_records_csv(tmp_path / "new.csv", batch)
+        reference_write_records_csv(tmp_path / "ref.csv", batch)
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        times = ["0", "0", "1", "0", "2", "0", "3", "4"] if kind == "steps" else [
+            "-0.0", "0.0", "1.0", "-0.0", "2.0", "0.0", "3.0", "4.0"]
+        llrs = ["-0.0", "0.0", "", "", "", "inf", "-inf", "5e-324"]
+        cells = ["1,1", "2,1", "1,1", "2,1", "1,1", "2,1", "1,2", "2,2"]
+        assert text.splitlines()[1:9] == [f"{c},{t},{s}" for c, t, s in zip(cells, times, llrs)]
 
     def test_mixed_row_matches_repr_formatting(self, tmp_path):
         rows = [("d1_cells", 7, 0.1 + 0.2), ("x", -3, 1e16), ("y", 0, 1.5e-7), ("z", 2, -0.0)]
@@ -437,6 +492,37 @@ class TestWriteTable:
         expected = "name,n,value\n" + "".join(f"{a},{b},{c!r}\n" for a, b, c in rows)
         assert path == str(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+# the benchmark's four device families, at fewer trials
+FAMILY_CONFIGS = {
+    "gaussian_iid": "[model]\nkind = gaussian_iid\nmu1 = 0.0\nmu2 = 1.0\nsigma1 = 5.0\n"
+                    "sigma2 = 10.0\n[device]\nl1 = 4.0\nl2 = -2.0\n",
+    "markov_gaussian": "[model]\nkind = markov_gaussian\nv1 = 1.0\nv2 = -1.0\nw1 = -1.0\n"
+                       "w2 = -1.0\nsigma1 = 5.0\nsigma2 = 5.0\n[device]\nl1 = 4.0\nl2 = -4.0\n",
+    "lattice": "[model]\nkind = lattice\np = 0.8\nm1 = 2\nm2 = 2\n",
+    "drift_diffusion": "[model]\nkind = drift_diffusion\nmu1 = 0.0\nmu2 = 1.0\nsigma = 5.0\n"
+                       "[device]\nl1 = 4.0\nl2 = -2.0\ndt = 4.0\n",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+def test_simulate_output_reads_back_to_the_run(tmp_path, family):
+    from seqaudit import cli
+    from seqaudit.simulate import run_experiment
+
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\ntrials = 4000\nseed = 20\nwindow = 1000\n"
+                   + FAMILY_CONFIGS[family])
+    with mock.patch.object(core, "_WRITE_CHUNK_ROWS", 1000):  # several chunks
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "simulate", str(ini)]) == 0
+    records = run_experiment(cli.build_experiment(cli.load_config(ini))).records
+    assert len(records) > 3000
+    path = tmp_path / "out" / "records.csv"
+    # explicit: diffusion times on a dt grid of whole seconds would infer as steps
+    assert_same_batch(read_records_csv(path, records.time_kind), records)
+    reference_write_records_csv(tmp_path / "ref.csv", records)
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # the functions allowed to open a file for writing: one per output format

@@ -10,10 +10,12 @@ the same counts in the same order, so the values must be equal, not merely
 close.
 """
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import gammaincc
 
 from seqaudit import stats
@@ -515,3 +517,62 @@ class TestMergeBins:
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tolist() == want[1].tolist()
         assert got[2] == want[2]
+
+
+class TestTimeKeyedTable:
+    """Whole-number times are counted by time directly, with no search over cut points."""
+
+    @given(batches(kind=STEPS) | step_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_searched_table(self, batch):
+        assume(len(batch))  # an empty batch is searched: it has no largest time
+        with mock.patch.object(Binning, "assign", side_effect=AssertionError("searched")):
+            keyed = stats._count_table(batch.cell_code(), 4, batch.time, None, STEPS)
+        searched = stats._count_table(batch.cell_code(), 4, batch.time,
+                                      native_binning(batch.time), STEPS)
+        assert keyed[0] == searched[0]
+        assert keyed[1].dtype == searched[1].dtype and keyed[1].shape == searched[1].shape
+        assert np.array_equal(keyed[1], searched[1])
+
+    def test_leaves_the_callers_arrays_alone(self):
+        codes, times = np.array([0, 3, 1, 2, 3]), np.array([4.0, 0.0, 4.0, 9.0, -0.0])
+        before = codes.copy(), times.copy()
+        bng, table = stats._count_table(codes, 4, times, None, STEPS)
+        ref_bng, ref_table = stats._count_table(codes, 4, times, native_binning(times), STEPS)
+        assert bng == ref_bng == Binning(edges=(2.0, 6.5)) and np.array_equal(table, ref_table)
+        assert np.array_equal(codes, before[0]) and np.array_equal(times, before[1])
+
+    def test_huge_time_is_searched_in_little_memory(self):
+        g = np.random.default_rng(8)
+        n = 20_000
+        batch = RecordBatch(g.integers(1, 3, size=n), g.integers(1, 3, size=n),
+                            np.append(g.integers(0, 50, size=n - 1), 1e12).astype(float),
+                            time_kind=STEPS)
+        assign = mock.Mock(wraps=Binning.assign)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(Binning, "assign", lambda self, t: assign(self, t)):
+                est = conditional_mi_plugin(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert assign.call_count == 1
+        assert peak < 50e6
+        assert est.binning.edges[-1] == (49.0 + 1e12) / 2
+        assert est.value_bits == ref_conditional_mi(batch)
+
+    @pytest.mark.parametrize("times", [
+        [0.5, 1.5, 1.5, 3.0], [1.0, 2.0, 2.0, 3.5], [-1.0, 2.0, 2.0, 3.0], [0.0, 1.0, 2.0, np.nan],
+        [0.0, 1.0, 2.0, np.inf],
+    ], ids=["fractional", "one-fractional", "negative", "nan", "inf"])
+    def test_other_values_are_searched(self, times):
+        y = np.array(times * 5)
+        x = np.array([1, 2, 2, 1, 1] * 4)
+        assign = mock.Mock(wraps=Binning.assign)
+        with mock.patch.object(Binning, "assign", lambda self, t: assign(self, t)):
+            mi = outcome(lambda: mi_plugin(x, y).value_bits)
+            chi2 = outcome(stats.chi2_two_sample, y[:10], y[10:])
+        # NaN times reach the searched path and fail there, on cut points that are NaN
+        assert assign.call_count == (0 if np.isnan(y).any() else 2)
+        assert mi == outcome(ref_mi_plugin, x, y, None)
+        assert chi2 == outcome(ref_chi2_two_sample, y[:10], y[10:])
