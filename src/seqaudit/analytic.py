@@ -19,10 +19,12 @@ from scipy.special import log_ndtr, ndtr
 
 from .core import Thresholds, ValidationError
 from .models import DriftDiffusionModel, _exit_mass
+from .stats import _chain_rule
 
 LN2 = math.log(2.0)
 TAIL_MASS = 1e-12
 REGIME_MIN_RATIO = 2.0
+REJECTION_ROUNDS = 1000
 
 
 class RegimeError(ValueError):
@@ -299,16 +301,16 @@ def mutual_info_discretized(p: ContinuousLLRParams, l1: float, t_r: float) -> fl
 
     Per-bin masses come from the closed-form inverse-Gaussian CDF; the tail
     is truncated (as a single final bin) once the remaining mass of both
-    densities falls below 1e-12.  Coarsening can only discard information,
-    so the value never exceeds :func:`mutual_info_continuous`.
+    densities falls below 1e-12.  The value is the chain rule of the
+    (H, D, bin) law at equal priors, where H=2 decides 2 with mass
+    1 - alpha1 in one bin.  Coarsening can only discard information, so the
+    value never exceeds :func:`mutual_info_continuous`.
     """
     if t_r <= 0:
         raise ValidationError("resolution t_r must be positive")
     alpha1 = _limit_alpha1(p, l1)
     if abs(p.a1) == abs(p.a2):
         return 0.0
-    mean1, shape1 = _d1_params(p, l1, 1)
-    mean2, shape2 = _d1_params(p, l1, 2)
     hi = _upper_integration_limit(p, l1)
     n_bins = int(math.ceil(hi / t_r)) + 1
     if n_bins > 2**53:  # float64 edges k * t_r stop being distinct
@@ -317,22 +319,13 @@ def mutual_info_discretized(p: ContinuousLLRParams, l1: float, t_r: float) -> fl
             f"of a1 = {p.a1:g}, a2 = {p.a2:g}, b = {p.b:g}"
         )
     edges = np.arange(0, n_bins + 1, dtype=np.float64) * t_r
-    cdf1 = _ig_cdf(edges, mean1, shape1)
-    cdf2 = _ig_cdf(edges, mean2, shape2)
-    m1 = np.maximum(np.diff(cdf1), 0.0)  # rounding can leave -1e-17 residues
-    m2 = np.maximum(np.diff(cdf2), 0.0)
-    # fold everything past the last edge into one tail bin
-    m1 = np.append(m1, max(1.0 - cdf1[-1], 0.0))
-    m2 = np.append(m2, max(1.0 - cdf2[-1], 0.0))
-    keep = (m1 > 0.0) | (m2 > 0.0)
-    m1, m2 = m1[keep], m2[keep]
-
-    total = (1.0 + alpha1) / 2.0 * math.log2(1.0 + alpha1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term1 = np.where(m1 > 0.0, m1 * np.log2(1.0 + alpha1 * m2 / np.where(m1 > 0, m1, 1.0)), 0.0)
-        term2 = np.where(m2 > 0.0, m2 * np.log2(alpha1 + m1 / np.where(m2 > 0, m2, 1.0)), 0.0)
-    total -= 0.5 * float(term1.sum()) + 0.5 * alpha1 * float(term2.sum())
-    return max(total, 0.0)
+    law = np.zeros((2, 2, n_bins + 1))
+    for h, weight in ((1, 1.0), (2, alpha1)):
+        cdf = _ig_cdf(edges, *_d1_params(p, l1, h))
+        # rounding can leave -1e-17 residues; the mass past the last edge is one tail bin
+        law[h - 1, 0] = weight * np.maximum(np.diff(cdf, append=1.0), 0.0)
+    law[1, 1, 0] = 1.0 - alpha1
+    return _chain_rule(law)[2]
 
 
 def sample_inverse_gaussian(mean: float, shape: float, rng: np.random.Generator, size=None):
@@ -358,7 +351,6 @@ def _sample_d2_times(
     p: ContinuousLLRParams,
     th: Thresholds,
     rng: np.random.Generator,
-    max_rounds: int = 1000,
 ) -> np.ndarray:
     """Lower-boundary decision times by rejection against an inverse-Gaussian
     envelope (the density with the subtracted bracket term dropped)."""
@@ -368,7 +360,7 @@ def _sample_d2_times(
     shape = l2a**2 / (2.0 * b)
     out = np.empty(n)
     filled = 0
-    for _ in range(max_rounds):
+    for _ in range(REJECTION_ROUNDS):
         want = n - filled
         if want == 0:
             return out

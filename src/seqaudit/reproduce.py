@@ -26,9 +26,8 @@ from .overshoot import overshoot_profile
 from .simulate import ExperimentConfig, run_experiment
 from .stats import (
     Binning,
-    _hdt_table,
+    _native_table,
     conditional_mi_plugin,
-    native_binning,
     optimality_test_known_h,
 )
 from .cli import mi_scan_rows, mi_scan_table
@@ -94,14 +93,14 @@ def _conditional_pmf_table(batch: RecordBatch, pool_hypotheses: bool = False) ->
 
     With ``pool_hypotheses`` the rows are (k, P(T=k|D=1), P(T=k|D=2)).
     """
-    _, table = _hdt_table(batch, native_binning(batch.time))
+    ks, table = _native_table(batch.cell_code(), 4, batch.time)
+    table = table.reshape(2, 2, -1)
     if pool_hypotheses:
         table = table.sum(axis=0, keepdims=True)
     pmf = table / np.maximum(table.sum(axis=2, keepdims=True), 1)
-    # native bins are the distinct times; columns run (d, h) as in the header
+    # columns run (d, h) as in the header
     cols = pmf.transpose(1, 0, 2).reshape(-1, pmf.shape[2]).T.tolist()
-    ks = np.unique(batch.time).astype(int).tolist()
-    return [(k, *p) for k, p in zip(ks, cols)]
+    return [(k, *p) for k, p in zip(ks.astype(int).tolist(), cols)]
 
 
 def _pmf_panels(out_dir: Path, figure: str, base: ExperimentConfig, panels, threads: int) -> List[str]:

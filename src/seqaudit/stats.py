@@ -85,10 +85,11 @@ def _count_table(
     bins otherwise; any other value that is not a :class:`Binning` raises
     :class:`ValidationError`.  One ``bincount`` fills the ``rows`` x K table.
     """
-    if binning is None and time_kind == STEPS and (keyed := _time_keyed_table(codes, rows, times)):
-        return keyed
+    if binning is None and time_kind == STEPS:
+        values, table = _native_table(codes, rows, times)
+        return native_binning(values), table
     if binning is None:
-        binning = native_binning(times) if time_kind == STEPS else quantile_binning(times)
+        binning = quantile_binning(times)
     elif not isinstance(binning, Binning):
         raise ValidationError(f"unknown binning spec {binning!r}")
     k = binning.n_bins
@@ -98,27 +99,36 @@ def _count_table(
     return binning, table.reshape(k, rows).T
 
 
-def _time_keyed_table(codes: np.ndarray, rows: int, times: np.ndarray):
-    """The native binning and count table with no pass to find the distinct times.
+def _native_table(codes: np.ndarray, rows: int, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct times and the ``rows`` x K table of samples at each.
 
-    One ``bincount`` over ``time * rows + code`` counts every whole time
-    from 0 to the largest, and the all-zero time columns are dropped.
-    Returns None for times that are not all whole and nonnegative, or when
-    that table would hold more than two cells per sample (plus 4096).
+    Whole, nonnegative times whose table from 0 to the largest holds at most
+    two cells per sample (plus 4096) are counted by one ``bincount`` over
+    ``time * rows + code``, and the all-zero columns are dropped; any other
+    times are numbered by ``np.unique``.  An empty sample gets one empty column.
     """
-    if not (times.size and times.min() >= 0):
-        return None
-    cells = rows * (times.max() + 1)
-    if not cells <= 2 * times.size + 4096:
-        return None
-    t = times.astype(np.int64)
-    if not np.array_equal(t, times):
-        return None
-    t *= rows  # in place: ``t * rows + codes`` would hold one more int64 column
-    t += codes
-    table = np.bincount(t, minlength=int(cells)).reshape(-1, rows)
-    keep = table.any(axis=1)
-    return native_binning(np.flatnonzero(keep).astype(np.float64)), table[keep].T
+    if times.size and times.min() >= 0 and (cells := rows * (times.max() + 1)) <= 2 * times.size + 4096:
+        t = times.astype(np.int64)
+        if np.array_equal(t, times):
+            t *= rows  # in place: ``t * rows + codes`` would hold one more int64 column
+            t += codes
+            table = np.bincount(t, minlength=int(cells)).reshape(-1, rows)
+            keep = table.any(axis=1)
+            return np.flatnonzero(keep).astype(np.float64), table[keep].T
+    values, index = np.unique(times, return_inverse=True)
+    index *= rows
+    index += codes
+    table = np.bincount(index, minlength=rows * max(values.size, 1))
+    return values, table.reshape(-1, rows).T
+
+
+def _two_samples(a: Sequence[float], b: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The row codes (0 for ``a``, 1 for ``b``) and pooled times of two nonempty samples."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.size < 1 or b.size < 1:
+        raise EmptyCellError("both samples must be nonempty")
+    return np.repeat([0, 1], [a.size, b.size]), np.concatenate([a, b])
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
@@ -129,24 +139,23 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
     size n1*n2/(n1+n2).  Heavily tied data belongs in the chi-squared test
     instead and triggers a warning.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    n1, n2 = a.size, b.size
-    if n1 < 1 or n2 < 1:
-        raise EmptyCellError("both samples must be nonempty")
-    pooled = np.concatenate([a, b])
-    uniq, counts = np.unique(pooled, return_counts=True)
-    tie_fraction = counts[counts > 1].sum() / pooled.size
+    codes, pooled = _two_samples(a, b)
+    return _ks_counts(*_native_table(codes, 2, pooled)[1], None)
+
+
+def _ks_counts(row_a: np.ndarray, row_b: np.ndarray, binning: Optional[Binning]) -> TestReport:
+    """The KS test of two samples given as counts over distinct times; ``binning`` is unused."""
+    n1, n2 = int(row_a.sum()), int(row_b.sum())
+    pooled = row_a + row_b
+    tie_fraction = pooled[pooled > 1].sum() / (n1 + n2)
     if tie_fraction > 0.01:
         warnings.warn(
             f"{tie_fraction:.1%} of pooled values are tied; "
             "discrete times should use the chi-squared test",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    cdf1 = np.searchsorted(a, uniq, side="right") / n1
-    cdf2 = np.searchsorted(b, uniq, side="right") / n2
-    d = float(np.max(np.abs(cdf1 - cdf2)))
+    d = float(np.max(np.abs(np.cumsum(row_a) / n1 - np.cumsum(row_b) / n2)))
     n_eff = n1 * n2 / (n1 + n2)
     p = float(kolmogorov(math.sqrt(n_eff) * d))
     return TestReport(statistic=d, p_value=p, n1=n1, n2=n2, method="KS2")
@@ -162,13 +171,9 @@ def chi2_two_sample(
     is the regularized upper incomplete gamma at (bins - 1) degrees of
     freedom.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 1 or b.size < 1:
-        raise EmptyCellError("both samples must be nonempty")
-    codes = np.repeat([0, 1], [a.size, b.size])
-    bng, table = _count_table(codes, 2, np.concatenate([a, b]), binning, STEPS)
-    return _chi2_counts(table[0], table[1], bng)
+    codes, pooled = _two_samples(a, b)
+    bng, table = _count_table(codes, 2, pooled, binning, STEPS)
+    return _chi2_counts(*table, bng)
 
 
 def _chi2_counts(row_a: np.ndarray, row_b: np.ndarray, binning: Binning) -> TestReport:
@@ -302,25 +307,31 @@ def mi_decomposition(records: RecordBatch, binning: Optional[Binning] = None):
     return _chain_rule(_hdt_table(records, binning)[1])
 
 
+def _test_table(records: RecordBatch, binning: Optional[Binning]):
+    """The binning, (H, D, bin) count table and row comparator of the optimality tests.
+
+    Real-valued times are compared by KS over their native table, whatever ``binning``.
+    """
+    if records.time_kind == STEPS:
+        return (*_hdt_table(records, binning), _chi2_counts)
+    return None, _native_table(records.cell_code(), 4, records.time)[1].reshape(2, 2, -1), _ks_counts
+
+
 def optimality_test_known_h(records: RecordBatch, binning: Optional[Binning] = None) -> Tuple[TestReport, TestReport]:
     """Known-hypothesis optimality test.
 
     Compares decision times across hypotheses within each decision cell:
     (H=1, D=1) against (H=2, D=1) and (H=1, D=2) against (H=2, D=2).  A
-    small p-value rejects the null that the device is optimal.  Step-valued
-    records are compared on rows of the count table, real-valued ones by KS.
+    small p-value rejects the null that the device is optimal.  Both panels
+    compare rows of one count table, by chi-squared or by KS.
     """
     counts = records.cell_counts()
     for h in (1, 2):
         for d in (1, 2):
             if counts[h - 1, d - 1] == 0:
                 raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
-    if records.time_kind == STEPS:
-        bng, table = _hdt_table(records, binning)
-        return tuple(_chi2_counts(table[0, d], table[1, d], bng) for d in (0, 1))
-    return tuple(
-        ks_two_sample(records.cell_times(1, d), records.cell_times(2, d)) for d in (1, 2)
-    )
+    bng, table, compare = _test_table(records, binning)
+    return tuple(compare(*table[:, d], bng) for d in (0, 1))
 
 
 def optimality_test_unknown_h(records: RecordBatch, binning: Optional[Binning] = None) -> TestReport:
@@ -332,8 +343,5 @@ def optimality_test_unknown_h(records: RecordBatch, binning: Optional[Binning] =
     """
     if (records.cell_counts().sum(axis=0) == 0).any():
         raise EmptyCellError("both decisions must be present")
-    if records.time_kind == STEPS:
-        bng, table = _hdt_table(records, binning)
-        by_decision = table.sum(axis=0)
-        return _chi2_counts(by_decision[0], by_decision[1], bng)
-    return ks_two_sample(records.time[records.decision == 1], records.time[records.decision == 2])
+    bng, table, compare = _test_table(records, binning)
+    return compare(*(table[0] + table[1]), bng)  # ``sum(axis=0)`` is slow on the table's strides

@@ -22,7 +22,10 @@ from seqaudit.analytic import (
     mutual_info_discretized,
     sample_inverse_gaussian,
     sample_outcomes_asymptotic,
+    _d1_params,
     _ig_cdf,
+    _limit_alpha1,
+    _upper_integration_limit,
 )
 from seqaudit.core import ErrorSpec, Thresholds, ValidationError, thresholds_from_alphas
 from seqaudit.models import DriftDiffusionModel
@@ -397,6 +400,37 @@ class TestMutualInfoDiscretized:
     def test_coarse_limit_is_zero(self):
         p = fig8_device(0.5)
         assert mutual_info_discretized(p, 4.0, 1e9) == pytest.approx(0.0, abs=1e-12)
+
+
+def ref_mutual_info_discretized(p, l1, t_r):
+    """The closed-form sum over time bins of the discretized conditional MI."""
+    alpha1 = _limit_alpha1(p, l1)
+    mean1, shape1 = _d1_params(p, l1, 1)
+    mean2, shape2 = _d1_params(p, l1, 2)
+    n_bins = int(math.ceil(_upper_integration_limit(p, l1) / t_r)) + 1
+    edges = np.arange(0, n_bins + 1, dtype=np.float64) * t_r
+    cdf1 = _ig_cdf(edges, mean1, shape1)
+    cdf2 = _ig_cdf(edges, mean2, shape2)
+    m1 = np.append(np.maximum(np.diff(cdf1), 0.0), max(1.0 - cdf1[-1], 0.0))
+    m2 = np.append(np.maximum(np.diff(cdf2), 0.0), max(1.0 - cdf2[-1], 0.0))
+    keep = (m1 > 0.0) | (m2 > 0.0)
+    m1, m2 = m1[keep], m2[keep]
+    total = (1.0 + alpha1) / 2.0 * math.log2(1.0 + alpha1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term1 = np.where(m1 > 0.0, m1 * np.log2(1.0 + alpha1 * m2 / np.where(m1 > 0, m1, 1.0)), 0.0)
+        term2 = np.where(m2 > 0.0, m2 * np.log2(alpha1 + m1 / np.where(m2 > 0, m2, 1.0)), 0.0)
+    total -= 0.5 * float(term1.sum()) + 0.5 * alpha1 * float(term2.sum())
+    return max(total, 0.0)
+
+
+class TestDiscretizedChainRule:
+    @pytest.mark.parametrize("t_r", [1.0, 2.3, 23.0, 64.0, 230.0])
+    def test_matches_the_closed_sum(self, t_r):
+        # the 19 believed means of the fig8 scan; t_r = 230 is the matched mean time
+        for mu2t in np.linspace(0.1, 1.9, 19):
+            p = fig8_device(float(mu2t))
+            got, want = mutual_info_discretized(p, 4.0, t_r), ref_mutual_info_discretized(p, 4.0, t_r)
+            assert abs(got - want) <= max(1e-10 * abs(want), 1e-15), (mu2t, got, want)
 
 
 class TestSampleInverseGaussian:

@@ -817,11 +817,33 @@ def _cli_importers(package: Path):
     return importers
 
 
+def _package_imports(path: Path):
+    """The seqaudit modules that the module at ``path`` imports, in any spelling."""
+    local = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "seqaudit"):
+            module = (node.module or "").removeprefix("seqaudit").lstrip(".")
+            local |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            local |= {alias.name.removeprefix("seqaudit.") for alias in node.names
+                      if alias.name.split(".")[0] == "seqaudit"}
+    return local
+
+
 class TestImportRule:
     def test_only_reproduce_imports_the_cli(self):
         # reproduce takes the belief scan from cli; the edge goes once the
         # scan moves into the library (ROADMAP item 6)
         assert _cli_importers(Path(cli.__file__).parent) == {"reproduce"}
+
+    def test_stats_imports_only_core(self, tmp_path):
+        # analytic imports stats for the chain rule; stats must not import back
+        assert _package_imports(Path(cli.__file__).parent / "stats.py") == {"core"}
+        spellings = tmp_path / "m.py"
+        spellings.write_text("from .core import STEPS\nfrom . import models\n"
+                             "from seqaudit.analytic import LN2\nimport seqaudit.oracle\n"
+                             "import numpy\nfrom scipy.special import ndtr\n")
+        assert _package_imports(spellings) == {"core", "models", "analytic", "oracle"}
 
     def test_rule_sees_each_spelling(self, tmp_path):
         for i, line in enumerate([

@@ -1,22 +1,24 @@
 """The (hypothesis, decision, time-bin) count table against sample-path formulas.
 
-Every plug-in information estimate in ``seqaudit.stats``, the step-valued
-optimality tests, the empirical error rates and the conditional pmf table of
+Every plug-in information estimate in ``seqaudit.stats``, both optimality
+tests, the empirical error rates and the conditional pmf table of
 ``seqaudit.reproduce`` read one count table.  The reference functions below
 are the formulas they replaced: joint entropies from ``np.unique(axis=0)``
-over stacked label rows, per-cell ``np.unique`` counts, per-cell masks, and
-chi-squared tests binned apart on each panel's own samples.  Both sides sum
-the same counts in the same order, so the values must be equal, not merely
-close.
+over stacked label rows, per-cell ``np.unique`` counts, per-cell masks,
+chi-squared tests binned apart on each panel's own samples, and the KS test
+on each panel's sorted samples.  Both sides sum the same counts in the same
+order, so the values must be equal, not merely close.
 """
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
-from scipy.special import gammaincc
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaincc, kolmogorov
+from scipy.stats import ks_2samp
 
 from seqaudit import stats
 from seqaudit.core import STEPS, EmptyCellError, RecordBatch, Thresholds, ValidationError
@@ -26,6 +28,7 @@ from seqaudit.simulate import ExperimentConfig, empirical_error_probs, run_exper
 from seqaudit.stats import (
     Binning,
     conditional_mi_plugin,
+    ks_two_sample,
     mi_decomposition,
     mi_plugin,
     native_binning,
@@ -165,20 +168,52 @@ def ref_chi2_two_sample(a, b, binning=None):
     return stats.TestReport(statistic=stat, p_value=p, n1=n1, n2=n2, method="CHI2", bins=edges_out)
 
 
+def ref_ks_two_sample(a, b):
+    """KS on the two sorted samples: empirical CDFs searched at the pooled distinct values."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    n1, n2 = a.size, b.size
+    if n1 < 1 or n2 < 1:
+        raise EmptyCellError("both samples must be nonempty")
+    pooled = np.concatenate([a, b])
+    uniq, counts = np.unique(pooled, return_counts=True)
+    tie_fraction = counts[counts > 1].sum() / pooled.size
+    if tie_fraction > 0.01:
+        warnings.warn(
+            f"{tie_fraction:.1%} of pooled values are tied; "
+            "discrete times should use the chi-squared test",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    cdf1 = np.searchsorted(a, uniq, side="right") / n1
+    cdf2 = np.searchsorted(b, uniq, side="right") / n2
+    d = float(np.max(np.abs(cdf1 - cdf2)))
+    n_eff = n1 * n2 / (n1 + n2)
+    p = float(kolmogorov(math.sqrt(n_eff) * d))
+    return stats.TestReport(statistic=d, p_value=p, n1=n1, n2=n2, method="KS2")
+
+
+def ref_panel_test(batch):
+    """The per-panel test of the batch's time kind: chi-squared or KS, which takes no bins."""
+    if batch.time_kind == STEPS:
+        return ref_chi2_two_sample
+    return lambda a, b, binning: ref_ks_two_sample(a, b)
+
+
 def ref_known_h(batch, binning=None):
     cells = {(h, d): batch.cell_times(h, d) for h, d in CELLS}
     for (h, d), times in cells.items():
         if times.size == 0:
             raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
-    return tuple(ref_chi2_two_sample(cells[1, d], cells[2, d], binning) for d in (1, 2))
+    test = ref_panel_test(batch)
+    return tuple(test(cells[1, d], cells[2, d], binning) for d in (1, 2))
 
 
 def ref_unknown_h(batch, binning=None):
-    t1 = batch.time[batch.decision == 1]
-    t2 = batch.time[batch.decision == 2]
+    t1, t2 = (np.concatenate([batch.cell_times(h, d) for h in (1, 2)]) for d in (1, 2))
     if t1.size == 0 or t2.size == 0:
         raise EmptyCellError("both decisions must be present")
-    return ref_chi2_two_sample(t1, t2, binning)
+    return ref_panel_test(batch)(t1, t2, binning)
 
 
 def ref_empirical_error_probs(batch):
@@ -198,18 +233,29 @@ def outcome(fn, *args):
         return "raised", type(exc), str(exc)
 
 
+def warned_outcome(fn, *args):
+    """:func:`outcome`, with the category and text of each warning ``fn`` issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = outcome(fn, *args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 # up to 201 native bins: the cell code (h, d) * K overflows int8 from K = 43
 step_times = st.integers(0, 200).map(float)
 real_times = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+# real times that tie often, with NaN, both zeros and a time too large to count by value
+tied_real_times = st.one_of(real_times, st.sampled_from([0.0, -0.0, 0.5, 3.0, 1e12, math.nan]))
 
 
 @st.composite
-def batches(draw, kind=None):
+def batches(draw, kind=None, times=None):
     """Record batches over a nonempty subset of the four (H, D) cells."""
     if kind is None:
         kind = draw(st.sampled_from([STEPS, "seconds"]))
     cells = draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4, unique=True))
-    times = step_times if kind == STEPS else real_times
+    if times is None:
+        times = step_times if kind == STEPS else real_times
     rows = draw(st.lists(st.tuples(st.sampled_from(cells), times), min_size=1, max_size=300))
     return RecordBatch(
         hypothesis=np.array([c[0] for c, _ in rows]),
@@ -402,45 +448,83 @@ class TestOptimalityTestsOnCountTable:
                 test(batch)
 
     def test_step_tests_read_only_the_table(self, monkeypatch):
-        g = np.random.default_rng(3)
-        n = 2000
-        batch = RecordBatch(
-            g.integers(1, 3, size=n), g.integers(1, 3, size=n),
-            g.integers(0, 30, size=n).astype(float), time_kind=STEPS,
-        )
-        expected = optimality_test_known_h(batch), optimality_test_unknown_h(batch)
+        batches = [random_batch(3, kind) for kind in (STEPS, "seconds")]
+        expected = [(optimality_test_known_h(b), optimality_test_unknown_h(b)) for b in batches]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("step-valued tests must read the count table")
+            raise AssertionError("optimality tests must read the count table")
 
         monkeypatch.setattr(RecordBatch, "cell_times", forbidden)
         monkeypatch.setattr(stats, "chi2_two_sample", forbidden)
-        assert (optimality_test_known_h(batch), optimality_test_unknown_h(batch)) == expected
+        monkeypatch.setattr(stats, "ks_two_sample", forbidden)
+        got = [(optimality_test_known_h(b), optimality_test_unknown_h(b)) for b in batches]
+        assert got == expected
 
     def test_each_statistic_builds_one_count_table(self, monkeypatch):
-        g = np.random.default_rng(4)
-        n = 2000
-        h, d = g.integers(1, 3, size=n), g.integers(1, 3, size=n)
-        t = g.integers(0, 30, size=n).astype(float)
-        batch = RecordBatch(h, d, t, time_kind=STEPS)
-        build, calls = stats._count_table, []
+        calls, depth = [], [0]
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def count_outermost(name):
+            build = getattr(stats, name)
 
-        monkeypatch.setattr(stats, "_count_table", counted)
-        for statistic, args in [
-            (stats.chi2_two_sample, (t[:n // 2], t[n // 2:])),
-            (mi_plugin, (h, t)),
-            (conditional_mi_plugin, (batch,)),
-            (mi_decomposition, (batch,)),
-            (optimality_test_known_h, (batch,)),
-            (optimality_test_unknown_h, (batch,)),
-        ]:
-            calls.clear()
-            statistic(*args)
-            assert len(calls) == 1, statistic.__name__
+            def counted(*args, **kwargs):
+                if depth[0] == 0:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return build(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(stats, name, counted)
+
+        count_outermost("_count_table")
+        count_outermost("_native_table")
+        for kind in (STEPS, "seconds"):
+            batch = random_batch(4, kind)
+            h, t = batch.hypothesis, np.floor(batch.time)
+            n = len(batch)
+            # real-valued records are compared by KS on their native table
+            test_table = "_count_table" if kind == STEPS else "_native_table"
+            for statistic, args, table in [
+                (stats.chi2_two_sample, (t[:n // 2], t[n // 2:]), "_count_table"),
+                (mi_plugin, (h, t), "_count_table"),
+                (conditional_mi_plugin, (batch,), "_count_table"),
+                (mi_decomposition, (batch,), "_count_table"),
+                (optimality_test_known_h, (batch,), test_table),
+                (optimality_test_unknown_h, (batch,), test_table),
+            ]:
+                calls.clear()
+                statistic(*args)
+                assert calls == [table], (statistic.__name__, kind)
+
+
+def random_batch(seed, kind):
+    """2,000 records in all four cells at times 0-29, plus an untied fraction for real times."""
+    g = np.random.default_rng(seed)
+    n = 2000
+    h, d = g.integers(1, 3, size=n), g.integers(1, 3, size=n)
+    t = g.integers(0, 30, size=n).astype(float)
+    return RecordBatch(h, d, t if kind == STEPS else t + g.random(n), time_kind=kind)
+
+
+class TestKolmogorovSmirnovOnCountTable:
+    @given(batches(kind="seconds", times=tied_real_times))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_sorted_sample_path(self, batch):
+        cells = {(h, d): batch.cell_times(h, d) for h, d in CELLS}
+        panels = [(cells[1, d], cells[2, d]) for d in (1, 2)]
+        panels.append(tuple(np.concatenate([cells[1, d], cells[2, d]]) for d in (1, 2)))
+        for a, b in panels:
+            got = warned_outcome(ks_two_sample, a, b)
+            assert got == warned_outcome(ref_ks_two_sample, a, b)
+            if got[0][0] == "ok" and not np.isnan(np.concatenate([a, b])).any():
+                with warnings.catch_warnings():  # scipy's p-value divides by zero on tiny samples
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    scipy_d = ks_2samp(a, b, method="asymp").statistic
+                assert abs(got[0][1].statistic - scipy_d) <= 1e-12
+        for test, ref_test in ((optimality_test_known_h, ref_known_h),
+                               (optimality_test_unknown_h, ref_unknown_h)):
+            assert warned_outcome(test, batch) == warned_outcome(ref_test, batch)
 
 
 class TestCellCounts:
@@ -520,12 +604,15 @@ class TestMergeBins:
 
 
 class TestTimeKeyedTable:
-    """Whole-number times are counted by time directly, with no search over cut points."""
+    """The native table searches no cut points.
+
+    Whole-number times are counted by time directly; any other times are
+    numbered by ``np.unique``.
+    """
 
     @given(batches(kind=STEPS) | step_batches())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_searched_table(self, batch):
-        assume(len(batch))  # an empty batch is searched: it has no largest time
         with mock.patch.object(Binning, "assign", side_effect=AssertionError("searched")):
             keyed = stats._count_table(batch.cell_code(), 4, batch.time, None, STEPS)
         searched = stats._count_table(batch.cell_code(), 4, batch.time,
@@ -548,15 +635,16 @@ class TestTimeKeyedTable:
         batch = RecordBatch(g.integers(1, 3, size=n), g.integers(1, 3, size=n),
                             np.append(g.integers(0, 50, size=n - 1), 1e12).astype(float),
                             time_kind=STEPS)
-        assign = mock.Mock(wraps=Binning.assign)
+        unique = mock.Mock(wraps=np.unique)
         tracemalloc.start()
         try:
-            with mock.patch.object(Binning, "assign", lambda self, t: assign(self, t)):
+            with mock.patch.object(Binning, "assign", side_effect=AssertionError("searched")), \
+                    mock.patch.object(np, "unique", unique):
                 est = conditional_mi_plugin(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert assign.call_count == 1
+        assert len(time_numberings(unique)) == 1
         assert peak < 50e6
         assert est.binning.edges[-1] == (49.0 + 1e12) / 2
         assert est.value_bits == ref_conditional_mi(batch)
@@ -568,11 +656,23 @@ class TestTimeKeyedTable:
     def test_other_values_are_searched(self, times):
         y = np.array(times * 5)
         x = np.array([1, 2, 2, 1, 1] * 4)
-        assign = mock.Mock(wraps=Binning.assign)
-        with mock.patch.object(Binning, "assign", lambda self, t: assign(self, t)):
+        unique = mock.Mock(wraps=np.unique)
+        with mock.patch.object(Binning, "assign", side_effect=AssertionError("searched")), \
+                mock.patch.object(np, "unique", unique):
             mi = outcome(lambda: mi_plugin(x, y).value_bits)
             chi2 = outcome(stats.chi2_two_sample, y[:10], y[10:])
-        # NaN times reach the searched path and fail there, on cut points that are NaN
-        assert assign.call_count == (0 if np.isnan(y).any() else 2)
+        # NaN times are numbered too, then fail on native cut points that are NaN
+        assert len(time_numberings(unique)) == 2
         assert mi == outcome(ref_mi_plugin, x, y, None)
         assert chi2 == outcome(ref_chi2_two_sample, y[:10], y[10:])
+
+    def test_empty_sample_has_one_empty_bin(self):
+        bng, table = stats._count_table(np.array([], dtype=np.int64), 4, np.array([]), None, STEPS)
+        assert bng == Binning(edges=())
+        assert table.shape == (4, 1) and not table.any()
+
+
+def time_numberings(unique):
+    """The calls of a mocked ``np.unique`` that numbered float times, not labels."""
+    return [c for c in unique.call_args_list
+            if c.kwargs.get("return_inverse") and np.asarray(c.args[0]).dtype == np.float64]
