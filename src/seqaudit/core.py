@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Optional
@@ -121,7 +119,7 @@ class RecordBatch:
             raise ValidationError("record columns must have equal length")
         if time_kind not in (STEPS, SECONDS):
             raise ValidationError(f"unknown time kind {time_kind!r}")
-        if not (np.isin(hypothesis, (1, 2)).all() and np.isin(decision, (1, 2)).all()):
+        if not all(((x == 1) | (x == 2)).all() for x in map(np.asarray, (hypothesis, decision))):
             raise ValidationError("hypothesis/decision values must be 1 or 2")
         self.hypothesis = np.asarray(hypothesis, dtype=np.int8)
         self.decision = np.asarray(decision, dtype=np.int8)
@@ -208,46 +206,166 @@ def write_records_csv(path, batch: RecordBatch) -> None:
     write_table(path, CSV_HEADER, chunks)
 
 
-# one np.loadtxt call per chunk of the records file: about 65k step-valued lines
-_CHUNK_CHARS = 1 << 19
-_ROW = np.dtype([("h", "i1"), ("d", "i1"), ("t", "f8"), ("s", "f8")])
-# ASCII separators np.loadtxt strips from around a field, and int() and float() do not
-_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+# the byte tier reads the records file in blocks of this many bytes, each completed to its line end
+_BLOCK_BYTES = 1 << 20
+# longer number fields, and longer mantissas than uint64 holds, are left to float()
+_FIELD_BYTES = 32
+_MANTISSA_DIGITS = 19
+# 10**f is a double for f up to 22, and every integer up to 2**53 is one
+_POW10 = np.array([float(10**f) for f in range(23)])
+_EXACT_MANTISSA = 2**53
+# a residual this close (relative) to a rounding boundary is left to float()
+_UNDECIDED = 1e-9
+_HEADER_LINES = {CSV_HEADER.encode() + end for end in (b"", b"\n", b"\r\n")}
 
 
-def _parse_bulk(f, capacity: int):
-    """The record columns after the header, parsed chunk by chunk by ``np.loadtxt``.
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """``(p, e)`` with ``p = fl(a*b)`` and ``p + e == a*b`` exactly (Dekker 1971)."""
+    p = a * b
+    (ah, al), (bh, bl) = (_veltkamp_split(x) for x in (a, b))
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
-    Returns None when a chunk holds a character or a field that the line
-    parser might read differently, or a row that it rejects.
+
+def _veltkamp_split(a: np.ndarray):
+    """``a`` as a sum of two doubles of at most 26 significant bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _nearest(m: np.ndarray, p: np.ndarray):
+    """The double nearest to ``m / p`` (``m`` uint64, ``p`` an exact power of ten), and
+    which quotients it decided.
+
+    ``q = fl(fl(m) / p)`` is within 1.5 ulp.  Its residual ``m - q*p`` comes exactly
+    from ``m = hi + lo`` and the two-product of ``q`` and ``p``, and moves ``q`` by one
+    ulp where the quotient lies past a half-ulp boundary.  A residual within
+    ``_UNDECIDED`` of a boundary, on either side of a power of two, is not decided.
     """
-    columns = [np.empty(capacity, dtype=_ROW[name]) for name in _ROW.names]
-    n = 0
-    while chunk := f.read(_CHUNK_CHARS):
-        chunk += f.readline()
-        # numpy 2.4's loadtxt can also crash on a high code point in an integer field
-        if not chunk.isascii() or any(c in chunk for c in _LOADTXT_ONLY_SPACE):
-            return None
-        if chunk.isspace():
-            continue  # blank lines only; loadtxt would warn of no data
-        if not chunk.endswith("\n"):
-            chunk += "\n"
-        try:
-            with warnings.catch_warnings():
-                # numpy releases that keep the 1.23 deprecation read an integer
-                # field such as 1.5 or 257 as a float cast to int8 and only warn
-                warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(io.StringIO(chunk.replace(",\n", ",nan\n")), dtype=_ROW,
-                                  delimiter=",", comments=None, ndmin=1)
-        except (ValueError, DeprecationWarning):
-            return None
-        for column, name in zip(columns, _ROW.names):
-            column[n:n + len(rows)] = rows[name]
-        n += len(rows)
-    h, d, t, s = (column[:n] for column in columns)
-    if not (((h == 1) | (h == 2)) & ((d == 1) | (d == 2)) & ~(t < 0)).all():
+    hi = m.astype(np.float64)
+    lo = (m - hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    q = hi / p
+    ph, pl = _two_product(q, p)
+    e = ((hi - ph) - pl + lo) / p  # m/p - q
+    up, down = np.nextafter(q, np.inf), np.nextafter(q, -np.inf)
+    q2 = np.where(e > (up - q) / 2, up, np.where(e < (down - q) / 2, down, q))
+    e -= q2 - q
+    half = (1 - _UNDECIDED) / 2
+    decided = ((np.nextafter(q2, -np.inf) - q2) * half < e) & (e < (np.nextafter(q2, np.inf) - q2) * half)
+    return q2, decided
+
+
+def _decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The doubles that ``float`` reads from the fields ``buf[start:end]`` that are
+    ``-`` or nothing, then digits with at most one decimal point, and which fields
+    were decided; ``float`` reads the others.  ``buf`` runs at least
+    ``_FIELD_BYTES`` bytes past the last field.
+    """
+    neg = buf[start] == ord("-")
+    first = start + neg
+    length = end - first
+    short = np.clip(length, 0, _FIELD_BYTES + 1).astype(np.uint8)
+    n = len(start)
+    m = np.zeros(n, np.uint64)
+    digits, dots, frac, sig = (np.zeros(n, np.uint8) for _ in range(4))
+    for j in range(min(int(length.max(initial=0)), _FIELD_BYTES)):
+        b = buf[first + j]
+        inside = short > j
+        digit = b - np.uint8(ord("0"))
+        is_digit = ((digit < 10) & inside).view(np.uint8)
+        dots += (b == ord(".")) & inside
+        m *= np.uint8(9) * is_digit + np.uint8(1)
+        m += digit * is_digit
+        digits += is_digit
+        frac += is_digit & (dots > 0)
+        sig += is_digit & (m > 0)
+    decided = ((digits > 0) & (digits + dots == short) & (dots <= 1)
+               & (sig <= _MANTISSA_DIGITS) & (frac < len(_POW10)))
+    p = _POW10.take(np.minimum(frac, len(_POW10) - 1).astype(np.intp))
+    value = m / p  # m and p exact: one correctly rounded division (Clinger 1990)
+    wide = np.flatnonzero(decided & (m > _EXACT_MANTISSA))
+    value[wide], decided[wide] = _nearest(m[wide], p[wide])
+    np.negative(value, out=value, where=neg)
+    return value, decided
+
+
+def _labels(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The labels of the one-byte fields ``1`` and ``2``, and which fields those were."""
+    b = buf[start]
+    return (b - np.uint8(ord("0"))).view(np.int8), (end - start == 1) & ((b == ord("1")) | (b == ord("2")))
+
+
+def _label(text: str) -> int:
+    """``int(text)``, which must be 1 or 2."""
+    label = int(text)
+    if label not in (1, 2):
+        raise ValueError(f"label {label}")
+    return label
+
+
+def _parse_block(block: bytes):
+    """The record columns of whole lines of bytes, or None where the line parser must decide.
+
+    The fields that :func:`_labels` and :func:`_decimals` do not decide, and only
+    those, go through the line parser's own ``int`` or ``float``.
+    """
+    text = block if block.endswith(b"\n") else block + b"\n"
+    if not text.isascii():
         return None
-    return h, d, t, s
+    buf = np.frombuffer(text + bytes(_FIELD_BYTES), dtype=np.uint8)
+    end = np.flatnonzero(buf == ord("\n"))
+    start = np.concatenate(([0], end[:-1] + 1))
+    if b"\r" in text:
+        crlf = buf[end - 1] == ord("\r")
+        if text.count(b"\r") != np.count_nonzero(crlf):
+            return None  # a carriage return that does not end a line
+        end = end - crlf
+    if not (filled := end > start).all():
+        start, end = start[filled], end[filled]
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) != 3 * len(start):
+        return None  # a line with other than four fields
+    # where lines hold other than three commas each, some field holds a comma, and its
+    # conversion raises
+    c0, c1, c2 = commas.reshape(-1, 3).T
+    llr, llr_decided = np.full(len(end), np.nan), np.ones(len(end), bool)
+    if len(given := np.flatnonzero(end > c2 + 1)):  # an empty terminal LLR is absent
+        llr[given], llr_decided[given] = _decimals(buf, c2[given] + 1, end[given])
+    fields = [(start, c0, _labels(buf, start, c0), _label),
+              (c0 + 1, c1, _labels(buf, c0 + 1, c1), _label),
+              (c1 + 1, c2, _decimals(buf, c1 + 1, c2), float),
+              (c2 + 1, end, (llr, llr_decided), float)]
+    try:
+        for lo, hi, (value, decided), convert in fields:
+            for i in np.flatnonzero(~decided):
+                value[i] = convert(block[lo[i]:hi[i]].decode())
+    except ValueError:
+        return None
+    columns = [value for _, _, (value, _), _ in fields]
+    if (columns[2] < 0).any():
+        return None
+    return columns
+
+
+def _parse_bytes(f):
+    """The record columns after the header, decoded from the bytes block by block.
+
+    Returns None when a block holds a line with other than four fields, a
+    non-ASCII byte, a carriage return that does not end a line, a field whose
+    conversion raises, a label other than 1 or 2 or a negative time.
+    """
+    parts = ([np.empty(0, np.int8)], [np.empty(0, np.int8)], [np.empty(0)], [np.empty(0)])
+    while block := f.read(_BLOCK_BYTES):
+        columns = _parse_block(block + f.readline())
+        if columns is None:
+            return None
+        for part, column in zip(parts, columns):
+            part.append(column)
+    columns = []
+    for part in parts:  # each column's blocks are freed once it is joined
+        columns.append(np.concatenate(part))
+        part.clear()
+    return columns
 
 
 def _parse_lines(f):
@@ -286,15 +404,23 @@ def _parse_lines(f):
 def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     """Read the interchange CSV.
 
-    After the header check the rows are parsed in bulk.  The four columns
-    are preallocated from the file size, and ``np.loadtxt`` fills them
-    chunk by chunk; an empty terminal LLR reads as NaN.  A field that
-    ``loadtxt`` rejects (a label it would read only as a float cast to
-    int8 counts as rejected), a non-ASCII character, a label other than
-    1 or 2 or a negative time sends the whole file through the line parser
-    instead.  That parser reads any file the bulk path reads to the same
-    columns, and it is the one that raises :class:`SchemaError`, naming
-    the line.
+    The file is opened once, in binary, and read in 1 MiB blocks, each
+    completed to its line end.  Newlines and commas are found with numpy,
+    a label must be the byte ``1`` or ``2``, and a time or terminal LLR of
+    the form ``[-]digits[.digits]`` is decoded to the correctly rounded
+    double by integer arithmetic over whole columns: one exact division
+    when the mantissa is at most 2**53 and there are at most 22 fraction
+    digits, else a double-double residual that moves the quotient by one
+    ulp where it must.  An empty terminal LLR reads as NaN, and a CRLF line
+    end as LF.  Two fallbacks keep the line parser's result: a field
+    outside that form (an exponent, ``nan``, a space), or one whose residual
+    lies too near a rounding boundary to decide, goes through ``int`` or
+    ``float`` on that field alone; and a line with other than four fields,
+    a non-ASCII byte, a lone carriage return, a conversion that raises, a
+    label other than 1 or 2 or a negative time sends the whole file through
+    the line parser.  That parser reads any file the byte tier reads to the
+    same columns, and it is the one that raises :class:`SchemaError`,
+    naming the line.
 
     When ``time_kind`` is not given it is inferred: a file whose times are
     all step times (finite whole numbers) is treated as step-valued.  Under
@@ -302,17 +428,15 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     """
     if time_kind not in (None, STEPS, SECONDS):
         raise ValidationError(f"unknown time kind {time_kind!r}")
-    # a row takes at least 7 bytes (1,1,0, and its line end), the last one 6
-    capacity = os.path.getsize(path) // 7 + 1
-    with open(path, "r") as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise SchemaError(f"expected header {CSV_HEADER!r}, got {header!r}")
-        columns = _parse_bulk(f, capacity)
+    with open(path, "rb") as f:
+        columns = _parse_bytes(f) if f.readline() in _HEADER_LINES else None
         if columns is None:
             f.seek(0)
-            f.readline()
-            columns = _parse_lines(f)
+            lines = io.TextIOWrapper(f)
+            header = lines.readline().strip()
+            if header != CSV_HEADER:
+                raise SchemaError(f"expected header {CSV_HEADER!r}, got {header!r}")
+            columns = _parse_lines(lines)
     if time_kind is None:
         time_kind = STEPS if _whole(columns[2]).all() else SECONDS
     try:  # the parsers checked labels and signs: only the step-time rule is left
