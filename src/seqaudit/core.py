@@ -278,7 +278,7 @@ def _decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
         m += digit * is_digit
         digits += is_digit
         frac += is_digit & (dots > 0)
-        sig += is_digit & (m > 0)
+        sig += is_digit & ((sig > 0) | (digit > 0))  # by position: m may wrap past 19 digits
     decided = ((digits > 0) & (digits + dots == short) & (dots <= 1)
                & (sig <= _MANTISSA_DIGITS) & (frac < len(_POW10)))
     p = _POW10.take(np.minimum(frac, len(_POW10) - 1).astype(np.intp))
@@ -290,24 +290,18 @@ def _decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
 
 
 def _labels(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """The labels of the one-byte fields ``1`` and ``2``, and which fields those were."""
+    """The labels of the fields, or None unless each is the one byte ``1`` or ``2``."""
     b = buf[start]
-    return (b - np.uint8(ord("0"))).view(np.int8), (end - start == 1) & ((b == ord("1")) | (b == ord("2")))
-
-
-def _label(text: str) -> int:
-    """``int(text)``, which must be 1 or 2."""
-    label = int(text)
-    if label not in (1, 2):
-        raise ValueError(f"label {label}")
-    return label
+    if not ((end - start == 1) & ((b == ord("1")) | (b == ord("2")))).all():
+        return None
+    return (b - np.uint8(ord("0"))).view(np.int8)
 
 
 def _parse_block(block: bytes):
     """The record columns of whole lines of bytes, or None where the line parser must decide.
 
-    The fields that :func:`_labels` and :func:`_decimals` do not decide, and only
-    those, go through the line parser's own ``int`` or ``float``.
+    The times and LLRs that :func:`_decimals` does not decide, and only those, go
+    through the line parser's own ``float``.
     """
     text = block if block.endswith(b"\n") else block + b"\n"
     if not text.isascii():
@@ -328,23 +322,23 @@ def _parse_block(block: bytes):
     # where lines hold other than three commas each, some field holds a comma, and its
     # conversion raises
     c0, c1, c2 = commas.reshape(-1, 3).T
+    h, d = _labels(buf, start, c0), _labels(buf, c0 + 1, c1)
+    if h is None or d is None:
+        return None
     llr, llr_decided = np.full(len(end), np.nan), np.ones(len(end), bool)
     if len(given := np.flatnonzero(end > c2 + 1)):  # an empty terminal LLR is absent
         llr[given], llr_decided[given] = _decimals(buf, c2[given] + 1, end[given])
-    fields = [(start, c0, _labels(buf, start, c0), _label),
-              (c0 + 1, c1, _labels(buf, c0 + 1, c1), _label),
-              (c1 + 1, c2, _decimals(buf, c1 + 1, c2), float),
-              (c2 + 1, end, (llr, llr_decided), float)]
+    time, time_decided = _decimals(buf, c1 + 1, c2)
+    fields = [(time, time_decided, c1 + 1, c2), (llr, llr_decided, c2 + 1, end)]
     try:
-        for lo, hi, (value, decided), convert in fields:
+        for value, decided, lo, hi in fields:
             for i in np.flatnonzero(~decided):
-                value[i] = convert(block[lo[i]:hi[i]].decode())
+                value[i] = float(block[lo[i]:hi[i]].decode())
     except ValueError:
         return None
-    columns = [value for _, _, (value, _), _ in fields]
-    if (columns[2] < 0).any():
+    if (time < 0).any():
         return None
-    return columns
+    return [h, d, time, llr]
 
 
 def _parse_bytes(f):
@@ -352,7 +346,7 @@ def _parse_bytes(f):
 
     Returns None when a block holds a line with other than four fields, a
     non-ASCII byte, a carriage return that does not end a line, a field whose
-    conversion raises, a label other than 1 or 2 or a negative time.
+    conversion raises, a label other than the byte 1 or 2 or a negative time.
     """
     parts = ([np.empty(0, np.int8)], [np.empty(0, np.int8)], [np.empty(0)], [np.empty(0)])
     while block := f.read(_BLOCK_BYTES):
@@ -412,15 +406,15 @@ def read_records_csv(path, time_kind: Optional[str] = None) -> RecordBatch:
     when the mantissa is at most 2**53 and there are at most 22 fraction
     digits, else a double-double residual that moves the quotient by one
     ulp where it must.  An empty terminal LLR reads as NaN, and a CRLF line
-    end as LF.  Two fallbacks keep the line parser's result: a field
-    outside that form (an exponent, ``nan``, a space), or one whose residual
-    lies too near a rounding boundary to decide, goes through ``int`` or
-    ``float`` on that field alone; and a line with other than four fields,
-    a non-ASCII byte, a lone carriage return, a conversion that raises, a
-    label other than 1 or 2 or a negative time sends the whole file through
-    the line parser.  That parser reads any file the byte tier reads to the
-    same columns, and it is the one that raises :class:`SchemaError`,
-    naming the line.
+    end as LF.  Two fallbacks keep the line parser's result: a time or LLR
+    outside that form (an exponent, ``nan``, a space), one of more than 19
+    significant digits, or one whose residual lies too near a rounding
+    boundary to decide, goes through ``float`` on that field alone; and a
+    line with other than four fields, a non-ASCII byte, a lone carriage
+    return, a conversion that raises, a label other than the byte ``1`` or
+    ``2`` or a negative time sends the whole file through the line parser.
+    That parser reads any file the byte tier reads to the same columns, and
+    it is the one that raises :class:`SchemaError`, naming the line.
 
     When ``time_kind`` is not given it is inferred: a file whose times are
     all step times (finite whole numbers) is treated as step-valued.  Under

@@ -257,9 +257,9 @@ def reader_outcome(path, time_kind=None):
 
 @contextlib.contextmanager
 def fallbacks():
-    """The texts converted one field at a time by ``core._label`` and ``core``'s
-    ``float``, and the files the line parser reads, as two lists filled while the
-    context is open.  The line parser's own conversions count as fields too."""
+    """The texts converted one field at a time by ``core``'s ``float``, and the
+    files the line parser reads, as two lists filled while the context is open.
+    The line parser's own ``float`` conversions count as fields too."""
     fields, files = [], []
 
     def spy(convert):
@@ -274,8 +274,7 @@ def fallbacks():
         files.append(f)
         return parse_lines(f)
 
-    with mock.patch.object(core, "_label", spy(core._label)), \
-            mock.patch.object(core, "float", spy(float), create=True), \
+    with mock.patch.object(core, "float", spy(float), create=True), \
             mock.patch.object(core, "_parse_lines", lines):
         yield fields, files
 
@@ -531,6 +530,16 @@ class TestDecimalDecode:
             x = Fraction(float(text))
             y = Fraction(math.nextafter(float(text), math.inf if Fraction(text) > x else -math.inf))
             assert 0 < abs(Fraction(text) - (x + y) / 2) < abs(y - x) * Fraction(1, 10**9)
+        value, decided = decimals(texts)
+        assert not decided.any()
+        assert_reads_as_float(tmp_path, texts)
+
+    @pytest.mark.parametrize("prefix", [str(k * 2**64) for k in range(1, 6)])
+    def test_mantissas_past_19_digits_are_left_to_float(self, tmp_path, prefix):
+        # 20 digits that are a multiple of 2**64: the uint64 mantissa wraps to 0
+        texts = [f"{prefix[:k]}.{prefix[k:]}" for k in range(len(prefix) + 1)]
+        texts += [prefix, prefix + "000", prefix + ".000000", "0.00" + prefix]
+        texts += ["-" + t for t in texts]
         value, decided = decimals(texts)
         assert not decided.any()
         assert_reads_as_float(tmp_path, texts)
