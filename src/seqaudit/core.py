@@ -307,8 +307,10 @@ def _parse_block(block: bytes):
     if not text.isascii():
         return None
     buf = np.frombuffer(text + bytes(_FIELD_BYTES), dtype=np.uint8)
-    end = np.flatnonzero(buf == ord("\n"))
-    start = np.concatenate(([0], end[:-1] + 1))
+    # offsets into a block short of 2 GiB fit int32; only a giant line needs int64
+    offset = np.int32 if len(buf) < 2**31 else np.int64
+    end = np.flatnonzero(buf == ord("\n")).astype(offset)
+    start = np.concatenate((np.zeros(1, offset), end[:-1] + 1))
     if b"\r" in text:
         crlf = buf[end - 1] == ord("\r")
         if text.count(b"\r") != np.count_nonzero(crlf):
@@ -316,7 +318,7 @@ def _parse_block(block: bytes):
         end = end - crlf
     if not (filled := end > start).all():
         start, end = start[filled], end[filled]
-    commas = np.flatnonzero(buf == ord(","))
+    commas = np.flatnonzero(buf == ord(",")).astype(offset)
     if len(commas) != 3 * len(start):
         return None  # a line with other than four fields
     # where lines hold other than three commas each, some field holds a comma, and its

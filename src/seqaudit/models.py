@@ -32,10 +32,19 @@ class GaussianIIDModel:
             raise ValidationError("standard deviations must be positive")
         check_finite(self)
 
+    def draw_params(self, h):
+        """Per-trial (mu, sigma) under hypotheses ``h``."""
+        h = np.asarray(h)
+        return np.where(h == 1, self.mu1, self.mu2), np.where(h == 1, self.sigma1, self.sigma2)
+
+    def draw(self, params, rng: np.random.Generator, size=None, x_prev=None):
+        """One observation per trial: the draws and float operations of
+        ``rng.normal(mu, sigma, size)``."""
+        mu, sigma = params
+        return mu + sigma * rng.standard_normal(size)
+
     def sample(self, h, rng: np.random.Generator, size=None, x_prev=None):
-        mu = np.where(np.asarray(h) == 1, self.mu1, self.mu2)
-        sigma = np.where(np.asarray(h) == 1, self.sigma1, self.sigma2)
-        return rng.normal(mu, sigma, size=size)
+        return self.draw(self.draw_params(h), rng, size, x_prev)
 
     def llr_increment(self, x, x_prev=None):
         x = np.asarray(x, dtype=np.float64)
@@ -62,13 +71,23 @@ class MarkovGaussianModel:
             raise ValidationError("standard deviations must be positive")
         check_finite(self)
 
-    def sample(self, h, rng: np.random.Generator, size=None, x_prev=0.0):
+    def draw_params(self, h):
+        """Per-trial (v, w + 1, sigma) under hypotheses ``h``."""
         h = np.asarray(h)
-        v = np.where(h == 1, self.v1, self.v2)
-        w = np.where(h == 1, self.w1, self.w2)
-        sigma = np.where(h == 1, self.sigma1, self.sigma2)
-        mean = v + (w + 1.0) * np.asarray(x_prev)
-        return rng.normal(mean, sigma, size=size)
+        return (
+            np.where(h == 1, self.v1, self.v2),
+            np.where(h == 1, self.w1, self.w2) + 1.0,
+            np.where(h == 1, self.sigma1, self.sigma2),
+        )
+
+    def draw(self, params, rng: np.random.Generator, size=None, x_prev=0.0):
+        """One observation per trial: the draws and float operations of
+        ``rng.normal(v + (w + 1) x_prev, sigma, size)``."""
+        v, w1, sigma = params
+        return v + w1 * np.asarray(x_prev) + sigma * rng.standard_normal(size)
+
+    def sample(self, h, rng: np.random.Generator, size=None, x_prev=0.0):
+        return self.draw(self.draw_params(h), rng, size, x_prev)
 
     def llr_increment(self, x, x_prev=0.0):
         x = np.asarray(x, dtype=np.float64)
@@ -99,30 +118,38 @@ class DriftDiffusionModel:
 def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
     """Vectorized discrete trials; one stream drives the whole block.
 
+    Each trial's draw parameters (``model.draw_params``) are worked out once.
+    The alive trials are held compacted: their indices, LLRs, previous
+    observations and draw parameters shrink together on each step where a
+    trial stops, and each step draws one observation per alive trial in
+    trial order.
+
     Returns (times, decisions, terminal_llrs) arrays over the block.  A
     trial still inside (l2, l1) after ``max_steps`` is truncated: decision
     0, time 0 and terminal NaN.
     """
     n = len(h)
-    s = np.zeros(n)
-    x_prev = np.zeros(n)
     times = np.zeros(n)
     decisions = np.zeros(n, dtype=np.int8)
     terminal = np.full(n, np.nan)
     alive = np.arange(n)
-    h = np.asarray(h)
+    s = np.zeros(n)
+    x_prev = np.zeros(n)
+    params = model.draw_params(h)
     for k in range(1, max_steps + 1):
-        x = model.sample(h[alive], rng, size=alive.size, x_prev=x_prev[alive])
-        s[alive] += wm.llr_increment(x, x_prev[alive])
-        x_prev[alive] = x
-        s_alive = s[alive]
-        done = (s_alive >= th.l1) | (s_alive <= th.l2)
-        if done.any():
-            idx = alive[done]
+        x = model.draw(params, rng, alive.size, x_prev)
+        s += wm.llr_increment(x, x_prev)
+        x_prev = x
+        done = (s >= th.l1) | (s <= th.l2)
+        stop = np.flatnonzero(done)
+        if stop.size:
+            idx, s_done = alive[stop], s[stop]
             times[idx] = k
-            decisions[idx] = np.where(s[idx] >= th.l1, 1, 2)
-            terminal[idx] = s[idx]
-            alive = alive[~done]
+            decisions[idx] = np.where(s_done >= th.l1, 1, 2)
+            terminal[idx] = s_done
+            keep = np.flatnonzero(~done)
+            alive, s, x_prev = alive[keep], s[keep], x_prev[keep]
+            params = tuple(p[keep] for p in params)
             if alive.size == 0:
                 break
     return times, decisions, terminal
@@ -218,14 +245,12 @@ def _exit_cdf(t: np.ndarray, d: float, mu: float, w: float, b: float, mass: floa
     return f, tail
 
 
-@functools.lru_cache(maxsize=16)
 def _exit_cdfs(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int):
     """Defective CDFs (F_1, F_2) of the upper and lower exits at dt, 2dt, ...
 
     The LLR is S_t = a t + sqrt(2b) W_t from 0 between l2 < 0 < l1.  The
     rows run to ``n_steps`` or to the first one whose undecided mass is below
-    ``UNDECIDED_FLOOR``, whichever comes first; the arrays are read-only
-    because the cache hands the same ones to every caller.
+    ``UNDECIDED_FLOOR``, whichever comes first.
     """
     w = l1 - l2
     sides = ((l1, a), (-l2, -a))  # (distance to the barrier, drift toward it)
@@ -243,22 +268,53 @@ def _exit_cdfs(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int
             for out in rows:
                 out[-1] = out[-1][: done[0] + 1]
             break
-    tables = []
-    for out in rows:
-        f = np.maximum.accumulate(np.maximum(np.concatenate(out), 0.0))
-        f.flags.writeable = False
-        tables.append(f)
-    return tuple(tables)
+    return tuple(np.maximum.accumulate(np.maximum(np.concatenate(out), 0.0)) for out in rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _exit_inverse(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int):
+    """The joint CDF of (decision, step) from ``_exit_cdfs`` and its guide table.
+
+    ``cdf`` runs over the upper exits at dt, 2dt, ..., then the lower ones
+    added to the whole upper mass, then +inf, which no uniform reaches and
+    which gives every bucket an entry to compare.  Over G buckets, G the least
+    power of two at or above the finite entries' count,
+    ``guide[g] = searchsorted(cdf, g / G, "right")`` for g = 0..G (Chen & Asau
+    1974; Devroye 1986, section III.2.4).  Both arrays are read-only
+    because the cache hands the same ones to every caller.
+    """
+    f1, f2 = _exit_cdfs(a, b, l1, l2, dt, n_steps)
+    cdf = np.concatenate((f1, f1[-1] + f2, [np.inf]))
+    size = 1 << (len(cdf) - 2).bit_length()
+    guide = np.searchsorted(cdf, np.arange(size + 1) / size, side="right").astype(np.int32)
+    cdf.flags.writeable = guide.flags.writeable = False
+    return cdf, guide
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for uniforms ``u`` in [0, 1).
+
+    The bucket of u holds the entries in (g/G, (g+1)/G]: with at most one,
+    the cell is read off by one comparison; the uniforms in wider buckets
+    are searched.
+    """
+    g = (u * (len(guide) - 1)).astype(np.intp)  # exact: G is a power of two
+    lo, hi = guide[g], guide[g + 1]
+    cell = lo + (u >= cdf[lo])
+    wide = np.flatnonzero(hi - lo > 1)
+    cell[wide] = np.searchsorted(cdf, u[wide], side="right")
+    return cell
 
 
 def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float, rng):
     """Exact trials of the device whose LLR is dS = a dt + sqrt(2b) dW.
 
     Each trial takes one uniform from ``rng`` and inverts the joint law of
-    (decision, dt-step of the first crossing) tabulated by ``_exit_cdfs``:
-    a crossing in ((k-1) dt, k dt] is recorded at time k dt with the crossed
-    threshold as its terminal LLR.  Trials undecided after ceil(t_max/dt)
-    steps are truncated: decision 0, time 0 and terminal NaN.
+    (decision, dt-step of the first crossing) tabulated by ``_exit_cdfs``,
+    through the guide table of ``_exit_inverse``: a crossing in
+    ((k-1) dt, k dt] is recorded at time k dt with the crossed threshold as
+    its terminal LLR.  Trials undecided after ceil(t_max/dt) steps are
+    truncated: decision 0, time 0 and terminal NaN.
     """
     n = len(a)
     n_steps = int(math.ceil(t_max / dt))
@@ -268,9 +324,9 @@ def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float,
     terminal = np.full(n, np.nan)
     for drift in np.unique(a):
         idx = np.flatnonzero(a == drift)
-        f1, f2 = _exit_cdfs(float(drift), b, th.l1, th.l2, dt, n_steps)
-        rows = len(f1)
-        cell = np.searchsorted(np.concatenate((f1, f1[-1] + f2)), u[idx], side="right")
+        cdf, guide = _exit_inverse(float(drift), b, th.l1, th.l2, dt, n_steps)
+        rows = (len(cdf) - 1) // 2
+        cell = _invert(cdf, guide, u[idx])
         d = np.where(cell < rows, 1, np.where(cell < 2 * rows, 2, 0))
         decisions[idx] = d
         times[idx] = np.where(d > 0, cell % rows + 1, 0) * dt

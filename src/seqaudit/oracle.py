@@ -48,10 +48,17 @@ class LatticeBernoulliModel:
     def thresholds(self) -> Thresholds:
         return Thresholds(l1=self.m1 * self.step, l2=-self.m2 * self.step)
 
+    def draw_params(self, h):
+        """Per-trial up-probability under hypotheses ``h``."""
+        return (np.where(np.asarray(h) == 1, self.p, 1.0 - self.p),)
+
+    def draw(self, params, rng: np.random.Generator, size=None, x_prev=None):
+        """One observation per trial, +1 or -1."""
+        (up,) = params
+        return np.where(rng.random(size) < up, 1.0, -1.0)
+
     def sample(self, h, rng: np.random.Generator, size=None, x_prev=None):
-        up_prob = np.where(np.asarray(h) == 1, self.p, 1.0 - self.p)
-        u = rng.random(size=size)
-        return np.where(u < up_prob, 1.0, -1.0)
+        return self.draw(self.draw_params(h), rng, size, x_prev)
 
     def llr_increment(self, x, x_prev=None):
         return np.asarray(x, dtype=np.float64) * self.step

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from seqaudit import models, simulate
 from seqaudit.core import Thresholds, ValidationError
 from seqaudit.models import (
     DriftDiffusionModel,
     GaussianIIDModel,
     MarkovGaussianModel,
     _exit_cdfs,
+    _exit_inverse,
+    _invert,
     _wald_continuous_block,
     _wald_discrete_block,
 )
 from seqaudit.oracle import LatticeBernoulliModel
-from seqaudit.simulate import ExperimentConfig
+from seqaudit.simulate import ExperimentConfig, run_experiment
 
 
 def rng(seed=0):
@@ -27,6 +30,61 @@ def one_trial(model, wm, th, h, max_steps, g):
         model, wm, th, np.array([h], dtype=np.int8), max_steps, g
     )
     return times[0], decisions[0], terminal[0], decisions[0] != 0
+
+
+def reference_draw(model, h, g, x_prev):
+    """One step's observations as the per-step loop drew them: ``Generator.normal``
+    broadcast over per-trial means and scales looked up from ``h``, or uniforms
+    against the lattice's per-trial up-probability."""
+    h = np.asarray(h)
+    if isinstance(model, LatticeBernoulliModel):
+        up = np.where(h == 1, model.p, 1.0 - model.p)
+        return np.where(g.random(size=h.size) < up, 1.0, -1.0)
+    if isinstance(model, MarkovGaussianModel):
+        v = np.where(h == 1, model.v1, model.v2)
+        w = np.where(h == 1, model.w1, model.w2)
+        sigma = np.where(h == 1, model.sigma1, model.sigma2)
+        return g.normal(v + (w + 1.0) * np.asarray(x_prev), sigma, size=h.size)
+    mu = np.where(h == 1, model.mu1, model.mu2)
+    sigma = np.where(h == 1, model.sigma1, model.sigma2)
+    return g.normal(mu, sigma, size=h.size)
+
+
+def reference_block(model, wm, th, h, max_steps, g):
+    """The per-step loop that the compacted kernel replaced: each step looks the
+    alive trials' hypotheses, LLRs and previous observations up by index."""
+    n = len(h)
+    s = np.zeros(n)
+    x_prev = np.zeros(n)
+    times = np.zeros(n)
+    decisions = np.zeros(n, dtype=np.int8)
+    terminal = np.full(n, np.nan)
+    alive = np.arange(n)
+    h = np.asarray(h)
+    for k in range(1, max_steps + 1):
+        x = reference_draw(model, h[alive], g, x_prev[alive])
+        s[alive] += wm.llr_increment(x, x_prev[alive])
+        x_prev[alive] = x
+        s_alive = s[alive]
+        done = (s_alive >= th.l1) | (s_alive <= th.l2)
+        if done.any():
+            idx = alive[done]
+            times[idx] = k
+            decisions[idx] = np.where(s[idx] >= th.l1, 1, 2)
+            terminal[idx] = s[idx]
+            alive = alive[~done]
+            if alive.size == 0:
+                break
+    return times, decisions, terminal
+
+
+def assert_same_bits(got, want):
+    """Times, decisions and terminal LLRs equal as bit patterns, NaNs included."""
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        if a.dtype == np.float64:
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b)
 
 
 class TestLLRIncrementIID:
@@ -120,6 +178,81 @@ class TestRunWaldDiscrete:
             _, _, s, decided = one_trial(model, model, th, 2, 500, g)
             if decided:
                 assert s >= th.l1 or s <= th.l2
+
+
+LATTICE = LatticeBernoulliModel(p=0.8, m1=2, m2=2)
+# (observation model, world model, thresholds, window long enough to decide nearly all)
+DISCRETE_DEVICES = {
+    "gaussian_matched": (GaussianIIDModel(0.0, 1.0, 5.0, 10.0), None, Thresholds(4.0, -2.0), 1000),
+    "gaussian_mismatched": (GaussianIIDModel(0.0, 1.0, 5.0, 10.0),
+                            GaussianIIDModel(-1.0, 2.0, 4.0, 6.0), Thresholds(4.0, -2.0), 1000),
+    "markov_matched": (MarkovGaussianModel(1.0, -1.0, -1.0, -1.0, 5.0, 5.0), None,
+                       Thresholds(4.0, -4.0), 800),
+    # an autoregressive process (w + 1 != 0), so x_prev enters the draws
+    "markov_mismatched": (MarkovGaussianModel(1.0, -1.0, -0.6, -0.4, 5.0, 4.0),
+                          MarkovGaussianModel(0.5, -1.5, -0.8, -1.2, 4.0, 6.0),
+                          Thresholds(4.0, -4.0), 800),
+    "lattice_matched": (LATTICE, None, LATTICE.thresholds, 200),
+    # a world model over another lattice step, with thresholds off either lattice
+    "lattice_mismatched": (LATTICE, LatticeBernoulliModel(p=0.7, m1=3, m2=2),
+                           Thresholds(2.5, -1.9), 200),
+}
+
+
+class TestCompactedKernelBits:
+    """The compacted kernel draws and adds exactly what the per-step loop did."""
+
+    @pytest.mark.parametrize("n", [1, 1001, 4096])
+    @pytest.mark.parametrize("truncating", [False, True], ids=["full", "truncating"])
+    @pytest.mark.parametrize("device", list(DISCRETE_DEVICES))
+    def test_block_matches_the_per_step_loop(self, device, truncating, n):
+        model, wm, th, window = DISCRETE_DEVICES[device]
+        wm = model if wm is None else wm
+        window = 10 if truncating else window
+        h = np.where(rng(20).random(n) < 0.5, 1, 2).astype(np.int8)
+        got = _wald_discrete_block(model, wm, th, h, window, rng(21))
+        want = reference_block(model, wm, th, h, window, rng(21))
+        assert_same_bits(got, want)
+        if truncating and n > 1:
+            assert (got[1] == 0).any() and (got[1] != 0).any()
+
+    @pytest.mark.parametrize("device", ["gaussian_matched", "markov_mismatched", "lattice_matched"])
+    def test_sample_is_the_per_step_draw(self, device):
+        model = DISCRETE_DEVICES[device][0]
+        h = np.where(rng(22).random(999) < 0.5, 1, 2)
+        x_prev = rng(23).normal(size=999)
+        got = model.sample(h, rng(24), size=999, x_prev=x_prev)
+        want = reference_draw(model, h, rng(24), x_prev)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# the four simulate configs of the benchmark, with a fixed window each
+BENCHMARK_RUNS = {
+    "gaussian_iid": dict(model=GaussianIIDModel(0.0, 1.0, 5.0, 10.0),
+                         thresholds=Thresholds(4.0, -2.0), trials=200_000, window=1000),
+    "markov_gaussian": dict(model=MarkovGaussianModel(1.0, -1.0, -1.0, -1.0, 5.0, 5.0),
+                            thresholds=Thresholds(4.0, -4.0), trials=100_000, window=800),
+    "lattice": dict(model=LATTICE, thresholds=LATTICE.thresholds, trials=200_000, window=200),
+    "drift_diffusion": dict(model=DriftDiffusionModel(0.0, 1.0, 5.0),
+                            thresholds=Thresholds(4.0, -2.0), trials=400_000, window=5000.0,
+                            dt=4.0, stratified=True),
+}
+
+
+@pytest.mark.parametrize("seed", [5, 20180115])
+@pytest.mark.parametrize("family", list(BENCHMARK_RUNS))
+def test_run_experiment_matches_the_reference_kernels(monkeypatch, family, seed):
+    cfg = ExperimentConfig(seed=seed, **BENCHMARK_RUNS[family])
+    got = [run_experiment(cfg, threads=threads).records for threads in (1, 2)]
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_wald_discrete_block", reference_block)
+        m.setattr(models, "_invert", lambda cdf, guide, u: np.searchsorted(cdf, u, side="right"))
+        want = run_experiment(cfg).records
+    for records in got:
+        assert_same_bits(
+            (records.time, records.decision, records.terminal_llr, records.hypothesis),
+            (want.time, want.decision, want.terminal_llr, want.hypothesis),
+        )
 
 
 class TestMartingaleProperty:
@@ -304,9 +437,60 @@ class TestExitTable:
         assert 1.0 - f1[-1] - f2[-1] < 1e-15
 
     def test_tables_are_read_only(self):
-        f1, _ = _exit_cdfs(0.02, 0.02, 4.0, -2.0, 1.0, 5000)
+        # the cache of exit-law tables hands the same arrays to every caller
+        cdf, guide = _exit_inverse(0.02, 0.02, 4.0, -2.0, 1.0, 5000)
         with pytest.raises(ValueError):
-            f1[0] = 0.0
+            cdf[0] = 0.0
+        with pytest.raises(ValueError):
+            guide[0] = 1
+
+
+class TestGuideTable:
+    """``_invert`` reads the same cells as a binary search of the joint CDF."""
+
+    TABLES = {
+        "mi_scan_matched": (0.02, 0.02, 4.0, -2.0, 1.0, 5000),
+        "mi_scan_belief_0.5": (0.005, 0.0125, 4.0, -2.0, 1.0, 5000),
+        "small_dt": (0.02, 0.02, 4.0, -2.0, 0.05, 100_000),
+        "truncated": (0.02, 0.02, 4.0, -2.0, 1.0, 151),
+        "zero_drift": (0.0, 2.0, 1.0, -3.0, 0.01, 10**6),
+    }
+
+    @staticmethod
+    def edge_uniforms(cdf, guide):
+        size = len(guide) - 1
+        points = np.concatenate((np.arange(size + 1) / size, cdf[:-1], [0.0, 1.0 - 2.0**-53]))
+        u = np.concatenate((points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)))
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_cells_equal_searchsorted_at_every_edge(self, table):
+        cdf, guide = _exit_inverse(*self.TABLES[table])
+        u = self.edge_uniforms(cdf, guide)
+        assert np.array_equal(_invert(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+        u = rng(25).random(100_000)
+        assert np.array_equal(_invert(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+
+    def test_small_dt_tail_buckets_hold_many_entries(self):
+        cdf, guide = _exit_inverse(*self.TABLES["small_dt"])
+        assert np.diff(guide).max() > 100
+
+    def test_uniforms_past_a_truncated_mass_are_undecided(self):
+        cdf, guide = _exit_inverse(*self.TABLES["truncated"])
+        total = cdf[-2]
+        assert total < 1.0 - 1e-3
+        past = np.concatenate(([total], np.linspace(total, 1.0, 1001, endpoint=False)[1:],
+                               [np.nextafter(total, 2.0), 1.0 - 2.0**-53]))
+        assert np.all(_invert(cdf, guide, past) == len(cdf) - 1)
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_guide_shape(self, table):
+        cdf, guide = _exit_inverse(*self.TABLES[table])
+        f1, f2 = _exit_cdfs(*self.TABLES[table])
+        assert np.array_equal(cdf, np.concatenate((f1, f1[-1] + f2, [np.inf])))
+        size = len(guide) - 1
+        assert guide.dtype == np.int32 and size & (size - 1) == 0
+        assert len(cdf) - 1 <= size < 2 * (len(cdf) - 1)
 
 
 class TestModelValidation:
