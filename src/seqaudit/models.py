@@ -8,7 +8,6 @@ the observation model instance.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +41,6 @@ class GaussianIIDModel:
         ``rng.normal(mu, sigma, size)``."""
         mu, sigma = params
         return mu + sigma * rng.standard_normal(size)
-
-    def sample(self, h, rng: np.random.Generator, size=None, x_prev=None):
-        return self.draw(self.draw_params(h), rng, size, x_prev)
 
     def llr_increment(self, x, x_prev=None):
         x = np.asarray(x, dtype=np.float64)
@@ -85,9 +81,6 @@ class MarkovGaussianModel:
         ``rng.normal(v + (w + 1) x_prev, sigma, size)``."""
         v, w1, sigma = params
         return v + w1 * np.asarray(x_prev) + sigma * rng.standard_normal(size)
-
-    def sample(self, h, rng: np.random.Generator, size=None, x_prev=0.0):
-        return self.draw(self.draw_params(h), rng, size, x_prev)
 
     def llr_increment(self, x, x_prev=0.0):
         x = np.asarray(x, dtype=np.float64)
@@ -271,7 +264,6 @@ def _exit_cdfs(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int
     return tuple(np.maximum.accumulate(np.maximum(np.concatenate(out), 0.0)) for out in rows)
 
 
-@functools.lru_cache(maxsize=16)
 def _exit_inverse(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int):
     """The joint CDF of (decision, step) from ``_exit_cdfs`` and its guide table.
 
@@ -280,14 +272,12 @@ def _exit_inverse(a: float, b: float, l1: float, l2: float, dt: float, n_steps: 
     which gives every bucket an entry to compare.  Over G buckets, G the least
     power of two at or above the finite entries' count,
     ``guide[g] = searchsorted(cdf, g / G, "right")`` for g = 0..G (Chen & Asau
-    1974; Devroye 1986, section III.2.4).  Both arrays are read-only
-    because the cache hands the same ones to every caller.
+    1974; Devroye 1986, section III.2.4).
     """
     f1, f2 = _exit_cdfs(a, b, l1, l2, dt, n_steps)
     cdf = np.concatenate((f1, f1[-1] + f2, [np.inf]))
     size = 1 << (len(cdf) - 2).bit_length()
     guide = np.searchsorted(cdf, np.arange(size + 1) / size, side="right").astype(np.int32)
-    cdf.flags.writeable = guide.flags.writeable = False
     return cdf, guide
 
 
@@ -306,25 +296,23 @@ def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cell
 
 
-def _wald_continuous_block(a: np.ndarray, b: float, th, dt: float, t_max: float, rng):
-    """Exact trials of the device whose LLR is dS = a dt + sqrt(2b) dW.
+def _wald_continuous_block(laws, h: np.ndarray, th, dt: float, rng):
+    """Exact trials of the device whose LLR is dS = a_h dt + sqrt(2b) dW.
 
     Each trial takes one uniform from ``rng`` and inverts the joint law of
-    (decision, dt-step of the first crossing) tabulated by ``_exit_cdfs``,
-    through the guide table of ``_exit_inverse``: a crossing in
+    (decision, dt-step of the first crossing) under its hypothesis h through
+    ``laws[h]``, the (cdf, guide) pair of ``_exit_inverse``: a crossing in
     ((k-1) dt, k dt] is recorded at time k dt with the crossed threshold as
-    its terminal LLR.  Trials undecided after ceil(t_max/dt) steps are
+    its terminal LLR.  Trials undecided past the table's last step are
     truncated: decision 0, time 0 and terminal NaN.
     """
-    n = len(a)
-    n_steps = int(math.ceil(t_max / dt))
+    n = len(h)
     u = rng.random(n)
     times = np.zeros(n)
     decisions = np.zeros(n, dtype=np.int8)
     terminal = np.full(n, np.nan)
-    for drift in np.unique(a):
-        idx = np.flatnonzero(a == drift)
-        cdf, guide = _exit_inverse(float(drift), b, th.l1, th.l2, dt, n_steps)
+    for hyp, (cdf, guide) in laws.items():
+        idx = np.flatnonzero(h == hyp)
         rows = (len(cdf) - 1) // 2
         cell = _invert(cdf, guide, u[idx])
         d = np.where(cell < rows, 1, np.where(cell < 2 * rows, 2, 0))

@@ -57,9 +57,6 @@ class LatticeBernoulliModel:
         (up,) = params
         return np.where(rng.random(size) < up, 1.0, -1.0)
 
-    def sample(self, h, rng: np.random.Generator, size=None, x_prev=None):
-        return self.draw(self.draw_params(h), rng, size, x_prev)
-
     def llr_increment(self, x, x_prev=None):
         return np.asarray(x, dtype=np.float64) * self.step
 

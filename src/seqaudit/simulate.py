@@ -18,6 +18,7 @@ from .analytic import continuous_llr_params
 from .core import EmptyCellError, RecordBatch, SECONDS, STEPS, Thresholds, ValidationError
 from .models import (
     DriftDiffusionModel,
+    _exit_inverse,
     _wald_continuous_block,
     _wald_discrete_block,
 )
@@ -127,15 +128,23 @@ def _block_hypotheses(cfg: ExperimentConfig, start: int, n: int, rng) -> np.ndar
     return np.where(rng.random(n) < cfg.p1, 1, 2).astype(np.int8)
 
 
-def _run_block(cfg: ExperimentConfig, block_index: int):
+def _exit_laws(cfg: ExperimentConfig):
+    """The (cdf, guide) exit-law table of each hypothesis the prior can draw."""
+    p = continuous_llr_params(cfg.model, cfg.device)
+    th, n_steps = cfg.thresholds, math.ceil(cfg.window / cfg.dt)
+    drifts = ((1, p.a1, cfg.p1 > 0.0), (2, p.a2, cfg.p1 < 1.0))
+    return {
+        h: _exit_inverse(a, p.b, th.l1, th.l2, cfg.dt, n_steps) for h, a, drawn in drifts if drawn
+    }
+
+
+def _run_block(cfg: ExperimentConfig, laws, block_index: int):
     start = block_index * BLOCK_SIZE
     n = min(BLOCK_SIZE, cfg.trials - start)
     rng = block_rng(cfg.seed, block_index)
     h = _block_hypotheses(cfg, start, n, rng)
     if cfg.is_continuous:
-        p = continuous_llr_params(cfg.model, cfg.device)
-        a = np.where(h == 1, p.a1, p.a2)
-        cols = _wald_continuous_block(a, p.b, cfg.thresholds, cfg.dt, cfg.window, rng)
+        cols = _wald_continuous_block(laws, h, cfg.thresholds, cfg.dt, rng)
     else:
         cols = _wald_discrete_block(cfg.model, cfg.device, cfg.thresholds, h, cfg.window, rng)
     return (h, *cols)
@@ -150,11 +159,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     blocks = range(math.ceil(cfg.trials / BLOCK_SIZE))
+    laws = _exit_laws(cfg) if cfg.is_continuous else None
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda i: _run_block(cfg, i), blocks))
+            parts = list(ex.map(lambda i: _run_block(cfg, laws, i), blocks))
     else:
-        parts = [_run_block(cfg, i) for i in blocks]
+        parts = [_run_block(cfg, laws, i) for i in blocks]
 
     h, times, decisions, terminal = (np.concatenate(col) for col in zip(*parts))
     decided = decisions != 0

@@ -71,9 +71,11 @@ def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> 
 
 
 def native_binning(times: np.ndarray) -> Binning:
-    """One bin per distinct value, cut at the midpoints between neighbours."""
+    """One bin per distinct value, cut at the midpoints between neighbours, or
+    at the upper one where the midpoint rounds down onto the lower."""
     values = np.unique(times)
-    return Binning(edges=tuple(((values[:-1] + values[1:]) / 2.0).tolist()))
+    mid = (values[:-1] + values[1:]) / 2.0
+    return Binning(edges=tuple(np.where(mid > values[:-1], mid, values[1:]).tolist()))
 
 
 def _count_table(

@@ -770,7 +770,49 @@ class TestOneKernelCaller:
             "    times, decisions, terminal, decided = _wald_discrete_block(\n"
             "        model, wm, th, h, max_steps, rng\n"
             "    )\n\n"
-            "def g(a, b, th, rng):\n"
-            "    return models._wald_continuous_block(a, b, th, 0.1, 1.0, rng)\n"
+            "def g(laws, h, th, rng):\n"
+            "    return models._wald_continuous_block(laws, h, th, 0.1, rng)\n"
         )
         assert _kernel_calls(tree) == ["overshoot_profile", "g"]
+
+
+CACHE_DECORATORS = ("lru_cache", "cache", "cached_property")
+
+
+def _cached_functions(tree: ast.AST):
+    """Names of the functions decorated with a ``functools`` cache, bare or called."""
+    def name(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(dec, "id", getattr(dec, "attr", None))
+
+    return sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(name(dec) in CACHE_DECORATORS for dec in node.decorator_list)
+    )
+
+
+class TestNoProcessCache:
+    def test_no_function_is_cached(self):
+        src = Path(seqaudit.__file__).parent
+        cached = [
+            (path.stem, func)
+            for path in sorted(src.glob("*.py"))
+            for func in _cached_functions(ast.parse(path.read_text()))
+        ]
+        assert cached == []
+
+    def test_guard_sees_a_cached_function(self):
+        tree = ast.parse(
+            "@functools.lru_cache(maxsize=16)\n"
+            "def f(a):\n    return a\n\n"
+            "@cache\n"
+            "def g(a):\n    return a\n\n"
+            "class C:\n"
+            "    @functools.cached_property\n"
+            "    def h(self):\n        return 1\n\n"
+            "    @staticmethod\n"
+            "    def k():\n        return 2\n"
+        )
+        assert _cached_functions(tree) == ["f", "g", "h"]

@@ -58,7 +58,9 @@ def ref_counts(x):
 
 def ref_native_binning(times):
     values = np.unique(times)
-    return Binning(edges=tuple(((values[:-1] + values[1:]) / 2.0).tolist()))
+    edges = [(a + b) / 2.0 for a, b in zip(values[:-1], values[1:])]
+    # a midpoint that rounds onto the lower neighbour would merge two values
+    return Binning(edges=tuple(m if m > a else b for a, b, m in zip(values, values[1:], edges)))
 
 
 def ref_binning(batch, binning):
@@ -378,6 +380,7 @@ class TestCountTableEqualsSamplePath:
     @given(st.lists(st.tuples(st.sampled_from(["b", "a", "c"]), real_times), min_size=1,
                     max_size=200))
     @settings(max_examples=100, deadline=None)
+    @example(rows=[("b", 0.0), ("a", 5e-324)])  # the midpoint rounds to 0.0
     def test_mi_plugin_string_labels_real_values(self, rows):
         x = np.array([r[0] for r in rows])
         y = np.array([r[1] for r in rows])

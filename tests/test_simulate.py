@@ -8,9 +8,13 @@ from seqaudit.core import (
     read_records_csv, write_records_csv,
 )
 from seqaudit.analytic import continuous_llr_params, error_probs_continuous
-from seqaudit.models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel, _exit_cdfs
+from seqaudit import simulate
+from seqaudit.models import (
+    DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel, _exit_cdfs, _exit_inverse,
+)
 from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.simulate import (
+    BLOCK_SIZE,
     ExperimentConfig,
     _block_hypotheses,
     block_rng,
@@ -130,7 +134,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kwargs", [
         {},
-        # three blocks on two threads share the exit-law table cache
+        # three blocks on two threads share the run's exit-law tables
         {"model": DriftDiffusionModel(0.0, 1.0, 5.0), "dt": 1.0, "window": 5000.0},
     ], ids=["gaussian_iid", "drift_diffusion"])
     def test_determinism_and_thread_independence(self, kwargs):
@@ -143,6 +147,28 @@ class TestRunExperiment:
         assert np.array_equal(
             r1.records.terminal_llr, r2.records.terminal_llr, equal_nan=True
         )
+
+    @pytest.mark.parametrize("p1,drawn", [(0.5, (1, 2)), (1.0, (1,))])
+    def test_exit_laws_are_built_once_per_run(self, monkeypatch, p1, drawn):
+        # four blocks; a window of 150.5 rounds up to tables of 151 whole steps
+        cfg = small_cfg(model=DriftDiffusionModel(0.0, 1.0, 5.0), trials=4 * BLOCK_SIZE,
+                        p1=p1, dt=1.0, window=150.5)
+        p = continuous_llr_params(cfg.model, cfg.device)
+        calls = []
+
+        def counting(a, b, l1, l2, dt, n_steps):
+            calls.append((a, n_steps))
+            return _exit_inverse(a, b, l1, l2, dt, n_steps)
+
+        monkeypatch.setattr(simulate, "_exit_inverse", counting)
+        columns = []
+        for threads in (1, 2):
+            calls.clear()
+            rec = run_experiment(cfg, threads=threads).records
+            assert calls == [({1: p.a1, 2: p.a2}[h], 151) for h in drawn]
+            columns.append([c.tobytes() for c in
+                            (rec.hypothesis, rec.decision, rec.time, rec.terminal_llr)])
+        assert columns[0] == columns[1]
 
     def test_different_seeds_differ(self):
         r1 = run_experiment(small_cfg(seed=1))
