@@ -48,7 +48,7 @@ from .core import (
     write_table,
 )
 from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
-from .oracle import LatticeBernoulliModel, enumerate_exact_law
+from .oracle import LatticeBernoulliModel, diffusion_law, enumerate_exact_law
 from .overshoot import condition51_flatness, overshoot_profile
 from .simulate import ExperimentConfig, run_experiment, write_metadata
 from .stats import (
@@ -285,9 +285,11 @@ def mi_scan_rows(
 ) -> List[ScanRow]:
     """One simulate-and-estimate cycle per device-belief grid point.
 
-    The reference mean time comes from a matched device whose thresholds
+    The reference mean time is that of a matched device whose thresholds
     are rebuilt from the error probabilities the scanned device actually
-    achieved, mirroring the divergence-to-optimality diagnostic.  Every run
+    achieved, mirroring the divergence-to-optimality diagnostic.  For a
+    drift-diffusion device it is exact, from the reference device's exit
+    law.  A discrete device's reference is a run of its own, and every run
     reuses the master seed (common random numbers), so differences across
     grid points and against the reference reflect the device change rather
     than fresh sampling noise.
@@ -306,8 +308,11 @@ def mi_scan_rows(
             world_model=None,
             thresholds=thresholds_from_alphas(spec),
         )
-        ref = run_experiment(ref_cfg, threads=threads)
-        mean_time_ref = float(ref.records.time.mean())
+        if base.is_continuous:
+            law = diffusion_law(base.model, ref_cfg.thresholds, base.dt, base.window)
+            mean_time_ref = law.mean_time(ref_cfg.p1)
+        else:
+            mean_time_ref = float(run_experiment(ref_cfg, threads=threads).records.time.mean())
         rows.append(
             ScanRow(
                 value=float(value),

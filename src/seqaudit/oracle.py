@@ -1,4 +1,4 @@
-"""Exact ground truth on lattice walks with zero threshold overshoot.
+"""Exact ground truth on devices with zero threshold overshoot.
 
 A two-point observation alphabet makes the log-likelihood ratio a simple
 random walk on multiples of ln(p/(1-p)).  With thresholds placed on the
@@ -6,6 +6,8 @@ lattice the walk hits a boundary exactly, the time-independence condition
 on the exponentiated overshoot holds trivially, and the conditional
 decision-time laws can be enumerated to machine precision.  This supplies
 the null distribution against which the statistical tests are calibrated.
+A drift-diffusion device crosses its thresholds continuously, and its law
+on a dt grid is read off the two-barrier exit CDFs.
 """
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import continuous_llr_params
 from .core import Thresholds, ValidationError, check_finite
+from .models import _exit_cdfs
 
 SURVIVAL_TOL = 1e-12
 
@@ -65,14 +69,17 @@ class LatticeBernoulliModel:
 class ExactLaw:
     """Exact joint law of (T, D) per hypothesis up to ``k_max``.
 
-    ``pmf[h-1, d-1, k-1]`` is P(T=k, D=d | H=h), held in the extended
-    precision it was enumerated in: a mass below the float64 range stays
-    positive.  ``surviving[h-1]`` is the mass still unabsorbed at ``k_max``.
+    ``pmf[h-1, d-1, k-1]`` is P(T in ((k-1) dt, k dt], D=d | H=h), the law
+    of a record at time k dt; a lattice walk has ``dt`` 1, its cells being
+    steps.  A lattice law is held in the extended precision it was
+    enumerated in: a mass below the float64 range stays positive.
+    ``surviving[h-1]`` is the mass still undecided at ``k_max``.
     """
 
     pmf: np.ndarray
     surviving: np.ndarray
-    model: LatticeBernoulliModel
+    thresholds: Thresholds
+    dt: float = 1.0
 
     @property
     def k_max(self) -> int:
@@ -85,6 +92,11 @@ class ExactLaw:
         """P(T=k | D=d, H=h) at index k-1."""
         cell = self.pmf[h - 1, d - 1]
         return (cell / cell.sum()).astype(np.float64)
+
+    def mean_time(self, p1: float) -> float:
+        """Mean recorded time of the decided trials under prior P(H=1) = ``p1``."""
+        mass = p1 * self.pmf[0].sum(axis=0) + (1.0 - p1) * self.pmf[1].sum(axis=0)
+        return float((mass * np.arange(1, self.k_max + 1)).sum() / mass.sum() * self.dt)
 
     def to_rows(self):
         """(k, d, h, probability) for every positive mass, in (k, d, h) order."""
@@ -132,7 +144,23 @@ def enumerate_exact_law(model: LatticeBernoulliModel, k_max: int | None = None) 
     pmf = np.zeros((2, 2, max(a.shape[1] for a in absorbed)), dtype=np.longdouble)
     for h, cells in enumerate(absorbed):
         pmf[h, :, : cells.shape[1]] = cells
-    return ExactLaw(pmf=pmf, surviving=surviving, model=model)
+    return ExactLaw(pmf=pmf, surviving=surviving, thresholds=model.thresholds)
+
+
+def diffusion_law(model, thresholds: Thresholds, dt: float, window: float, device=None) -> ExactLaw:
+    """The law of the records of a drift-diffusion device, as ``run_experiment`` draws them.
+
+    Cell k is the crossing time ((k-1) dt, k dt] over ceil(window/dt)
+    steps, from the exit CDFs that the simulator inverts; ``device`` None is
+    the matched device.
+    """
+    p = continuous_llr_params(model, model if device is None else device)
+    n_steps = math.ceil(window / dt)
+    cdfs = [_exit_cdfs(a, p.b, thresholds.l1, thresholds.l2, dt, n_steps) for a in (p.a1, p.a2)]
+    pmf = np.zeros((2, 2, max(len(f1) for f1, _ in cdfs)))
+    for h, cells in enumerate(cdfs):
+        pmf[h, :, : len(cells[0])] = np.diff(cells, axis=1, prepend=0.0)
+    return ExactLaw(pmf=pmf, surviving=1.0 - pmf.sum(axis=(1, 2)), thresholds=thresholds, dt=dt)
 
 
 def verify_fluctuation_relation(law: ExactLaw, tol: float = 1e-12):
@@ -150,8 +178,6 @@ def verify_fluctuation_relation(law: ExactLaw, tol: float = 1e-12):
     conditional = law.pmf / law.pmf.sum(axis=2, keepdims=True)
     max_dev = float(np.abs(conditional[0] - conditional[1]).max())
     ratio = law.decision_prob(1, 1) / law.decision_prob(1, 2)
-    ratio_dev = abs(ratio - math.exp(law.model.thresholds.l1)) / math.exp(
-        law.model.thresholds.l1
-    )
+    ratio_dev = abs(ratio - math.exp(law.thresholds.l1)) / math.exp(law.thresholds.l1)
     max_dev = max(max_dev, ratio_dev)
     return max_dev <= tol, max_dev

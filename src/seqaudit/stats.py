@@ -74,7 +74,7 @@ def native_binning(times: np.ndarray) -> Binning:
     """One bin per distinct value, cut at the midpoints between neighbours, or
     at the upper one where the midpoint rounds down onto the lower."""
     values = np.unique(times)
-    mid = (values[:-1] + values[1:]) / 2.0
+    mid = values[:-1] / 2.0 + values[1:] / 2.0  # halved first: no overflow near the largest float
     return Binning(edges=tuple(np.where(mid > values[:-1], mid, values[1:]).tolist()))
 
 
@@ -109,12 +109,12 @@ def _native_table(codes: np.ndarray, rows: int, times: np.ndarray) -> Tuple[np.n
     ``time * rows + code``, and the all-zero columns are dropped; any other
     times are numbered by ``np.unique``.  An empty sample gets one empty column.
     """
-    if times.size and times.min() >= 0 and (cells := rows * (times.max() + 1)) <= 2 * times.size + 4096:
+    if times.size and times.min() >= 0 and (top := times.max()) <= (2 * times.size + 4096) / rows - 1:
         t = times.astype(np.int64)
         if np.array_equal(t, times):
             t *= rows  # in place: ``t * rows + codes`` would hold one more int64 column
             t += codes
-            table = np.bincount(t, minlength=int(cells)).reshape(-1, rows)
+            table = np.bincount(t, minlength=rows * (int(top) + 1)).reshape(-1, rows)
             keep = table.any(axis=1)
             return np.flatnonzero(keep).astype(np.float64), table[keep].T
     values, index = np.unique(times, return_inverse=True)

@@ -3,7 +3,7 @@ import contextlib
 import json
 import math
 import signal
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ from seqaudit import cli, reproduce
 from seqaudit.cli import MODEL_FIELDS, main
 from seqaudit.analytic import ContinuousLLRParams
 from seqaudit.core import Thresholds, ValidationError
-from seqaudit.models import GaussianIIDModel
+from seqaudit.models import DriftDiffusionModel, GaussianIIDModel
 from seqaudit.oracle import LatticeBernoulliModel
 from seqaudit.overshoot import overshoot_profile
 from seqaudit.simulate import ExperimentConfig, run_experiment
@@ -291,6 +291,19 @@ class TestTestCommand:
         assert manifest["time_kind"] == expected
 
 
+# mi_scan.csv of the scan in test_gaussian_scan_csv_is_pinned, as the simulated
+# reference wrote it before drift-diffusion scans took theirs from the exit law
+GAUSSIAN_SCAN_CSV = """\
+mu2,mi_bits,mean_time,mean_time_ref,time_ratio_minus_one,alpha1_hat,alpha2_hat,truncated_fraction
+0.5,0.004797532374180236,5.180303030303031,5.241549876339654,-0.01168487326870471,\
+0.012114537444933921,0.0970873786407767,0.34
+1.0,0.0062222157858471405,5.106676899462778,4.563559322033898,0.1190118368367834,\
+0.004550625711035267,0.07783018867924528,0.3485
+1.5,0.006732830739259565,5.296898079763663,4.464435146443515,0.18646545554218874,\
+0.004454342984409799,0.08991228070175439,0.323
+"""
+
+
 class TestMiScanCommand:
     def test_single_point_grid(self, tmp_path):
         cfg = tmp_path / "scan.ini"
@@ -341,6 +354,54 @@ class TestMiScanCommand:
             assert run_cli("--out-dir", out, "mi-scan", cfg) == 0
             tables.append((out / "mi_scan.csv").read_bytes())
         assert tables[0] == tables[1]
+
+    def test_gaussian_scan_csv_is_pinned(self, tmp_path):
+        # a discrete device's reference is a same-seed run of its own
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text(
+            BASE_CONFIG.replace("trials = 8000", "trials = 2000").replace("window = 300", "window = 10")
+            + "\n[scan]\nparameter = mu2\nvalues = 0.5,1.0,1.5\n"
+        )
+        assert run_cli("--out-dir", tmp_path / "out", "mi-scan", cfg) == 0
+        assert (tmp_path / "out" / "mi_scan.csv").read_text() == GAUSSIAN_SCAN_CSV
+
+    @pytest.mark.parametrize("model,dt,runs", [
+        (DriftDiffusionModel(0.0, 1.0, 5.0), 1.0, 1),
+        (GaussianIIDModel(0.0, 1.0, 5.0, 10.0), None, 2),
+    ], ids=["drift_diffusion", "gaussian_iid"])
+    def test_simulated_runs_per_point(self, monkeypatch, model, dt, runs):
+        calls = []
+
+        def counted(cfg, threads=1):
+            calls.append(cfg)
+            return run_experiment(cfg, threads)
+
+        monkeypatch.setattr(cli, "run_experiment", counted)
+        base = ExperimentConfig(model=model, thresholds=Thresholds(4.0, -2.0), trials=2000,
+                                seed=5, window=500, dt=dt, stratified=True)
+        cli.mi_scan_rows(base, "mu2", [0.75, 1.0, 1.5])
+        assert len(calls) == 3 * runs
+
+    def test_exact_reference_is_the_simulated_one(self, monkeypatch):
+        # the grid, seed and trials of acceptance criterion 5a
+        base = ExperimentConfig(model=DriftDiffusionModel(0.0, 1.0, 5.0),
+                                thresholds=Thresholds(4.0, -2.0), trials=100_000, seed=20180115,
+                                window=5000.0, dt=1.0, stratified=True)
+        laws, exact = [], cli.diffusion_law
+
+        def recorded(*args):
+            laws.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(cli, "diffusion_law", recorded)
+        rows = cli.mi_scan_rows(base, "mu2", [0.5, 0.75, 1.0, 1.25, 1.5, 2.0])
+        assert len(laws) == len(rows)
+        for row, (model, thresholds, dt, window) in zip(rows, laws):
+            assert (model, dt, window) == (base.model, base.dt, base.window)
+            ref = run_experiment(replace(base, thresholds=thresholds)).records.time
+            se = ref.std() / math.sqrt(ref.size)
+            assert abs(ref.mean() - row.mean_time_ref) < 4.0 * se, row.value
+            assert row.time_ratio_minus_one == row.mean_time / row.mean_time_ref - 1.0
 
     @pytest.mark.parametrize("key", ["start", "stop", "points"])
     def test_range_keys_rejected(self, tmp_path, capsys, key):
@@ -835,6 +896,12 @@ class TestImportRule:
         # reproduce takes the belief scan from cli; the edge goes once the
         # scan moves into the library (ROADMAP item 6)
         assert _cli_importers(Path(cli.__file__).parent) == {"reproduce"}
+
+    def test_oracle_imports_only_core_models_and_analytic(self):
+        # simulate imports oracle for the lattice device; oracle must not import back
+        assert _package_imports(Path(cli.__file__).parent / "oracle.py") == {
+            "core", "models", "analytic"
+        }
 
     def test_stats_imports_only_core(self, tmp_path):
         # analytic imports stats for the chain rule; stats must not import back

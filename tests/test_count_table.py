@@ -58,7 +58,7 @@ def ref_counts(x):
 
 def ref_native_binning(times):
     values = np.unique(times)
-    edges = [(a + b) / 2.0 for a, b in zip(values[:-1], values[1:])]
+    edges = [a / 2.0 + b / 2.0 for a, b in zip(values[:-1], values[1:])]
     # a midpoint that rounds onto the lower neighbour would merge two values
     return Binning(edges=tuple(m if m > a else b for a, b, m in zip(values, values[1:], edges)))
 
@@ -381,6 +381,7 @@ class TestCountTableEqualsSamplePath:
                     max_size=200))
     @settings(max_examples=100, deadline=None)
     @example(rows=[("b", 0.0), ("a", 5e-324)])  # the midpoint rounds to 0.0
+    @example(rows=[("b", 1e308), ("a", 1.7e308)])  # their sum overflows
     def test_mi_plugin_string_labels_real_values(self, rows):
         x = np.array([r[0] for r in rows])
         y = np.array([r[1] for r in rows])
@@ -558,6 +559,16 @@ class TestNativeBinning:
     def test_midpoints_between_distinct_values(self, values):
         times = np.array(values, dtype=float)
         assert native_binning(times) == ref_native_binning(times)
+
+    def test_native_table_near_the_largest_float(self):
+        times = np.array([1e308, 1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, table = stats._native_table(np.array([0, 1, 0]), 2, times)
+            binning = native_binning(times)
+        assert values.tolist() == [1e308, 1.7e308]
+        assert table.tolist() == [[1, 1], [0, 1]]
+        assert binning == Binning(edges=(1.35e308,))
 
     def test_mi_plugin_reports_the_binning_it_used(self):
         y = np.array([3.0, 1.0, 3.0, 7.0])

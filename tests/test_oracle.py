@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from seqaudit.core import ValidationError
+from seqaudit.analytic import continuous_llr_params, error_probs_continuous
+from seqaudit.core import Thresholds, ValidationError
+from seqaudit.models import DriftDiffusionModel
 from seqaudit.oracle import (
+    ExactLaw,
     LatticeBernoulliModel,
+    diffusion_law,
     enumerate_exact_law,
     verify_fluctuation_relation,
 )
@@ -87,6 +91,13 @@ class TestEnumerateExactLaw:
             assert total + law.surviving[h - 1] == pytest.approx(1.0, abs=1e-12)
             assert law.surviving[h - 1] < 1e-12
 
+    def test_cells_are_steps(self):
+        model = LatticeBernoulliModel(p=0.7, m1=3, m2=2)
+        law = enumerate_exact_law(model)
+        assert (law.thresholds, law.dt) == (model.thresholds, 1.0)
+        # a single-step walk decides at its first step under either prior
+        assert enumerate_exact_law(LatticeBernoulliModel(p=0.8, m1=1, m2=1)).mean_time(0.3) == 1.0
+
     def test_k_max_validation(self):
         with pytest.raises(ValidationError):
             enumerate_exact_law(LatticeBernoulliModel(p=0.8, m1=3, m2=3), k_max=2)
@@ -132,6 +143,50 @@ class TestVerifyFluctuationRelation:
                         p_k_hd = p_hdk / (p_h_d * p_d)
                         total += p_hdk * math.log2(p_k_hd / p_k_d)
         assert abs(total) < 1e-12
+
+
+# the mi-scan device: its belief mu2~ = 1.0 is the matched device
+SCAN_MODEL = DriftDiffusionModel(0.0, 1.0, 5.0)
+SCAN_TH = Thresholds(4.0, -2.0)
+# at mu2~ = 0.5 the H1 table needs 14,325 steps to complete
+SCAN_WINDOW = 20_000.0
+
+
+def scan_law(belief: float) -> ExactLaw:
+    return diffusion_law(SCAN_MODEL, SCAN_TH, 1.0, SCAN_WINDOW, DriftDiffusionModel(0.0, belief, 5.0))
+
+
+class TestDiffusionLaw:
+    @pytest.mark.parametrize("belief", [0.5, 1.0, 1.5, 2.0])
+    def test_decision_probabilities_are_the_closed_forms(self, belief):
+        law = scan_law(belief)
+        assert law.surviving.max() < 1e-15
+        p = continuous_llr_params(SCAN_MODEL, DriftDiffusionModel(0.0, belief, 5.0))
+        alpha1, alpha2 = error_probs_continuous(p, SCAN_TH)
+        assert abs(law.decision_prob(1, 2) - alpha1) < 1e-12
+        assert abs(law.decision_prob(2, 1) - alpha2) < 1e-12
+
+    def test_fluctuation_relation_holds_on_the_matched_device(self):
+        ok, dev = verify_fluctuation_relation(scan_law(1.0), tol=1e-12)
+        assert ok, f"max deviation {dev}"
+
+    def test_fluctuation_relation_fails_off_the_matched_device(self):
+        law = scan_law(1.5)
+        ok, _ = verify_fluctuation_relation(law, tol=1e-12)
+        assert not ok
+        conditional = law.pmf / law.pmf.sum(axis=2, keepdims=True)
+        assert np.abs(conditional[0] - conditional[1]).max() > 1e-3
+
+    def test_mean_time_weighs_the_hypotheses_by_the_prior(self):
+        law = diffusion_law(SCAN_MODEL, SCAN_TH, 4.0, SCAN_WINDOW)
+        k = np.arange(1, law.k_max + 1) * 4.0
+        mass = law.pmf.sum(axis=1)
+        means = [(mass[h] * k).sum() / mass[h].sum() for h in (0, 1)]
+        assert law.mean_time(1.0) == pytest.approx(means[0], rel=1e-14)
+        assert law.mean_time(0.0) == pytest.approx(means[1], rel=1e-14)
+        p1 = 0.3
+        w = np.array([p1 * mass[0].sum(), (1 - p1) * mass[1].sum()])
+        assert law.mean_time(p1) == pytest.approx((w * means).sum() / w.sum(), rel=1e-14)
 
 
 class TestMonteCarloConsistency:

@@ -10,9 +10,9 @@ from seqaudit.core import (
 from seqaudit.analytic import continuous_llr_params, error_probs_continuous
 from seqaudit import simulate
 from seqaudit.models import (
-    DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel, _exit_cdfs, _exit_inverse,
+    DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel, _exit_inverse,
 )
-from seqaudit.oracle import LatticeBernoulliModel
+from seqaudit.oracle import LatticeBernoulliModel, diffusion_law
 from seqaudit.simulate import (
     BLOCK_SIZE,
     ExperimentConfig,
@@ -258,16 +258,13 @@ def test_diffusion_records_follow_the_exit_law(mu2, dt):
                     trials=100_000, stratified=True, dt=dt, window=5000.0)
     result = run_experiment(cfg)
     rec = result.records
-    p = continuous_llr_params(cfg.model, cfg.device)
-    alphas = error_probs_continuous(p, cfg.thresholds)
-    for h, a, hat, alpha in ((2, p.a2, result.alpha1_hat, alphas[0]),
-                             (1, p.a1, result.alpha2_hat, alphas[1])):
+    alphas = error_probs_continuous(continuous_llr_params(cfg.model, cfg.device), cfg.thresholds)
+    law = diffusion_law(cfg.model, cfg.thresholds, dt, cfg.window, cfg.device)
+    for h, hat, alpha in ((2, result.alpha1_hat, alphas[0]), (1, result.alpha2_hat, alphas[1])):
         times = rec.time[rec.hypothesis == h]
         assert abs(hat - alpha) < 4.0 * math.sqrt(alpha * (1.0 - alpha) / times.size)
         # mean of the recorded ceil(T/dt)*dt under the tabulated law
-        f1, f2 = _exit_cdfs(a, p.b, cfg.thresholds.l1, cfg.thresholds.l2, dt, 5000 // int(dt))
-        mass = np.diff(f1, prepend=0.0) + np.diff(f2, prepend=0.0)
-        mean = (mass * np.arange(1, len(f1) + 1) * dt).sum() / mass.sum()
+        mean = law.mean_time(1.0 if h == 1 else 0.0)
         assert abs(times.mean() - mean) < 4.0 * times.std() / math.sqrt(times.size)
     assert np.all(rec.terminal_llr == np.where(rec.decision == 1, 4.0, -2.0))
 
