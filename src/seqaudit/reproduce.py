@@ -1,6 +1,6 @@
 """Desk-scale reproduction of the reference experiment figures.
 
-Each figure family runs the full pipeline (simulate, partition, test or
+Each figure family runs the full pipeline (simulate, then test or
 estimate) at ``scale`` times the reference trial count and writes plain CSV
 tables plus a matplotlib script that renders from those CSVs.  The toolkit
 itself draws nothing.

@@ -6,6 +6,9 @@ Real-valued times go through the two-sample Kolmogorov-Smirnov test,
 step-valued times through a two-sample chi-squared homogeneity test, and the
 divergence from optimality is scored by the plug-in conditional mutual
 information between hypothesis and (binned) decision time given the decision.
+Every statistic counts one table, the samples of each row at each distinct
+time (``_native_table``); a binning only groups that table's time columns,
+and equal-mass quantile bins come from its cumulative counts.
 """
 from __future__ import annotations
 
@@ -62,12 +65,29 @@ class Binning:
 
 def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> Binning:
     """Equal-mass bins from the pooled sample; robust to heavy right tails."""
-    times = np.asarray(times, dtype=np.float64)
-    if times.size == 0:
+    values, counts = np.unique(np.asarray(times, dtype=np.float64), return_counts=True)
+    return _quantile_edges(values, np.cumsum(counts), n_bins)
+
+
+def _quantile_edges(values: np.ndarray, cum: np.ndarray, n_bins: int) -> Binning:
+    """``n_bins`` equal-mass bins of the sample with ``cum[i]`` times at or below ``values[i]``.
+
+    ``np.quantile``'s default rule (Hyndman & Fan type 7): the q-quantile
+    lies at position (n - 1) q of the sorted sample, between the order
+    statistics either side, interpolated as numpy's ``_lerp`` does.  As there,
+    a sample holding NaN has every quantile NaN, which :class:`Binning` rejects.
+    """
+    n = int(cum[-1]) if cum.size else 0
+    if n == 0:
         raise EmptyCellError("cannot bin an empty sample")
-    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    edges = np.unique(np.quantile(times, qs))
-    return Binning(edges=tuple(edges.tolist()))
+    t, k = np.modf((n - 1) * np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+    # order statistic j is the first distinct value whose cumulative count exceeds j
+    lo, hi = (values[np.searchsorted(cum, np.minimum(j, n - 1), side="right")] for j in (k, k + 1))
+    diff = hi - lo
+    edges = lo + diff * t
+    np.subtract(hi, diff * (1 - t), out=edges, where=t >= 0.5)
+    np.copyto(edges, values[-1], where=np.isnan(values[-1]))  # a NaN sorts last
+    return Binning(edges=tuple(np.unique(edges).tolist()))
 
 
 def native_binning(times: np.ndarray) -> Binning:
@@ -85,20 +105,21 @@ def _count_table(
 
     ``binning`` None takes native bins for step-valued times and quantile
     bins otherwise; any other value that is not a :class:`Binning` raises
-    :class:`ValidationError`.  One ``bincount`` fills the ``rows`` x K table.
+    :class:`ValidationError`.  Every table is the native one, whose columns
+    a binning groups: bin j sums the columns at times in [edges[j-1], edges[j]).
     """
+    values, table = _native_table(codes, rows, times)
     if binning is None and time_kind == STEPS:
-        values, table = _native_table(codes, rows, times)
         return native_binning(values), table
+    # zero-prepended cumulative counts, differenced: ``np.add.reduceat`` gets empty bins wrong
+    cum = np.zeros((rows, table.shape[1] + 1), dtype=table.dtype)
+    np.cumsum(table, axis=1, out=cum[:, 1:])
     if binning is None:
-        binning = quantile_binning(times)
+        binning = _quantile_edges(values, cum[:, 1:].sum(axis=0), DEFAULT_QUANTILE_BINS)
     elif not isinstance(binning, Binning):
         raise ValidationError(f"unknown binning spec {binning!r}")
-    k = binning.n_bins
-    # bin-major codes: numpy adds ``codes`` into the fresh bin array in place,
-    # where ``codes * k``, with ``codes`` still held by the caller, is one more column
-    table = np.bincount(binning.assign(times) * rows + codes, minlength=rows * k)
-    return binning, table.reshape(k, rows).T
+    cuts = np.r_[0, np.searchsorted(values, binning.edges), table.shape[1]]
+    return binning, np.diff(cum[:, cuts], axis=1)
 
 
 def _native_table(codes: np.ndarray, rows: int, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -248,8 +269,10 @@ def _entropy_bits(counts: np.ndarray) -> float:
 def _hdt_table(batch: RecordBatch, binning: Optional[Binning]) -> Tuple[Binning, np.ndarray]:
     """The binning and the (hypothesis, decision, time-bin) count table.
 
-    Every plug-in entropy below is a sum over the 2 x 2 x K table taken in
-    (h, d, bin) order, and the step-valued chi-squared tests compare its rows.
+    Its bins group the columns of the native (hypothesis, decision, time)
+    table.  Every plug-in entropy below is a sum over the 2 x 2 x K table
+    taken in (h, d, bin) order, and the step-valued chi-squared tests
+    compare its rows.
     """
     if len(batch) == 0:
         raise EmptyCellError("no records")
@@ -293,8 +316,9 @@ def mi_plugin(x_labels, y_values, binning: Optional[Binning] = None) -> MIEstima
 def conditional_mi_plugin(records: RecordBatch, binning: Optional[Binning] = None) -> MIEstimate:
     """Plug-in estimate of I(hypothesis; time | decision) in bits.
 
-    Times are binned once over the pooled sample (native values for
-    step-valued records, equal-mass quantile bins otherwise); the estimate
+    The pooled (H, D, time) table is counted once and its time columns
+    grouped: one bin per distinct value for step-valued records, equal-mass
+    quantile bins from its cumulative counts otherwise.  The estimate
     then satisfies the chain rule against :func:`mi_plugin` on the same
     table exactly.  A ``binning`` that is not a :class:`Binning` or None
     raises :class:`ValidationError`.  The plug-in estimator carries a positive bias

@@ -4,9 +4,10 @@ Every plug-in information estimate in ``seqaudit.stats``, both optimality
 tests, the empirical error rates and the conditional pmf table of
 ``seqaudit.reproduce`` read one count table.  The reference functions below
 are the formulas they replaced: joint entropies from ``np.unique(axis=0)``
-over stacked label rows, per-cell ``np.unique`` counts, per-cell masks,
-chi-squared tests binned apart on each panel's own samples, and the KS test
-on each panel's sorted samples.  Both sides sum the same counts in the same
+over stacked label rows, equal-mass cut points from ``np.quantile`` over
+the raw sample, per-cell ``np.unique`` counts, per-cell masks, chi-squared
+tests binned apart on each panel's own samples, and the KS test on each
+panel's sorted samples.  Both sides sum the same counts in the same
 order, so the values must be equal, not merely close.
 """
 import math
@@ -63,12 +64,17 @@ def ref_native_binning(times):
     return Binning(edges=tuple(m if m > a else b for a, b, m in zip(values, values[1:], edges)))
 
 
+def ref_quantile_binning(times, n_bins=stats.DEFAULT_QUANTILE_BINS):
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    return Binning(edges=tuple(np.unique(np.quantile(times, qs)).tolist()))
+
+
 def ref_binning(batch, binning):
     if isinstance(binning, Binning):
         return binning
     if batch.time_kind == STEPS:
         return ref_native_binning(batch.time)
-    return quantile_binning(batch.time)
+    return ref_quantile_binning(batch.time)
 
 
 def ref_conditional_mi(batch, binning=None):
@@ -465,14 +471,13 @@ class TestOptimalityTestsOnCountTable:
         assert got == expected
 
     def test_each_statistic_builds_one_count_table(self, monkeypatch):
-        calls, depth = [], [0]
+        calls, depth = [], [0]  # (name, nesting depth) of each table build
 
-        def count_outermost(name):
+        def count_calls(name):
             build = getattr(stats, name)
 
             def counted(*args, **kwargs):
-                if depth[0] == 0:
-                    calls.append(name)
+                calls.append((name, depth[0]))
                 depth[0] += 1
                 try:
                     return build(*args, **kwargs)
@@ -481,25 +486,38 @@ class TestOptimalityTestsOnCountTable:
 
             monkeypatch.setattr(stats, name, counted)
 
-        count_outermost("_count_table")
-        count_outermost("_native_table")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("statistics must group the native table, not bin the sample")
+
+        count_calls("_count_table")
+        count_calls("_native_table")
+        monkeypatch.setattr(Binning, "assign", forbidden)
+        monkeypatch.setattr(np, "quantile", forbidden)
+        untied = random_batch(4, "seconds").time
         for kind in (STEPS, "seconds"):
             batch = random_batch(4, kind)
             h, t = batch.hypothesis, np.floor(batch.time)
             n = len(batch)
             # real-valued records are compared by KS on their native table
             test_table = "_count_table" if kind == STEPS else "_native_table"
+            explicit = Binning(edges=(5.0, 12.5, 20.0))
             for statistic, args, table in [
                 (stats.chi2_two_sample, (t[:n // 2], t[n // 2:]), "_count_table"),
+                (stats.chi2_two_sample, (t[:n // 2], t[n // 2:], explicit), "_count_table"),
                 (mi_plugin, (h, t), "_count_table"),
+                (mi_plugin, (h, batch.time, explicit), "_count_table"),
                 (conditional_mi_plugin, (batch,), "_count_table"),
+                (conditional_mi_plugin, (batch, explicit), "_count_table"),
                 (mi_decomposition, (batch,), "_count_table"),
+                (mi_decomposition, (batch, explicit), "_count_table"),
                 (optimality_test_known_h, (batch,), test_table),
                 (optimality_test_unknown_h, (batch,), test_table),
+                (ks_two_sample, (untied[:n // 2], untied[n // 2:]), "_native_table"),
             ]:
                 calls.clear()
                 statistic(*args)
-                assert calls == [table], (statistic.__name__, kind)
+                assert [c for c, d in calls if d == 0] == [table], (statistic.__name__, kind)
+                assert [c for c, _ in calls].count("_native_table") == 1, (statistic.__name__, kind)
 
 
 def random_batch(seed, kind):
@@ -574,6 +592,58 @@ class TestNativeBinning:
         y = np.array([3.0, 1.0, 3.0, 7.0])
         est = mi_plugin(np.array([1, 2, 1, 2]), y)
         assert est.binning == native_binning(y) == Binning(edges=(2.0, 5.0))
+
+
+class TestQuantileBinning:
+    """Equal-mass cut points against ``np.quantile`` over the raw sample, on any time."""
+
+    @given(st.lists(st.one_of(real_times, st.sampled_from([0.0, -0.0, 0.5, 3.0, 1e12, math.inf])),
+                    min_size=1, max_size=300),
+           st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    @example(values=[7.5], n_bins=32)
+    @example(values=[math.inf], n_bins=32)  # the interpolation is NaN, as in np.quantile
+    @example(values=[1.0, 2.0, math.inf], n_bins=2)
+    @example(values=[3.0] * 50 + [1.0], n_bins=40)
+    @example(values=[1.0, math.nan, 2.0], n_bins=4)  # every quantile NaN, as in np.quantile
+    def test_equals_np_quantile(self, values, n_bins):
+        times = np.array(values)
+        assert warned_outcome(quantile_binning, times, n_bins) == warned_outcome(
+            ref_quantile_binning, times, n_bins)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(EmptyCellError, match="cannot bin an empty sample"):
+            quantile_binning(np.array([]))
+
+    def test_nan_time_makes_default_edges_nan(self):
+        batch = random_batch(5, "seconds")
+        time = batch.time.copy()
+        time[7] = math.nan
+        batch = RecordBatch(batch.hypothesis, batch.decision, time, time_kind="seconds")
+        for statistic in (conditional_mi_plugin, mi_decomposition):
+            with pytest.raises(ValidationError, match="bin edges must not be NaN"):
+                statistic(batch)
+
+    def test_explicit_bins_put_nan_and_inf_last(self):
+        times = np.array([0.5, math.nan, 1.5, math.inf, 2.5, 0.0, math.nan])
+        codes = np.array([0, 1, 2, 3, 0, 1, 3])
+        bng = Binning(edges=(1.0, 2.0))
+        assert bng.assign(times).tolist() == [0, 2, 1, 2, 2, 0, 2]
+        table = stats._count_table(codes, 4, times, bng, "seconds")[1]
+        assert table.tolist() == [[1, 0, 1], [1, 0, 1], [0, 1, 0], [0, 0, 2]]
+        batch = RecordBatch(codes // 2 + 1, codes % 2 + 1, times)
+        assert conditional_mi_plugin(batch, bng).value_bits == ref_conditional_mi(batch, bng)
+        assert mi_plugin(codes, times, bng).value_bits == ref_mi_plugin(codes, times, bng)
+
+    def test_one_infinite_time_keeps_finite_edges(self):
+        g = np.random.default_rng(11)
+        n = 200_000
+        times = g.exponential(30.0, size=n)
+        times[123] = math.inf
+        batch = RecordBatch(g.integers(1, 3, size=n), g.integers(1, 3, size=n), times)
+        edges = conditional_mi_plugin(batch).binning.edges
+        assert np.isfinite(edges).all()
+        assert edges == quantile_binning(times).edges == ref_quantile_binning(times).edges
 
 
 class TestBinningDispatch:
