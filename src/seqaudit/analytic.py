@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .core import Thresholds, ValidationError
 from .models import DriftDiffusionModel, _exit_mass
@@ -120,6 +119,8 @@ def _ig_pdf(t, mean: float, shape: float):
 
 def _ig_cdf(t, mean: float, shape: float):
     """Inverse-Gaussian CDF, stable for large shape/mean ratios."""
+    from scipy.special import log_ndtr, ndtr  # here, so `import seqaudit` does not load it
+
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros_like(t)
     pos = t > 0

@@ -431,7 +431,7 @@ def cmd_oracle(args, out_dir: Path):
 def cmd_reproduce(args, out_dir: Path):
     from . import reproduce
 
-    seed = args.seed if args.seed is not None else 20180115
+    seed = args.seed if args.seed is not None else reproduce.DEFAULT_SEED
     scale = args.scale if args.scale is not None else reproduce.FIGURES[args.figure].scale
     outputs = reproduce.run_figure(
         args.figure, out_dir, scale=scale, seed=seed, threads=args.threads

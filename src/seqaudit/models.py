@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .core import ValidationError, check_finite
 
@@ -178,6 +177,8 @@ def _small_time_cdf(t: np.ndarray, d: float, mu: float, w: float, b: float) -> n
     Each image at signed distance c contributes the single-barrier passage
     law of |c| under drift |mu|, in log space so no prefactor overflows.
     """
+    from scipy.special import log_ndtr  # here, so `import seqaudit` does not load it
+
     s = np.sqrt(2.0 * b * t)
     m = abs(mu)
     lead = mu * d / (2.0 * b)
@@ -264,8 +265,8 @@ def _exit_cdfs(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int
     return tuple(np.maximum.accumulate(np.maximum(np.concatenate(out), 0.0)) for out in rows)
 
 
-def _exit_inverse(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int):
-    """The joint CDF of (decision, step) from ``_exit_cdfs`` and its guide table.
+def _exit_inverse(f1: np.ndarray, f2: np.ndarray):
+    """The joint CDF of (decision, step) from ``_exit_cdfs``' (f1, f2), and its guide table.
 
     ``cdf`` runs over the upper exits at dt, 2dt, ..., then the lower ones
     added to the whole upper mass, then +inf, which no uniform reaches and
@@ -274,7 +275,6 @@ def _exit_inverse(a: float, b: float, l1: float, l2: float, dt: float, n_steps: 
     ``guide[g] = searchsorted(cdf, g / G, "right")`` for g = 0..G (Chen & Asau
     1974; Devroye 1986, section III.2.4).
     """
-    f1, f2 = _exit_cdfs(a, b, l1, l2, dt, n_steps)
     cdf = np.concatenate((f1, f1[-1] + f2, [np.inf]))
     size = 1 << (len(cdf) - 2).bit_length()
     guide = np.searchsorted(cdf, np.arange(size + 1) / size, side="right").astype(np.int32)

@@ -147,16 +147,24 @@ def enumerate_exact_law(model: LatticeBernoulliModel, k_max: int | None = None) 
     return ExactLaw(pmf=pmf, surviving=surviving, thresholds=model.thresholds)
 
 
-def diffusion_law(model, thresholds: Thresholds, dt: float, window: float, device=None) -> ExactLaw:
-    """The law of the records of a drift-diffusion device, as ``run_experiment`` draws them.
+def diffusion_cdfs(model, thresholds: Thresholds, dt: float, window: float, device=None):
+    """The exit CDFs ``[(F1, F2)]`` under H=1 and H=2 at dt, 2dt, ... over ceil(window/dt) steps.
 
-    Cell k is the crossing time ((k-1) dt, k dt] over ceil(window/dt)
-    steps, from the exit CDFs that the simulator inverts; ``device`` None is
-    the matched device.
+    The simulator inverts them and :func:`diffusion_law` differences them;
+    ``device`` None is the matched device.
     """
     p = continuous_llr_params(model, model if device is None else device)
     n_steps = math.ceil(window / dt)
-    cdfs = [_exit_cdfs(a, p.b, thresholds.l1, thresholds.l2, dt, n_steps) for a in (p.a1, p.a2)]
+    return [_exit_cdfs(a, p.b, thresholds.l1, thresholds.l2, dt, n_steps) for a in (p.a1, p.a2)]
+
+
+def diffusion_law(model, thresholds: Thresholds, dt: float, window: float, device=None) -> ExactLaw:
+    """The law of the records of a drift-diffusion device, as ``run_experiment`` draws them.
+
+    Cell k is the crossing time ((k-1) dt, k dt], the difference of the
+    :func:`diffusion_cdfs` tables that the simulator inverts.
+    """
+    cdfs = diffusion_cdfs(model, thresholds, dt, window, device)
     pmf = np.zeros((2, 2, max(len(f1) for f1, _ in cdfs)))
     for h, cells in enumerate(cdfs):
         pmf[h, :, : len(cells[0])] = np.diff(cells, axis=1, prepend=0.0)

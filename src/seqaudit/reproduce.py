@@ -32,8 +32,10 @@ from .stats import (
 )
 from .cli import mi_scan_rows, mi_scan_table
 
+DEFAULT_SEED = 20180115
 IID_MODEL = GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0)
 IID_TH = Thresholds(4.0, -2.0)
+FIG8_ALPHA1, FIG8_L1 = 0.01, 4.0  # the error rate fig 8's beliefs hold, and its upper threshold
 PMF_COLUMNS = ("p_h1_d1", "p_h2_d1", "p_h1_d2", "p_h2_d2")
 BELIEF = "believed mean under hypothesis 2"
 
@@ -236,20 +238,20 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     return [path_a, path_c]
 
 
-def fig8_device(mu2_tilde: float, alpha1: float = 0.01, l1: float = 4.0):
-    """World model with the believed noise tuned to hold alpha1 fixed."""
+def fig8_device(mu2_tilde: float):
+    """World model with the believed noise tuned to hold alpha1 at ``FIG8_ALPHA1``."""
     obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
     mu1_t = 0.0
     ratio = (mu1_t - mu2_tilde) / (2 * obs.mu2 - mu1_t - mu2_tilde)
     if ratio >= 0:
         raise ValidationError("believed mean must lie strictly between 0 and 2")
-    sigma_t = math.sqrt(obs.sigma**2 * ratio * math.log(alpha1) / l1)
+    sigma_t = math.sqrt(obs.sigma**2 * ratio * math.log(FIG8_ALPHA1) / FIG8_L1)
     return continuous_llr_params(obs, DriftDiffusionModel(mu1_t, mu2_tilde, sigma_t))
 
 
 def _fig8(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
-    l1 = 4.0
-    e_wald = -math.log(0.01) / 0.02  # matched mean decision time
+    l1 = FIG8_L1
+    e_wald = -math.log(FIG8_ALPHA1) / 0.02  # matched mean decision time
     grid = np.linspace(0.1, 1.9, 19)
     rows_a, rows_b = [], []
     for mu2t in grid:
@@ -333,7 +335,7 @@ def run_figure(
     figure: str,
     out_dir: Path,
     scale: float,
-    seed: int = 20180115,
+    seed: int = DEFAULT_SEED,
     threads: int = 1,
 ) -> List[str]:
     if figure not in FIGURES:

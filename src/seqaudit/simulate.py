@@ -14,15 +14,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .analytic import continuous_llr_params
 from .core import EmptyCellError, RecordBatch, SECONDS, STEPS, Thresholds, ValidationError
-from .models import (
-    DriftDiffusionModel,
-    _exit_inverse,
-    _wald_continuous_block,
-    _wald_discrete_block,
-)
-from .oracle import LatticeBernoulliModel
+from .models import DriftDiffusionModel, _exit_inverse, _wald_continuous_block, _wald_discrete_block
+from .oracle import LatticeBernoulliModel, diffusion_cdfs
 
 BLOCK_SIZE = 1 << 15
 
@@ -129,13 +123,9 @@ def _block_hypotheses(cfg: ExperimentConfig, start: int, n: int, rng) -> np.ndar
 
 
 def _exit_laws(cfg: ExperimentConfig):
-    """The (cdf, guide) exit-law table of each hypothesis the prior can draw."""
-    p = continuous_llr_params(cfg.model, cfg.device)
-    th, n_steps = cfg.thresholds, math.ceil(cfg.window / cfg.dt)
-    drifts = ((1, p.a1, cfg.p1 > 0.0), (2, p.a2, cfg.p1 < 1.0))
-    return {
-        h: _exit_inverse(a, p.b, th.l1, th.l2, cfg.dt, n_steps) for h, a, drawn in drifts if drawn
-    }
+    """The (cdf, guide) exit-law table of each hypothesis."""
+    cdfs = diffusion_cdfs(cfg.model, cfg.thresholds, cfg.dt, cfg.window, cfg.device)
+    return {h: _exit_inverse(f1, f2) for h, (f1, f2) in enumerate(cdfs, start=1)}
 
 
 def _run_block(cfg: ExperimentConfig, laws, block_index: int):
@@ -160,11 +150,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     blocks = range(math.ceil(cfg.trials / BLOCK_SIZE))
     laws = _exit_laws(cfg) if cfg.is_continuous else None
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda i: _run_block(cfg, laws, i), blocks))
-    else:
-        parts = [_run_block(cfg, laws, i) for i in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        # one thread maps in the caller: on a lone worker thread discrete runs were slower
+        mapper = ex.map if threads > 1 else map
+        parts = list(mapper(lambda i: _run_block(cfg, laws, i), blocks))
 
     h, times, decisions, terminal = (np.concatenate(col) for col in zip(*parts))
     decided = decisions != 0

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaincc, kolmogorov
 
 from .core import STEPS, EmptyCellError, RecordBatch, ValidationError
 
@@ -145,13 +144,14 @@ def _native_table(codes: np.ndarray, rows: int, times: np.ndarray) -> Tuple[np.n
     return values, table.reshape(-1, rows).T
 
 
-def _two_samples(a: Sequence[float], b: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """The row codes (0 for ``a``, 1 for ``b``) and pooled times of two nonempty samples."""
+def _two_sample_table(a: Sequence[float], b: Sequence[float]):
+    """The sorted distinct times and the two rows of counts of two nonempty samples."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 1 or b.size < 1:
         raise EmptyCellError("both samples must be nonempty")
-    return np.repeat([0, 1], [a.size, b.size]), np.concatenate([a, b])
+    values, table = _native_table(np.repeat([0, 1], [a.size, b.size]), 2, np.concatenate([a, b]))
+    return (values, *table)
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
@@ -162,12 +162,14 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
     size n1*n2/(n1+n2).  Heavily tied data belongs in the chi-squared test
     instead and triggers a warning.
     """
-    codes, pooled = _two_samples(a, b)
-    return _ks_counts(*_native_table(codes, 2, pooled)[1], None)
+    return _ks_counts(*_two_sample_table(a, b))
 
 
-def _ks_counts(row_a: np.ndarray, row_b: np.ndarray, binning: Optional[Binning]) -> TestReport:
-    """The KS test of two samples given as counts over distinct times; ``binning`` is unused."""
+def _ks_counts(values: np.ndarray, row_a: np.ndarray, row_b: np.ndarray) -> TestReport:
+    """The KS test of two rows of counts at the sorted distinct times ``values``; only their
+    order enters."""
+    from scipy.special import kolmogorov  # here, so `import seqaudit` does not load it
+
     n1, n2 = int(row_a.sum()), int(row_b.sum())
     pooled = row_a + row_b
     tie_fraction = pooled[pooled > 1].sum() / (n1 + n2)
@@ -184,9 +186,7 @@ def _ks_counts(row_a: np.ndarray, row_b: np.ndarray, binning: Optional[Binning])
     return TestReport(statistic=d, p_value=p, n1=n1, n2=n2, method="KS2")
 
 
-def chi2_two_sample(
-    a: Sequence[float], b: Sequence[float], binning: Optional[Binning] = None
-) -> TestReport:
+def chi2_two_sample(a: Sequence[float], b: Sequence[float]) -> TestReport:
     """Two-sample chi-squared homogeneity test for step-valued decision times.
 
     Native values become categories, then bins merge greedily to the right
@@ -194,17 +194,18 @@ def chi2_two_sample(
     is the regularized upper incomplete gamma at (bins - 1) degrees of
     freedom.
     """
-    codes, pooled = _two_samples(a, b)
-    bng, table = _count_table(codes, 2, pooled, binning, STEPS)
-    return _chi2_counts(*table, bng)
+    return _chi2_counts(*_two_sample_table(a, b))
 
 
-def _chi2_counts(row_a: np.ndarray, row_b: np.ndarray, binning: Binning) -> TestReport:
-    """The chi-squared test of two samples given as counts over ``binning``."""
+def _chi2_counts(values: np.ndarray, row_a: np.ndarray, row_b: np.ndarray) -> TestReport:
+    """The chi-squared test of two samples given as counts at the distinct times ``values``,
+    one category each before merging, cut at ``native_binning(values)``."""
+    from scipy.special import gammaincc  # here, so `import seqaudit` does not load it
+
     counts_a = np.asarray(row_a, dtype=np.float64)
     counts_b = np.asarray(row_b, dtype=np.float64)
     n1, n2 = int(counts_a.sum()), int(counts_b.sum())
-    merged_a, merged_b, edges_out = _merge_bins(counts_a, counts_b, binning)
+    merged_a, merged_b, edges_out = _merge_bins(counts_a, counts_b, native_binning(values))
     k = merged_a.size
     if k < 2:
         raise ValidationError(
@@ -333,17 +334,15 @@ def mi_decomposition(records: RecordBatch, binning: Optional[Binning] = None):
     return _chain_rule(_hdt_table(records, binning)[1])
 
 
-def _test_table(records: RecordBatch, binning: Optional[Binning]):
-    """The binning, (H, D, bin) count table and row comparator of the optimality tests.
-
-    Real-valued times are compared by KS over their native table, whatever ``binning``.
-    """
-    if records.time_kind == STEPS:
-        return (*_hdt_table(records, binning), _chi2_counts)
-    return None, _native_table(records.cell_code(), 4, records.time)[1].reshape(2, 2, -1), _ks_counts
+def _test_table(records: RecordBatch):
+    """The distinct times, native (H, D, time) table and row test of the optimality tests:
+    chi-squared for step-valued times, KS otherwise."""
+    values, table = _native_table(records.cell_code(), 4, records.time)
+    compare = _chi2_counts if records.time_kind == STEPS else _ks_counts
+    return values, table.reshape(2, 2, -1), compare
 
 
-def optimality_test_known_h(records: RecordBatch, binning: Optional[Binning] = None) -> Tuple[TestReport, TestReport]:
+def optimality_test_known_h(records: RecordBatch) -> Tuple[TestReport, TestReport]:
     """Known-hypothesis optimality test.
 
     Compares decision times across hypotheses within each decision cell:
@@ -356,11 +355,11 @@ def optimality_test_known_h(records: RecordBatch, binning: Optional[Binning] = N
         for d in (1, 2):
             if counts[h - 1, d - 1] == 0:
                 raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
-    bng, table, compare = _test_table(records, binning)
-    return tuple(compare(*table[:, d], bng) for d in (0, 1))
+    values, table, compare = _test_table(records)
+    return tuple(compare(values, *table[:, d]) for d in (0, 1))
 
 
-def optimality_test_unknown_h(records: RecordBatch, binning: Optional[Binning] = None) -> TestReport:
+def optimality_test_unknown_h(records: RecordBatch) -> TestReport:
     """Unknown-hypothesis optimality test.
 
     Compares decision times across decisions only; valid when the caller
@@ -369,5 +368,5 @@ def optimality_test_unknown_h(records: RecordBatch, binning: Optional[Binning] =
     """
     if (records.cell_counts().sum(axis=0) == 0).any():
         raise EmptyCellError("both decisions must be present")
-    bng, table, compare = _test_table(records, binning)
-    return compare(*(table[0] + table[1]), bng)  # ``sum(axis=0)`` is slow on the table's strides
+    values, table, compare = _test_table(records)
+    return compare(values, *(table[0] + table[1]))  # ``sum(axis=0)`` is slow on the table's strides

@@ -285,10 +285,10 @@ def test_criterion_06_continuous_closed_forms():
     assert probs_ok and norm_ok
 
 
-def _fig8_params(mu2_tilde, alpha1=0.01, l1=4.0):
+def _fig8_params(mu2_tilde):
     from seqaudit.reproduce import fig8_device
 
-    return fig8_device(mu2_tilde, alpha1=alpha1, l1=l1)
+    return fig8_device(mu2_tilde)
 
 
 def test_criterion_07_continuous_mutual_information():

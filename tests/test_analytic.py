@@ -498,10 +498,20 @@ class TestAsymptoticOutcomeSampler:
         assert h[0] in (1, 2) and d[0] in (1, 2)
 
 
-def test_import_leaves_quadrature_unloaded():
-    # only mutual_info_continuous integrates; every other command skips scipy.integrate
-    probe = "import sys, seqaudit; print('scipy.integrate' in sys.modules)"
+def loaded_on_import(module: str) -> bool:
+    """Whether ``import seqaudit`` in a fresh interpreter loads ``module``."""
+    probe = f"import sys, seqaudit; print({module!r} in sys.modules)"
     src = str(Path(seqaudit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_quadrature_unloaded():
+    # only mutual_info_continuous integrates; every other command skips scipy.integrate
+    assert not loaded_on_import("scipy.integrate")
+
+
+def test_import_leaves_special_functions_unloaded():
+    # the normal, gamma and Kolmogorov functions are imported at their four call sites
+    assert not loaded_on_import("scipy.special")

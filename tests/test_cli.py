@@ -894,7 +894,7 @@ def _package_imports(path: Path):
 class TestImportRule:
     def test_only_reproduce_imports_the_cli(self):
         # reproduce takes the belief scan from cli; the edge goes once the
-        # scan moves into the library (ROADMAP item 6)
+        # scan moves into the library (ROADMAP item 4)
         assert _cli_importers(Path(cli.__file__).parent) == {"reproduce"}
 
     def test_oracle_imports_only_core_models_and_analytic(self):

@@ -151,12 +151,12 @@ def ref_merge_bins(counts_a, counts_b, bng, merge_floor=5.0):
     return np.asarray(out_a), np.asarray(out_b), tuple(cuts)
 
 
-def ref_chi2_two_sample(a, b, binning=None):
+def ref_chi2_two_sample(a, b):
     """Chi-squared on one panel, binned on the panel's own pooled samples."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n1, n2 = a.size, b.size
-    bng = binning if isinstance(binning, Binning) else ref_native_binning(np.concatenate([a, b]))
+    bng = ref_native_binning(np.concatenate([a, b]))
     idx_a = np.bincount(bng.assign(a), minlength=bng.n_bins).astype(np.float64)
     idx_b = np.bincount(bng.assign(b), minlength=bng.n_bins).astype(np.float64)
     merged_a, merged_b, edges_out = ref_merge_bins(idx_a, idx_b, bng)
@@ -202,26 +202,24 @@ def ref_ks_two_sample(a, b):
 
 
 def ref_panel_test(batch):
-    """The per-panel test of the batch's time kind: chi-squared or KS, which takes no bins."""
-    if batch.time_kind == STEPS:
-        return ref_chi2_two_sample
-    return lambda a, b, binning: ref_ks_two_sample(a, b)
+    """The per-panel test of the batch's time kind: chi-squared or KS."""
+    return ref_chi2_two_sample if batch.time_kind == STEPS else ref_ks_two_sample
 
 
-def ref_known_h(batch, binning=None):
+def ref_known_h(batch):
     cells = {(h, d): batch.cell_times(h, d) for h, d in CELLS}
     for (h, d), times in cells.items():
         if times.size == 0:
             raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
     test = ref_panel_test(batch)
-    return tuple(test(cells[1, d], cells[2, d], binning) for d in (1, 2))
+    return tuple(test(cells[1, d], cells[2, d]) for d in (1, 2))
 
 
-def ref_unknown_h(batch, binning=None):
+def ref_unknown_h(batch):
     t1, t2 = (np.concatenate([batch.cell_times(h, d) for h in (1, 2)]) for d in (1, 2))
     if t1.size == 0 or t2.size == 0:
         raise EmptyCellError("both decisions must be present")
-    return ref_panel_test(batch)(t1, t2, binning)
+    return ref_panel_test(batch)(t1, t2)
 
 
 def ref_empirical_error_probs(batch):
@@ -284,20 +282,12 @@ binning_specs = st.one_of(st.none(), explicit_binnings)
 
 
 @st.composite
-def with_binning(draw, batch_strategy, quantile=False):
-    """A batch with a binning spec: None, explicit cut points or its native bins.
-
-    With ``quantile`` the spec may also be 1 to 40 quantile bins of its times.
-    """
-    batch = draw(batch_strategy)
-    specs = [binning_specs, st.just(native_binning(batch.time))]
-    if quantile:
-        specs.append(st.integers(1, 40).map(lambda n: quantile_binning(batch.time, n)))
-    return batch, draw(st.one_of(*specs))
-
-
-def batches_and_binnings():
-    return with_binning(batches(), quantile=True)
+def batches_and_binnings(draw):
+    """A batch with a binning spec: None, explicit cut points, its native bins
+    or 1 to 40 quantile bins of its times."""
+    batch = draw(batches())
+    quantile = st.integers(1, 40).map(lambda n: quantile_binning(batch.time, n))
+    return batch, draw(st.one_of(binning_specs, st.just(native_binning(batch.time)), quantile))
 
 
 def assert_triple_equal(batch, binning):
@@ -307,19 +297,17 @@ def assert_triple_equal(batch, binning):
     assert abs(i_cond - (i_joint - i_dec)) <= 1e-12
 
 
-def assert_reports_match(rep, ref, binning, panel):
+def assert_reports_match(rep, ref, panel):
     """Equal tests; native cut points may move only where ``panel`` holds no time."""
     assert (rep.statistic, rep.p_value, rep.n1, rep.n2, rep.method) == (
         ref.statistic, ref.p_value, ref.n1, ref.n2, ref.method
     )
     assert len(rep.bins) == len(ref.bins)
-    if isinstance(binning, Binning):
-        assert rep.bins == ref.bins
     merged = [np.searchsorted(np.asarray(r.bins[:-1]), panel, side="right") for r in (rep, ref)]
     assert np.array_equal(*merged)
 
 
-def assert_tests_match(batch, binning):
+def assert_tests_match(batch):
     """Both optimality tests against the per-panel path: reports or errors."""
     by_decision = [batch.time[batch.decision == d] for d in (1, 2)]
     for test, ref_test, panels in (
@@ -327,13 +315,13 @@ def assert_tests_match(batch, binning):
         (lambda *a: (optimality_test_unknown_h(*a),), lambda *a: (ref_unknown_h(*a),),
          [batch.time]),
     ):
-        got, want = outcome(test, batch, binning), outcome(ref_test, batch, binning)
+        got, want = outcome(test, batch), outcome(ref_test, batch)
         if want[0] == "raised":
             assert got == want
             continue
         assert got[0] == "ok" and len(got[1]) == len(want[1])
         for rep, ref, panel in zip(got[1], want[1], panels):
-            assert_reports_match(rep, ref, binning, panel)
+            assert_reports_match(rep, ref, panel)
 
 
 @st.composite
@@ -419,16 +407,16 @@ class TestCountTableEqualsSamplePath:
                 batch, binning
             )
             assert_triple_equal(batch, binning)
-            assert_tests_match(batch, binning)
+        assert_tests_match(batch)
         assert _conditional_pmf_table(batch) == ref_conditional_pmf_table(batch)
         assert empirical_error_probs(batch) == ref_empirical_error_probs(batch)
 
 
 class TestOptimalityTestsOnCountTable:
-    @given(with_binning(step_batches()))
+    @given(step_batches())
     @settings(max_examples=400, deadline=None)
-    def test_equal_to_per_panel_path(self, case):
-        assert_tests_match(*case)
+    def test_equal_to_per_panel_path(self, batch):
+        assert_tests_match(batch)
 
     @pytest.mark.parametrize("empty", CELLS)
     @pytest.mark.parametrize("kind", [STEPS, "seconds"])
@@ -498,20 +486,18 @@ class TestOptimalityTestsOnCountTable:
             batch = random_batch(4, kind)
             h, t = batch.hypothesis, np.floor(batch.time)
             n = len(batch)
-            # real-valued records are compared by KS on their native table
-            test_table = "_count_table" if kind == STEPS else "_native_table"
+            # the two-sample tests compare rows of the native table
             explicit = Binning(edges=(5.0, 12.5, 20.0))
             for statistic, args, table in [
-                (stats.chi2_two_sample, (t[:n // 2], t[n // 2:]), "_count_table"),
-                (stats.chi2_two_sample, (t[:n // 2], t[n // 2:], explicit), "_count_table"),
+                (stats.chi2_two_sample, (t[:n // 2], t[n // 2:]), "_native_table"),
                 (mi_plugin, (h, t), "_count_table"),
                 (mi_plugin, (h, batch.time, explicit), "_count_table"),
                 (conditional_mi_plugin, (batch,), "_count_table"),
                 (conditional_mi_plugin, (batch, explicit), "_count_table"),
                 (mi_decomposition, (batch,), "_count_table"),
                 (mi_decomposition, (batch, explicit), "_count_table"),
-                (optimality_test_known_h, (batch,), test_table),
-                (optimality_test_unknown_h, (batch,), test_table),
+                (optimality_test_known_h, (batch,), "_native_table"),
+                (optimality_test_unknown_h, (batch,), "_native_table"),
                 (ks_two_sample, (untied[:n // 2], untied[n // 2:]), "_native_table"),
             ]:
                 calls.clear()

@@ -292,7 +292,7 @@ class TestRunWaldContinuous:
         n = 10_000
         p = continuous_llr_params(obs, wm)
         assert p.a1 == 0.0 and p.a2 == 0.0
-        laws = {1: _exit_inverse(0.0, p.b, th.l1, th.l2, 0.001, 50_000)}
+        laws = {1: _exit_inverse(*_exit_cdfs(0.0, p.b, th.l1, th.l2, 0.001, 50_000))}
         times, decisions, terminal = _wald_continuous_block(
             laws, np.ones(n, dtype=np.int8), th, 0.001, g
         )
@@ -306,7 +306,7 @@ class TestRunWaldContinuous:
         obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
         th = Thresholds(l1=4.0, l2=-10.0)  # deep lower threshold
         p = continuous_llr_params(obs, obs)
-        laws = {1: _exit_inverse(p.a1, p.b, th.l1, th.l2, 1.0, 4000)}
+        laws = {1: _exit_inverse(*_exit_cdfs(p.a1, p.b, th.l1, th.l2, 1.0, 4000))}
         g = rng(9)
         outs = []
         for _ in range(800):
@@ -329,7 +329,7 @@ class TestRunWaldContinuous:
         dts = [8.0, 2.0, 0.5]
         alphas = []
         for i, dt in enumerate(dts):
-            laws = {2: _exit_inverse(p.a2, p.b, th.l1, th.l2, dt, math.ceil(20_000.0 / dt))}
+            laws = {2: _exit_inverse(*_exit_cdfs(p.a2, p.b, th.l1, th.l2, dt, math.ceil(20_000.0 / dt)))}
             g = rng(100 + i)
             _, decisions, _ = _wald_continuous_block(
                 laws, np.full(n, 2, dtype=np.int8), th, dt, g
@@ -354,7 +354,7 @@ class TestRunWaldContinuous:
         ratios, columns = [], []
         for dt in (0.02, 0.002):
             steps = math.ceil(100.0 / dt)
-            laws = {h: _exit_inverse(a, p.b, th.l1, th.l2, dt, steps)
+            laws = {h: _exit_inverse(*_exit_cdfs(a, p.b, th.l1, th.l2, dt, steps))
                     for h, a in ((1, p.a1), (2, p.a2))}
             g = rng(11)
             _, d_h1, _ = _wald_continuous_block(laws, np.full(n, 1, dtype=np.int8), th, dt, g)
@@ -372,7 +372,7 @@ class TestRunWaldContinuous:
         # a table of 151 whole steps of dt = 1, as a run with window 150.5 builds
         n = 40_000
         th = Thresholds(4.0, -2.0)
-        laws = {1: _exit_inverse(0.02, 0.02, th.l1, th.l2, 1.0, 151)}
+        laws = {1: _exit_inverse(*_exit_cdfs(0.02, 0.02, th.l1, th.l2, 1.0, 151))}
         times, decisions, terminal = _wald_continuous_block(
             laws, np.ones(n, dtype=np.int8), th, 1.0, rng(12)
         )
@@ -457,18 +457,18 @@ class TestGuideTable:
 
     @pytest.mark.parametrize("table", list(TABLES))
     def test_cells_equal_searchsorted_at_every_edge(self, table):
-        cdf, guide = _exit_inverse(*self.TABLES[table])
+        cdf, guide = _exit_inverse(*_exit_cdfs(*self.TABLES[table]))
         u = self.edge_uniforms(cdf, guide)
         assert np.array_equal(_invert(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
         u = rng(25).random(100_000)
         assert np.array_equal(_invert(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
 
     def test_small_dt_tail_buckets_hold_many_entries(self):
-        cdf, guide = _exit_inverse(*self.TABLES["small_dt"])
+        cdf, guide = _exit_inverse(*_exit_cdfs(*self.TABLES["small_dt"]))
         assert np.diff(guide).max() > 100
 
     def test_uniforms_past_a_truncated_mass_are_undecided(self):
-        cdf, guide = _exit_inverse(*self.TABLES["truncated"])
+        cdf, guide = _exit_inverse(*_exit_cdfs(*self.TABLES["truncated"]))
         total = cdf[-2]
         assert total < 1.0 - 1e-3
         past = np.concatenate(([total], np.linspace(total, 1.0, 1001, endpoint=False)[1:],
@@ -477,7 +477,7 @@ class TestGuideTable:
 
     @pytest.mark.parametrize("table", list(TABLES))
     def test_guide_shape(self, table):
-        cdf, guide = _exit_inverse(*self.TABLES[table])
+        cdf, guide = _exit_inverse(*_exit_cdfs(*self.TABLES[table]))
         f1, f2 = _exit_cdfs(*self.TABLES[table])
         assert np.array_equal(cdf, np.concatenate((f1, f1[-1] + f2, [np.inf])))
         size = len(guide) - 1

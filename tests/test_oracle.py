@@ -5,10 +5,12 @@ import pytest
 
 from seqaudit.analytic import continuous_llr_params, error_probs_continuous
 from seqaudit.core import Thresholds, ValidationError
-from seqaudit.models import DriftDiffusionModel
+from seqaudit import oracle, simulate
+from seqaudit.models import DriftDiffusionModel, _exit_cdfs, _wald_continuous_block
 from seqaudit.oracle import (
     ExactLaw,
     LatticeBernoulliModel,
+    diffusion_cdfs,
     diffusion_law,
     enumerate_exact_law,
     verify_fluctuation_relation,
@@ -187,6 +189,32 @@ class TestDiffusionLaw:
         p1 = 0.3
         w = np.array([p1 * mass[0].sum(), (1 - p1) * mass[1].sum()])
         assert law.mean_time(p1) == pytest.approx((w * means).sum() / w.sum(), rel=1e-14)
+
+    def test_run_inverts_the_tables_the_law_differences(self, monkeypatch):
+        # one tabulation per hypothesis; a window of 150.5 rounds up to 151 steps
+        calls, inverted = [], []
+
+        def recording(*args):
+            calls.append(args)
+            return _exit_cdfs(*args)
+
+        def kernel(laws, *rest):
+            inverted.append(laws)
+            return _wald_continuous_block(laws, *rest)
+
+        monkeypatch.setattr(oracle, "_exit_cdfs", recording)
+        monkeypatch.setattr(simulate, "_wald_continuous_block", kernel)
+        run_experiment(ExperimentConfig(SCAN_MODEL, SCAN_TH, trials=1000, seed=3, dt=1.0,
+                                        window=150.5))
+        run_calls = calls[:]
+        calls.clear()
+        diffusion_law(SCAN_MODEL, SCAN_TH, 1.0, 150.5)
+        p = continuous_llr_params(SCAN_MODEL, SCAN_MODEL)
+        assert run_calls == calls == [(a, p.b, 4.0, -2.0, 1.0, 151) for a in (p.a1, p.a2)]
+        assert len(inverted) == 1  # one block
+        for h, (f1, f2) in enumerate(diffusion_cdfs(SCAN_MODEL, SCAN_TH, 1.0, 150.5), start=1):
+            cdf = np.concatenate((f1, f1[-1] + f2, [np.inf]))
+            assert np.array_equal(inverted[0][h][0], cdf)
 
 
 class TestMonteCarloConsistency:

@@ -148,24 +148,22 @@ class TestRunExperiment:
             r1.records.terminal_llr, r2.records.terminal_llr, equal_nan=True
         )
 
-    @pytest.mark.parametrize("p1,drawn", [(0.5, (1, 2)), (1.0, (1,))])
-    def test_exit_laws_are_built_once_per_run(self, monkeypatch, p1, drawn):
-        # four blocks; a window of 150.5 rounds up to tables of 151 whole steps
+    def test_exit_laws_are_built_once_per_run(self, monkeypatch):
+        # four blocks share one table per hypothesis at either thread count
         cfg = small_cfg(model=DriftDiffusionModel(0.0, 1.0, 5.0), trials=4 * BLOCK_SIZE,
-                        p1=p1, dt=1.0, window=150.5)
-        p = continuous_llr_params(cfg.model, cfg.device)
+                        dt=1.0, window=150.5)
         calls = []
 
-        def counting(a, b, l1, l2, dt, n_steps):
-            calls.append((a, n_steps))
-            return _exit_inverse(a, b, l1, l2, dt, n_steps)
+        def counting(f1, f2):
+            calls.append(len(f1))
+            return _exit_inverse(f1, f2)
 
         monkeypatch.setattr(simulate, "_exit_inverse", counting)
         columns = []
         for threads in (1, 2):
             calls.clear()
             rec = run_experiment(cfg, threads=threads).records
-            assert calls == [({1: p.a1, 2: p.a2}[h], 151) for h in drawn]
+            assert calls == [151, 151]
             columns.append([c.tobytes() for c in
                             (rec.hypothesis, rec.decision, rec.time, rec.terminal_llr)])
         assert columns[0] == columns[1]
