@@ -14,28 +14,23 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .analytic import (
-    continuous_llr_params,
-    mutual_info_continuous,
-    mutual_info_discretized,
-    sample_outcomes_asymptotic,
-)
+from .analytic import continuous_llr_params, mutual_info_continuous, mutual_info_discretized
 from .core import RecordBatch, Thresholds, ValidationError, write_table
 from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
+from .oracle import diffusion_law
 from .overshoot import overshoot_profile
 from .simulate import ExperimentConfig, run_experiment
 from .stats import (
-    Binning,
-    _native_table,
-    conditional_mi_plugin,
-    optimality_test_known_h,
+    _chain_rule, _native_table, conditional_mi_plugin, native_binning, optimality_test_known_h,
 )
 from .cli import mi_scan_rows, mi_scan_table
 
 DEFAULT_SEED = 20180115
 IID_MODEL = GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0)
 IID_TH = Thresholds(4.0, -2.0)
+FIG8_OBS = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
 FIG8_ALPHA1, FIG8_L1 = 0.01, 4.0  # the error rate fig 8's beliefs hold, and its upper threshold
+FIG8_TR = -math.log(FIG8_ALPHA1) / 0.02  # the matched mean decision time, panel c's resolution
 PMF_COLUMNS = ("p_h1_d1", "p_h2_d1", "p_h1_d2", "p_h2_d2")
 BELIEF = "believed mean under hypothesis 2"
 
@@ -238,48 +233,45 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     return [path_a, path_c]
 
 
-def fig8_device(mu2_tilde: float):
-    """World model with the believed noise tuned to hold alpha1 at ``FIG8_ALPHA1``."""
-    obs = DriftDiffusionModel(mu1=0.0, mu2=1.0, sigma=5.0)
-    mu1_t = 0.0
-    ratio = (mu1_t - mu2_tilde) / (2 * obs.mu2 - mu1_t - mu2_tilde)
-    if ratio >= 0:
+def fig8_device(mu2_tilde: float) -> DriftDiffusionModel:
+    """The believed device, its noise tuned to hold alpha1 at ``FIG8_ALPHA1``."""
+    if not 0.0 < mu2_tilde < 2 * FIG8_OBS.mu2:
         raise ValidationError("believed mean must lie strictly between 0 and 2")
-    sigma_t = math.sqrt(obs.sigma**2 * ratio * math.log(FIG8_ALPHA1) / FIG8_L1)
-    return continuous_llr_params(obs, DriftDiffusionModel(mu1_t, mu2_tilde, sigma_t))
+    ratio = -mu2_tilde / (2 * FIG8_OBS.mu2 - mu2_tilde)
+    sigma_t = math.sqrt(FIG8_OBS.sigma**2 * ratio * math.log(FIG8_ALPHA1) / FIG8_L1)
+    return DriftDiffusionModel(0.0, mu2_tilde, sigma_t)
 
 
 def _fig8(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
-    l1 = FIG8_L1
-    e_wald = -math.log(FIG8_ALPHA1) / 0.02  # matched mean decision time
+    l1, t_r = FIG8_L1, FIG8_TR
     grid = np.linspace(0.1, 1.9, 19)
     rows_a, rows_b = [], []
     for mu2t in grid:
-        p = fig8_device(float(mu2t))
-        discretized = [mutual_info_discretized(p, l1, f * e_wald) for f in (1.0, 0.1, 0.01)]
+        p = continuous_llr_params(FIG8_OBS, fig8_device(float(mu2t)))
+        discretized = [mutual_info_discretized(p, l1, f * t_r) for f in (1.0, 0.1, 0.01)]
         rows_a.append((float(mu2t), mutual_info_continuous(p, l1), *discretized))
-        rows_b.append((float(mu2t), l1 / abs(p.a1), l1 / abs(p.a2), e_wald))
+        rows_b.append((float(mu2t), l1 / abs(p.a1), l1 / abs(p.a2), t_r))
     header_a = "mu2_tilde,mi_continuous,mi_tr_full,mi_tr_tenth,mi_tr_hundredth"
     path_a = write_table(out_dir / "fig8a_mi.csv", header_a, rows_a)
     header_b = "mu2_tilde,t_d1_h1,t_d1_h2,wald_reference"
     path_b = write_table(out_dir / "fig8b_times.csv", header_b, rows_b)
 
+    # panel c: the device read at resolution t_r, against its exact I(H;T|D)
     n_max = max(int(1_000_000 * scale), 20_000)
-    th = Thresholds(l1, -30.0)
     rows_c = []
-    rng = np.random.default_rng(seed)
     for mu2t in (0.5, 1.0, 1.5):
-        p = fig8_device(float(mu2t))
-        h, d, t = sample_outcomes_asymptotic(p, th, 0.5, n_max, rng)
-        t_r = e_wald
-        edges = tuple((np.arange(1, int(t.max() / t_r) + 2) * t_r).tolist())
-        binning = Binning(edges=edges)
-        theory = mutual_info_discretized(p, l1, t_r)
+        cfg = ExperimentConfig(
+            FIG8_OBS, Thresholds(l1, -30.0), n_max, seed,
+            world_model=fig8_device(mu2t), dt=t_r, window=2000 * t_r,
+        )
+        rec = run_experiment(cfg, threads=threads).records
+        law = diffusion_law(cfg.model, cfg.thresholds, cfg.dt, cfg.window, cfg.device)
+        theory = _chain_rule(law.pmf)[2]
+        binning = native_binning(rec.time)  # one bin per dt cell
         n = 1000
         while n <= n_max:
-            batch = RecordBatch(h[:n], d[:n], t[:n], time_kind="seconds")
-            est = conditional_mi_plugin(batch, binning=binning)
-            rows_c.append((float(mu2t), n, est.value_bits, theory))
+            prefix = RecordBatch(rec.hypothesis[:n], rec.decision[:n], rec.time[:n])
+            rows_c.append((mu2t, n, conditional_mi_plugin(prefix, binning).value_bits, theory))
             n *= 2
     path_c = write_table(out_dir / "fig8c_mi_runs.csv", "mu2_tilde,n,mi_bits,mi_theory", rows_c)
     return [path_a, path_b, path_c]

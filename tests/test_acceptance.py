@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from seqaudit.analytic import (
     ContinuousLLRParams,
+    continuous_llr_params,
     decision_time_density,
     error_probs_continuous,
     mutual_info_continuous,
@@ -286,9 +287,9 @@ def test_criterion_06_continuous_closed_forms():
 
 
 def _fig8_params(mu2_tilde):
-    from seqaudit.reproduce import fig8_device
+    from seqaudit.reproduce import FIG8_OBS, fig8_device
 
-    return fig8_device(mu2_tilde)
+    return continuous_llr_params(FIG8_OBS, fig8_device(mu2_tilde))
 
 
 def test_criterion_07_continuous_mutual_information():

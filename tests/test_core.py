@@ -722,14 +722,16 @@ def _write_opens(tree: ast.AST):
 
 
 KERNELS = ("_wald_discrete_block", "_wald_continuous_block")
+SAMPLERS = ("sample_outcomes_asymptotic", "_sample_d2_times", "sample_inverse_gaussian")
 
 
-def _kernel_calls(tree: ast.AST):
-    """Names of the functions holding a device-kernel call, one per call."""
+def _calls_to(tree: ast.AST, names):
+    """Names of the functions holding a call to one of ``names``, by name or as an
+    attribute, one per call."""
     return [
         func
         for func, call in _calls(tree)
-        if getattr(call.func, "id", getattr(call.func, "attr", None)) in KERNELS
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) in names
     ]
 
 
@@ -759,7 +761,7 @@ class TestOneKernelCaller:
         callers = {
             (path.stem, func)
             for path in sorted(src.glob("*.py"))
-            for func in _kernel_calls(ast.parse(path.read_text()))
+            for func in _calls_to(ast.parse(path.read_text()), KERNELS)
         }
         assert callers == {("simulate", "_run_block")}
 
@@ -773,7 +775,35 @@ class TestOneKernelCaller:
             "def g(laws, h, th, rng):\n"
             "    return models._wald_continuous_block(laws, h, th, 0.1, rng)\n"
         )
-        assert _kernel_calls(tree) == ["overshoot_profile", "g"]
+        assert _calls_to(tree, KERNELS) == ["overshoot_profile", "g"]
+
+
+class TestOneDiffusionSampler:
+    """Every simulated diffusion record comes from the block runner; the
+    asymptotic samplers serve only ``analytic`` and its tests."""
+
+    def test_only_analytic_calls_the_asymptotic_samplers(self):
+        src = Path(seqaudit.__file__).parent
+        callers = [
+            (path.stem, func)
+            for path in sorted(src.glob("*.py"))
+            if path.stem != "analytic"
+            for func in _calls_to(ast.parse(path.read_text()), SAMPLERS)
+        ]
+        assert callers == []
+
+    def test_guard_sees_a_sampler_call(self):
+        # a figure drawing its own records, by name and by attribute
+        tree = ast.parse(
+            "def _fig8(p, th, n_max, seed):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    h, d, t = sample_outcomes_asymptotic(p, th, 0.5, n_max, rng)\n\n"
+            "def g(rng):\n"
+            "    return analytic.sample_inverse_gaussian(2.0, 3.0, rng)\n\n"
+            "def k(p, th, rng):\n"
+            "    return analytic._sample_d2_times(1, 10, p, th, rng)\n"
+        )
+        assert _calls_to(tree, SAMPLERS) == ["_fig8", "g", "k"]
 
 
 CACHE_DECORATORS = ("lru_cache", "cache", "cached_property")

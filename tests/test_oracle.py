@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from seqaudit.analytic import continuous_llr_params, error_probs_continuous
+from seqaudit.analytic import (
+    continuous_llr_params, error_probs_continuous, mutual_info_discretized,
+)
 from seqaudit.core import Thresholds, ValidationError
 from seqaudit import oracle, simulate
 from seqaudit.models import DriftDiffusionModel, _exit_cdfs, _wald_continuous_block
@@ -15,8 +17,9 @@ from seqaudit.oracle import (
     enumerate_exact_law,
     verify_fluctuation_relation,
 )
+from seqaudit.reproduce import FIG8_L1, FIG8_OBS, FIG8_TR, fig8_device
 from seqaudit.simulate import ExperimentConfig, run_experiment
-from seqaudit.stats import conditional_mi_plugin
+from seqaudit.stats import _chain_rule, conditional_mi_plugin
 
 
 def ruin_probability(p_up: float, m_up: int, m_down: int) -> float:
@@ -215,6 +218,27 @@ class TestDiffusionLaw:
         for h, (f1, f2) in enumerate(diffusion_cdfs(SCAN_MODEL, SCAN_TH, 1.0, 150.5), start=1):
             cdf = np.concatenate((f1, f1[-1] + f2, [np.inf]))
             assert np.array_equal(inverted[0][h][0], cdf)
+
+
+def fig8_conditional_mi(mu2_tilde: float, l2: float):
+    """I(H;T|D) at resolution FIG8_TR of the fig 8 device, from the exact two-barrier
+    law at lower threshold ``l2`` and from the inverse-Gaussian law without one."""
+    device = fig8_device(mu2_tilde)
+    law = diffusion_law(FIG8_OBS, Thresholds(FIG8_L1, l2), FIG8_TR, 2000 * FIG8_TR, device)
+    limit = mutual_info_discretized(continuous_llr_params(FIG8_OBS, device), FIG8_L1, FIG8_TR)
+    return _chain_rule(law.pmf)[2], limit
+
+
+class TestDeepLowerThreshold:
+    @pytest.mark.parametrize("mu2_tilde", [0.5, 1.5])
+    def test_exact_law_meets_the_inverse_gaussian_limit(self, mu2_tilde):
+        exact, limit = fig8_conditional_mi(mu2_tilde, -120.0)
+        assert abs(exact - limit) <= 1e-9 * limit
+
+    def test_panel_thresholds_move_the_value(self):
+        # why fig 8c's theory line is the law at (4, -30), not the limit
+        exact, limit = fig8_conditional_mi(0.5, -30.0)
+        assert abs(exact - limit) > 0.01 * limit
 
 
 class TestMonteCarloConsistency:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from seqaudit.core import (
     EmptyCellError, RecordBatch, Thresholds, ValidationError, thresholds_from_alphas, ErrorSpec,
@@ -249,6 +250,27 @@ class TestMetadata:
 DIFFUSION_MODEL = DriftDiffusionModel(0.0, 1.0, 5.0)
 
 
+def gof_p_value(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Chi-squared goodness of fit of counts against expected counts per row.
+
+    Consecutive cells of each row are merged until each group expects at
+    least 5; a remainder below that, the low-mass tail, joins the last group.
+    """
+    stat, groups = 0.0, 0
+    for obs, exp in zip(observed, expected):
+        starts, acc = [0], 0.0
+        for j, e in enumerate(exp.tolist()):
+            acc += e
+            if acc >= 5.0:
+                starts.append(j + 1)
+                acc = 0.0
+        # the last start opens the remainder or lies past the row; it joins the group before
+        o, e = (np.add.reduceat(a, starts[:-1]) for a in (obs, exp))
+        stat += float(((o - e) ** 2 / e).sum())
+        groups += len(o)
+    return float(scipy.stats.chi2.sf(stat, groups - 1))
+
+
 @pytest.mark.parametrize("mu2,dt", [(1.0, 1.0), (1.0, 4.0), (0.75, 1.0), (1.5, 4.0)])
 def test_diffusion_records_follow_the_exit_law(mu2, dt):
     # mu2 is the device's belief; 1.0 is the matched device
@@ -264,6 +286,14 @@ def test_diffusion_records_follow_the_exit_law(mu2, dt):
         # mean of the recorded ceil(T/dt)*dt under the tabulated law
         mean = law.mean_time(1.0 if h == 1 else 0.0)
         assert abs(times.mean() - mean) < 4.0 * times.std() / math.sqrt(times.size)
+        # the (decision, cell) counts against the law's cells
+        cell = np.rint(times / dt).astype(np.int64) - 1
+        d = rec.decision[rec.hypothesis == h].astype(np.int64) - 1
+        observed = np.bincount(d * law.k_max + cell, minlength=2 * law.k_max)
+        pmf = law.pmf[h - 1]
+        assert observed.size == pmf.size
+        expected = times.size * pmf / pmf.sum()
+        assert gof_p_value(observed.reshape(2, -1).astype(float), expected) > 0.001
     assert np.all(rec.terminal_llr == np.where(rec.decision == 1, 4.0, -2.0))
 
 
