@@ -4,8 +4,11 @@ The device's log-likelihood ratio is a drift-diffusion with per-hypothesis
 drift a_i and diffusion coefficient 2b, so error probabilities, decision-time
 densities (in the deep-lower-threshold regime), mean decision times, and the
 conditional mutual information all admit closed forms or one-dimensional
-quadratures.  Exact samplers for the asymptotic laws allow figure-level
-reproduction without path simulation.
+quadratures.  The map from a device to those drifts,
+:func:`continuous_llr_params`, lives with the device in
+:mod:`seqaudit.models`.  Exact samplers for the asymptotic laws let the
+acceptance criteria and unit tests check the closed forms against draws;
+every figure simulates its records with ``run_experiment``.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ from typing import Tuple
 import numpy as np
 
 from .core import Thresholds, ValidationError
-from .models import DriftDiffusionModel, _exit_mass
+# continuous_llr_params stays importable from here, its former home
+from .models import ContinuousLLRParams, _exit_mass, continuous_llr_params
 from .stats import _chain_rule
 
 LN2 = math.log(2.0)
@@ -32,44 +36,6 @@ class RegimeError(ValueError):
 
 class QuadratureError(RuntimeError):
     """A quadrature failed to reach the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class ContinuousLLRParams:
-    """Drift-diffusion parameters of the device's log-likelihood ratio.
-
-    ``a1``/``a2`` are the drifts under hypothesis 1/2 in nats per unit time;
-    the diffusion coefficient is ``2 * b`` in nats^2 per unit time.  A
-    matched device has a1 = -a2 = b.
-    """
-
-    a1: float
-    a2: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a1) and math.isfinite(self.a2)):
-            raise ValidationError(f"drifts must be finite, got a1={self.a1}, a2={self.a2}")
-        if not (0.0 < self.b < math.inf):
-            raise ValidationError(f"diffusion parameter b must be positive and finite, got {self.b}")
-
-
-def continuous_llr_params(
-    obs: DriftDiffusionModel, wm: DriftDiffusionModel
-) -> ContinuousLLRParams:
-    """Drift and diffusion of the believed log-likelihood ratio.
-
-    a_i = (mu1~ - mu2~)/sigma~^2 * (-(mu1~ + mu2~)/2 + mu_i) and
-    b = (1/2) * (sigma * (mu1~ - mu2~)/sigma~^2)^2, where the tildes are the
-    device's beliefs and the bare parameters describe the true process.
-    """
-    if wm.mu1 == wm.mu2:
-        raise ValidationError("degenerate device: believed means coincide (b = 0)")
-    scale = (wm.mu1 - wm.mu2) / wm.sigma**2
-    a1 = scale * (-(wm.mu1 + wm.mu2) / 2.0 + obs.mu1)
-    a2 = scale * (-(wm.mu1 + wm.mu2) / 2.0 + obs.mu2)
-    b = 0.5 * (obs.sigma * (wm.mu1 - wm.mu2) / wm.sigma**2) ** 2
-    return ContinuousLLRParams(a1=a1, a2=a2, b=b)
 
 
 def error_probs_continuous(p: ContinuousLLRParams, th: Thresholds) -> Tuple[float, float]:

@@ -47,10 +47,12 @@ from .core import (
     write_records_csv,
     write_table,
 )
-from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
-from .oracle import LatticeBernoulliModel, diffusion_law, enumerate_exact_law
+from .models import (
+    DriftDiffusionModel, GaussianIIDModel, LatticeBernoulliModel, MarkovGaussianModel,
+)
+from .oracle import diffusion_law, enumerate_exact_law
 from .overshoot import condition51_flatness, overshoot_profile
-from .simulate import ExperimentConfig, run_experiment, write_metadata
+from .simulate import ExperimentConfig, ExperimentResult, run_experiment
 from .stats import (
     conditional_mi_plugin,
     optimality_test_known_h,
@@ -201,6 +203,18 @@ def write_manifest(out_dir: Path, command: str, payload: Dict, outputs: List[str
     return str(path)
 
 
+def write_metadata(path, cfg: ExperimentConfig, result: ExperimentResult) -> None:
+    """Key=value sidecar next to the records CSV of the run ``cfg``."""
+    with open(path, "w", newline="\n") as f:
+        f.write(f"seed={cfg.seed}\n")
+        f.write(f"trials={cfg.trials}\n")
+        f.write(f"truncated_count={result.truncated_count}\n")
+        f.write(f"alpha1_hat={result.alpha1_hat!r}\n")
+        f.write(f"alpha2_hat={result.alpha2_hat!r}\n")
+        f.write(f"stratified={str(cfg.stratified).lower()}\n")
+        f.write(f"time_kind={result.records.time_kind}\n")
+
+
 def _config_payload(cfg: configparser.ConfigParser, seed) -> Dict:
     return {
         "config": {name: dict(cfg[name]) for name in cfg.sections()},
@@ -215,7 +229,7 @@ def cmd_simulate(args, out_dir: Path):
     records_path = out_dir / "records.csv"
     meta_path = out_dir / "records.meta"
     write_records_csv(records_path, result.records)
-    write_metadata(meta_path, result)
+    write_metadata(meta_path, exp, result)
     print(
         f"simulated {exp.trials} trials: {len(result.records)} decided, "
         f"{result.truncated_count} truncated"
@@ -380,6 +394,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"bad grid {spec!r}: use start:stop:points or a comma list") from exc
     if grid.size == 0:
         raise ConfigError(f"grid {spec!r} has no points")
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"grid {spec!r} has a non-finite point")
     return grid
 
 
@@ -391,8 +407,6 @@ def cmd_analytic(args, out_dir: Path):
         th = Thresholds(args.l1, args.l2)
     if args.quantity in ("density", "mi-discretized"):
         grid = _parse_grid(args.grid)
-        if not np.isfinite(grid).all():
-            raise ConfigError(f"grid {args.grid!r} has a non-finite point")
     if args.quantity == "error-probs":
         header, rows = "alpha1,alpha2", [error_probs_continuous(p, th)]
     elif args.quantity == "mean-times":

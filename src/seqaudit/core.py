@@ -26,7 +26,8 @@ class SchemaError(ValueError):
 
 
 class EmptyCellError(ValueError):
-    """A statistical operation requires samples in a cell that is empty."""
+    """A statistical operation lacks the samples it needs: a cell is empty, or too few
+    bins remain to compare."""
 
 
 def check_finite(obj) -> None:

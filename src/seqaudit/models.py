@@ -4,7 +4,11 @@ A device accumulates the log-likelihood ratio prescribed by its world model
 (which may disagree with the process actually generating observations) and
 stops when the sum exits the threshold interval.  The same dataclasses serve
 as observation models and as world models; a matched device simply reuses
-the observation model instance.
+the observation model instance.  Four families live here: i.i.d. Gaussian,
+Markov-Gaussian and two-point lattice observations, stepped one draw at a
+time, and the drift-diffusion process, whose log-likelihood ratio is itself
+a drift-diffusion (:func:`continuous_llr_params`) and whose trials are
+drawn from its two-barrier exit law (:func:`diffusion_cdfs`).
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, check_finite
+from .core import Thresholds, ValidationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,48 @@ class MarkovGaussianModel:
 
 
 @dataclass(frozen=True)
+class LatticeBernoulliModel:
+    """Matched Wald device over a two-point alphabet.
+
+    Observations are +1 with probability ``p`` under hypothesis 1 and with
+    probability ``1-p`` under hypothesis 2, so each step moves the
+    log-likelihood ratio by exactly +/- ln(p/(1-p)).  Thresholds sit at
+    ``m1`` steps up and ``m2`` steps down.
+    """
+
+    p: float
+    m1: int
+    m2: int
+
+    def __post_init__(self) -> None:
+        if not (0.5 < self.p < 1.0):
+            raise ValidationError(f"p must lie in (0.5, 1), got {self.p}")
+        if self.m1 < 1 or self.m2 < 1:
+            raise ValidationError("m1 and m2 must be positive integers")
+        check_finite(self)
+
+    @property
+    def step(self) -> float:
+        return math.log(self.p / (1.0 - self.p))
+
+    @property
+    def thresholds(self) -> Thresholds:
+        return Thresholds(l1=self.m1 * self.step, l2=-self.m2 * self.step)
+
+    def draw_params(self, h):
+        """Per-trial up-probability under hypotheses ``h``."""
+        return (np.where(np.asarray(h) == 1, self.p, 1.0 - self.p),)
+
+    def draw(self, params, rng: np.random.Generator, size=None, x_prev=None):
+        """One observation per trial, +1 or -1."""
+        (up,) = params
+        return np.where(rng.random(size) < up, 1.0, -1.0)
+
+    def llr_increment(self, x, x_prev=None):
+        return np.asarray(x, dtype=np.float64) * self.step
+
+
+@dataclass(frozen=True)
 class DriftDiffusionModel:
     """Ito observation process dX_t = mu_h dt + sigma dW_t, X_0 = 0."""
 
@@ -105,6 +151,44 @@ class DriftDiffusionModel:
         if self.sigma <= 0:
             raise ValidationError("noise amplitude must be positive")
         check_finite(self)
+
+
+@dataclass(frozen=True)
+class ContinuousLLRParams:
+    """Drift-diffusion parameters of the device's log-likelihood ratio.
+
+    ``a1``/``a2`` are the drifts under hypothesis 1/2 in nats per unit time;
+    the diffusion coefficient is ``2 * b`` in nats^2 per unit time.  A
+    matched device has a1 = -a2 = b.
+    """
+
+    a1: float
+    a2: float
+    b: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.a1) and math.isfinite(self.a2)):
+            raise ValidationError(f"drifts must be finite, got a1={self.a1}, a2={self.a2}")
+        if not (0.0 < self.b < math.inf):
+            raise ValidationError(f"diffusion parameter b must be positive and finite, got {self.b}")
+
+
+def continuous_llr_params(
+    obs: DriftDiffusionModel, wm: DriftDiffusionModel
+) -> ContinuousLLRParams:
+    """Drift and diffusion of the believed log-likelihood ratio.
+
+    a_i = (mu1~ - mu2~)/sigma~^2 * (-(mu1~ + mu2~)/2 + mu_i) and
+    b = (1/2) * (sigma * (mu1~ - mu2~)/sigma~^2)^2, where the tildes are the
+    device's beliefs and the bare parameters describe the true process.
+    """
+    if wm.mu1 == wm.mu2:
+        raise ValidationError("degenerate device: believed means coincide (b = 0)")
+    scale = (wm.mu1 - wm.mu2) / wm.sigma**2
+    a1 = scale * (-(wm.mu1 + wm.mu2) / 2.0 + obs.mu1)
+    a2 = scale * (-(wm.mu1 + wm.mu2) / 2.0 + obs.mu2)
+    b = 0.5 * (obs.sigma * (wm.mu1 - wm.mu2) / wm.sigma**2) ** 2
+    return ContinuousLLRParams(a1=a1, a2=a2, b=b)
 
 
 def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
@@ -263,6 +347,17 @@ def _exit_cdfs(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int
                 out[-1] = out[-1][: done[0] + 1]
             break
     return tuple(np.maximum.accumulate(np.maximum(np.concatenate(out), 0.0)) for out in rows)
+
+
+def diffusion_cdfs(model, thresholds: Thresholds, dt: float, window: float, device=None):
+    """The exit CDFs ``[(F1, F2)]`` under H=1 and H=2 at dt, 2dt, ... over ceil(window/dt) steps.
+
+    The simulator inverts them and ``oracle.diffusion_law`` differences them;
+    ``device`` None is the matched device.
+    """
+    p = continuous_llr_params(model, model if device is None else device)
+    n_steps = math.ceil(window / dt)
+    return [_exit_cdfs(a, p.b, thresholds.l1, thresholds.l2, dt, n_steps) for a in (p.a1, p.a2)]
 
 
 def _exit_inverse(f1: np.ndarray, f2: np.ndarray):

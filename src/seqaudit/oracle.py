@@ -7,7 +7,8 @@ on the exponentiated overshoot holds trivially, and the conditional
 decision-time laws can be enumerated to machine precision.  This supplies
 the null distribution against which the statistical tests are calibrated.
 A drift-diffusion device crosses its thresholds continuously, and its law
-on a dt grid is read off the two-barrier exit CDFs.
+on a dt grid is read off the two-barrier exit CDFs.  The devices themselves
+live in :mod:`seqaudit.models`; this module holds only their exact laws.
 """
 from __future__ import annotations
 
@@ -16,53 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import continuous_llr_params
-from .core import Thresholds, ValidationError, check_finite
-from .models import _exit_cdfs
+from .core import Thresholds, ValidationError
+from .models import LatticeBernoulliModel, diffusion_cdfs
 
 SURVIVAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LatticeBernoulliModel:
-    """Matched Wald device over a two-point alphabet.
-
-    Observations are +1 with probability ``p`` under hypothesis 1 and with
-    probability ``1-p`` under hypothesis 2, so each step moves the
-    log-likelihood ratio by exactly +/- ln(p/(1-p)).  Thresholds sit at
-    ``m1`` steps up and ``m2`` steps down.
-    """
-
-    p: float
-    m1: int
-    m2: int
-
-    def __post_init__(self) -> None:
-        if not (0.5 < self.p < 1.0):
-            raise ValidationError(f"p must lie in (0.5, 1), got {self.p}")
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValidationError("m1 and m2 must be positive integers")
-        check_finite(self)
-
-    @property
-    def step(self) -> float:
-        return math.log(self.p / (1.0 - self.p))
-
-    @property
-    def thresholds(self) -> Thresholds:
-        return Thresholds(l1=self.m1 * self.step, l2=-self.m2 * self.step)
-
-    def draw_params(self, h):
-        """Per-trial up-probability under hypotheses ``h``."""
-        return (np.where(np.asarray(h) == 1, self.p, 1.0 - self.p),)
-
-    def draw(self, params, rng: np.random.Generator, size=None, x_prev=None):
-        """One observation per trial, +1 or -1."""
-        (up,) = params
-        return np.where(rng.random(size) < up, 1.0, -1.0)
-
-    def llr_increment(self, x, x_prev=None):
-        return np.asarray(x, dtype=np.float64) * self.step
 
 
 @dataclass
@@ -147,22 +105,11 @@ def enumerate_exact_law(model: LatticeBernoulliModel, k_max: int | None = None) 
     return ExactLaw(pmf=pmf, surviving=surviving, thresholds=model.thresholds)
 
 
-def diffusion_cdfs(model, thresholds: Thresholds, dt: float, window: float, device=None):
-    """The exit CDFs ``[(F1, F2)]`` under H=1 and H=2 at dt, 2dt, ... over ceil(window/dt) steps.
-
-    The simulator inverts them and :func:`diffusion_law` differences them;
-    ``device`` None is the matched device.
-    """
-    p = continuous_llr_params(model, model if device is None else device)
-    n_steps = math.ceil(window / dt)
-    return [_exit_cdfs(a, p.b, thresholds.l1, thresholds.l2, dt, n_steps) for a in (p.a1, p.a2)]
-
-
 def diffusion_law(model, thresholds: Thresholds, dt: float, window: float, device=None) -> ExactLaw:
     """The law of the records of a drift-diffusion device, as ``run_experiment`` draws them.
 
     Cell k is the crossing time ((k-1) dt, k dt], the difference of the
-    :func:`diffusion_cdfs` tables that the simulator inverts.
+    :func:`~seqaudit.models.diffusion_cdfs` tables that the simulator inverts.
     """
     cdfs = diffusion_cdfs(model, thresholds, dt, window, device)
     pmf = np.zeros((2, 2, max(len(f1) for f1, _ in cdfs)))

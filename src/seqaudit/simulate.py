@@ -15,8 +15,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import EmptyCellError, RecordBatch, SECONDS, STEPS, Thresholds, ValidationError
-from .models import DriftDiffusionModel, _exit_inverse, _wald_continuous_block, _wald_discrete_block
-from .oracle import LatticeBernoulliModel, diffusion_cdfs
+from .models import (
+    DriftDiffusionModel, LatticeBernoulliModel, _exit_inverse, _wald_continuous_block,
+    _wald_discrete_block, diffusion_cdfs,
+)
 
 BLOCK_SIZE = 1 << 15
 
@@ -95,7 +97,6 @@ class ExperimentResult:
     truncated_count: int
     alpha1_hat: float
     alpha2_hat: float
-    config: ExperimentConfig
 
 
 def empirical_error_probs(records: RecordBatch) -> Tuple[float, float]:
@@ -170,23 +171,4 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         a1, a2 = empirical_error_probs(batch)
     except EmptyCellError:
         a1 = a2 = math.nan
-    return ExperimentResult(
-        records=batch,
-        truncated_count=truncated,
-        alpha1_hat=a1,
-        alpha2_hat=a2,
-        config=cfg,
-    )
-
-
-def write_metadata(path, result: ExperimentResult) -> None:
-    """Key=value sidecar next to the records CSV."""
-    cfg = result.config
-    with open(path, "w", newline="\n") as f:
-        f.write(f"seed={cfg.seed}\n")
-        f.write(f"trials={cfg.trials}\n")
-        f.write(f"truncated_count={result.truncated_count}\n")
-        f.write(f"alpha1_hat={result.alpha1_hat!r}\n")
-        f.write(f"alpha2_hat={result.alpha2_hat!r}\n")
-        f.write(f"stratified={str(cfg.stratified).lower()}\n")
-        f.write(f"time_kind={result.records.time_kind}\n")
+    return ExperimentResult(records=batch, truncated_count=truncated, alpha1_hat=a1, alpha2_hat=a2)

@@ -64,6 +64,8 @@ class Binning:
 
 def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> Binning:
     """Equal-mass bins from the pooled sample; robust to heavy right tails."""
+    if n_bins < 1:
+        raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
     values, counts = np.unique(np.asarray(times, dtype=np.float64), return_counts=True)
     return _quantile_edges(values, np.cumsum(counts), n_bins)
 
@@ -208,7 +210,7 @@ def _chi2_counts(values: np.ndarray, row_a: np.ndarray, row_b: np.ndarray) -> Te
     merged_a, merged_b, edges_out = _merge_bins(counts_a, counts_b, native_binning(values))
     k = merged_a.size
     if k < 2:
-        raise ValidationError(
+        raise EmptyCellError(
             "fewer than 2 bins remain after merging; the samples cannot support a "
             "chi-squared comparison"
         )
@@ -303,6 +305,8 @@ def mi_plugin(x_labels, y_values, binning: Optional[Binning] = None) -> MIEstima
     """
     x = np.asarray(x_labels)
     y = np.asarray(y_values, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValidationError("labels and values must be one-dimensional")
     if x.size != y.size:
         raise ValidationError("label and value arrays must have equal length")
     if x.size == 0:
@@ -335,11 +339,12 @@ def mi_decomposition(records: RecordBatch, binning: Optional[Binning] = None):
 
 
 def _test_table(records: RecordBatch):
-    """The distinct times, native (H, D, time) table and row test of the optimality tests:
-    chi-squared for step-valued times, KS otherwise."""
+    """The distinct times, native (H, D, time) table, its (H, D) cell sizes and the row test
+    of the optimality tests: chi-squared for step-valued times, KS otherwise."""
     values, table = _native_table(records.cell_code(), 4, records.time)
     compare = _chi2_counts if records.time_kind == STEPS else _ks_counts
-    return values, table.reshape(2, 2, -1), compare
+    # ``sum(axis=1)`` is slow on the table's strides
+    return values, table.reshape(2, 2, -1), np.einsum("ck->c", table).reshape(2, 2), compare
 
 
 def optimality_test_known_h(records: RecordBatch) -> Tuple[TestReport, TestReport]:
@@ -350,12 +355,11 @@ def optimality_test_known_h(records: RecordBatch) -> Tuple[TestReport, TestRepor
     small p-value rejects the null that the device is optimal.  Both panels
     compare rows of one count table, by chi-squared or by KS.
     """
-    counts = records.cell_counts()
+    values, table, counts, compare = _test_table(records)
     for h in (1, 2):
         for d in (1, 2):
             if counts[h - 1, d - 1] == 0:
                 raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
-    values, table, compare = _test_table(records)
     return tuple(compare(values, *table[:, d]) for d in (0, 1))
 
 
@@ -366,7 +370,7 @@ def optimality_test_unknown_h(records: RecordBatch) -> TestReport:
     asserts the observation statistics are involution-symmetric and the
     device ran with symmetric error constraints (l1 = -l2).
     """
-    if (records.cell_counts().sum(axis=0) == 0).any():
+    values, table, counts, compare = _test_table(records)
+    if (counts.sum(axis=0) == 0).any():
         raise EmptyCellError("both decisions must be present")
-    values, table, compare = _test_table(records)
     return compare(values, *(table[0] + table[1]))  # ``sum(axis=0)`` is slow on the table's strides

@@ -155,8 +155,6 @@ class TestConfigBoundary:
         ("simulate", "mu2 = 1.0", "mu2 = nan", "mu2"),
         ("simulate", "sigma1 = 5.0", "sigma1 = nan", "sigma1"),
         ("simulate", "sigma1 = 5.0", "sigma1 = inf", "sigma1"),
-        ("mi-scan", "[scan]", "[scan]\nvalues = nan,1.0", "mu2"),
-        ("mi-scan", "[scan]", "[scan]\nvalues = inf,1.0", "mu2"),
     ])
     def test_non_finite_model_value_is_named(self, tmp_path, capsys, command, old, new, field):
         cfg = tmp_path / "exp.ini"
@@ -260,6 +258,15 @@ class TestTestCommand:
         rec.write_text("hypothesis,decision,time,terminal_llr\n1,1,3,\n2,1,4,\n")
         assert run_cli("--out-dir", tmp_path, "test", rec, "--mode", "known-h") == 4
 
+    @pytest.mark.parametrize("mode", ["known-h", "unknown-h"])
+    def test_too_few_chi2_bins_exit_code(self, tmp_path, capsys, mode):
+        # a valid file whose chi-squared comparison merges down to one bin
+        rec = tmp_path / "records.csv"
+        rec.write_text("hypothesis,decision,time,terminal_llr\n1,1,1,\n2,1,2,\n1,2,1,\n2,2,3,\n")
+        assert run_cli("--out-dir", tmp_path, "test", rec, "--mode", mode) == 4
+        assert "fewer than 2 bins remain after merging" in capsys.readouterr().err
+        assert not (tmp_path / "test_report.csv").exists()
+
     def test_fractional_time_under_steps_is_schema_error(self, tmp_path, capsys):
         rec = tmp_path / "records.csv"
         rec.write_text("hypothesis,decision,time,terminal_llr\n1,1,3,\n2,1,4.5,\n")
@@ -335,6 +342,17 @@ class TestMiScanCommand:
         cfg.write_text(BASE_CONFIG + "\n[scan]\nparameter = mu2\nvalues = 0.8,abc\n")
         assert run_cli("--out-dir", tmp_path, "mi-scan", cfg) == 2
         assert "values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["nan,1.0", "inf,1.0", "1.0,inf"])
+    def test_non_finite_grid_names_key(self, tmp_path, capsys, values):
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text(BASE_CONFIG + f"\n[scan]\nparameter = mu2\nvalues = {values}\n")
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "mi-scan", cfg) == 2
+        assert f"key 'values' in [scan]: grid '{values}' has a non-finite point" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "mi_scan.csv").exists()
 
     def test_negative_points_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "scan.ini"
@@ -858,26 +876,6 @@ class TestOneRunner:
         ]
 
 
-def _cli_importers(package: Path):
-    """Names of the modules in ``package`` that import ``seqaudit.cli``, in any spelling."""
-    importers = set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                module = ("." * node.level) + (node.module or "")
-                names = {alias.name for alias in node.names}
-                hit = module in (".cli", "seqaudit.cli") or (
-                    module in (".", "seqaudit") and "cli" in names
-                )
-            elif isinstance(node, ast.Import):
-                hit = any(alias.name == "seqaudit.cli" for alias in node.names)
-            else:
-                continue
-            if hit:
-                importers.add(path.stem)
-    return importers
-
-
 def _package_imports(path: Path):
     """The seqaudit modules that the module at ``path`` imports, in any spelling."""
     local = set()
@@ -891,32 +889,57 @@ def _package_imports(path: Path):
     return local
 
 
+LIBRARY = {"core", "models", "stats", "simulate", "oracle", "analytic", "overshoot"}
+# each package module -> the package modules it may import
+LAYERS = {
+    "core": set(),
+    "models": {"core"},
+    "stats": {"core"},
+    "simulate": {"core", "models"},
+    "oracle": {"core", "models"},
+    "analytic": {"core", "models", "stats"},
+    "overshoot": {"core", "simulate"},
+    "__init__": LIBRARY,
+    "cli": LIBRARY | {"__version__", "reproduce"},
+    # reproduce takes the belief scan from cli; the edge goes once the scan
+    # moves into the library (ROADMAP item 4)
+    "reproduce": LIBRARY | {"cli"},
+}
+
+
+def _layer_breaches(package: Path):
+    """(module, imported module) for each import in ``package`` that ``LAYERS`` does not allow."""
+    return sorted(
+        (path.stem, module)
+        for path in package.glob("*.py")
+        for module in _package_imports(path) - LAYERS.get(path.stem, set())
+    )
+
+
 class TestImportRule:
     def test_only_reproduce_imports_the_cli(self):
-        # reproduce takes the belief scan from cli; the edge goes once the
-        # scan moves into the library (ROADMAP item 4)
-        assert _cli_importers(Path(cli.__file__).parent) == {"reproduce"}
+        assert {module for module, allowed in LAYERS.items() if "cli" in allowed} == {"reproduce"}
 
-    def test_oracle_imports_only_core_models_and_analytic(self):
-        # simulate imports oracle for the lattice device; oracle must not import back
-        assert _package_imports(Path(cli.__file__).parent / "oracle.py") == {
-            "core", "models", "analytic"
-        }
-
-    def test_stats_imports_only_core(self, tmp_path):
-        # analytic imports stats for the chain rule; stats must not import back
-        assert _package_imports(Path(cli.__file__).parent / "stats.py") == {"core"}
-        spellings = tmp_path / "m.py"
-        spellings.write_text("from .core import STEPS\nfrom . import models\n"
-                             "from seqaudit.analytic import LN2\nimport seqaudit.oracle\n"
-                             "import numpy\nfrom scipy.special import ndtr\n")
-        assert _package_imports(spellings) == {"core", "models", "analytic", "oracle"}
+    def test_each_module_imports_only_its_layers(self):
+        package = Path(cli.__file__).parent
+        assert {path.stem for path in package.glob("*.py")} == set(LAYERS)
+        assert _layer_breaches(package) == []
 
     def test_rule_sees_each_spelling(self, tmp_path):
-        for i, line in enumerate([
-            "from .cli import main", "from . import cli", "from seqaudit.cli import main",
-            "from seqaudit import cli", "import seqaudit.cli",
-        ]):
-            (tmp_path / f"m{i}.py").write_text(line + "\n")
-        (tmp_path / "clean.py").write_text("from .core import Thresholds\nimport seqaudit\n")
-        assert _cli_importers(tmp_path) == {f"m{i}" for i in range(5)}
+        for name, line in [
+            ("core", "from .cli import main"), ("models", "from . import cli"),
+            ("stats", "from seqaudit.cli import main"), ("simulate", "from seqaudit import cli"),
+            ("oracle", "import seqaudit.cli"), ("overshoot", "from .core import STEPS"),
+            ("reproduce", "from .cli import mi_scan_rows"),
+        ]:
+            (tmp_path / f"{name}.py").write_text(f"import numpy\n{line}\n")
+        (tmp_path / "analytic.py").write_text(
+            "from .core import STEPS\nfrom . import models\nfrom seqaudit.stats import LN2\n"
+            "from seqaudit.oracle import diffusion_law\nimport seqaudit.simulate\n"
+            "from scipy.special import ndtr\n"
+        )
+        assert _layer_breaches(tmp_path) == [
+            ("analytic", "oracle"), ("analytic", "simulate"), ("core", "cli"), ("models", "cli"),
+            ("oracle", "cli"), ("simulate", "cli"), ("stats", "cli"),
+        ]
+

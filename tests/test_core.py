@@ -688,7 +688,7 @@ def test_simulate_output_reads_back_to_the_run(tmp_path, family):
 WRITERS = {
     ("core", "write_table"),
     ("cli", "write_manifest"),
-    ("simulate", "write_metadata"),
+    ("cli", "write_metadata"),
     ("reproduce", "_plot_script"),
 }
 

@@ -162,7 +162,7 @@ def ref_chi2_two_sample(a, b):
     merged_a, merged_b, edges_out = ref_merge_bins(idx_a, idx_b, bng)
     k = merged_a.size
     if k < 2:
-        raise ValidationError(
+        raise EmptyCellError(
             "fewer than 2 bins remain after merging; the samples cannot support a "
             "chi-squared comparison"
         )
@@ -442,7 +442,7 @@ class TestOptimalityTestsOnCountTable:
         d = np.repeat([1, 2], 20)
         batch = RecordBatch(h, d, np.full(40, 7.0), time_kind=STEPS)
         for test in (optimality_test_known_h, optimality_test_unknown_h):
-            with pytest.raises(ValidationError, match="fewer than 2 bins"):
+            with pytest.raises(EmptyCellError, match="fewer than 2 bins"):
                 test(batch)
 
     def test_step_tests_read_only_the_table(self, monkeypatch):
@@ -477,9 +477,13 @@ class TestOptimalityTestsOnCountTable:
         def forbidden(*args, **kwargs):
             raise AssertionError("statistics must group the native table, not bin the sample")
 
+        def recount(*args, **kwargs):
+            raise AssertionError("the optimality tests read the cell sizes off the native table")
+
         count_calls("_count_table")
         count_calls("_native_table")
         monkeypatch.setattr(Binning, "assign", forbidden)
+        monkeypatch.setattr(RecordBatch, "cell_counts", recount)
         monkeypatch.setattr(np, "quantile", forbidden)
         untied = random_batch(4, "seconds").time
         for kind in (STEPS, "seconds"):

@@ -7,7 +7,7 @@ from seqaudit.analytic import (
     continuous_llr_params, error_probs_continuous, mutual_info_discretized,
 )
 from seqaudit.core import Thresholds, ValidationError
-from seqaudit import oracle, simulate
+from seqaudit import models, simulate
 from seqaudit.models import DriftDiffusionModel, _exit_cdfs, _wald_continuous_block
 from seqaudit.oracle import (
     ExactLaw,
@@ -205,7 +205,7 @@ class TestDiffusionLaw:
             inverted.append(laws)
             return _wald_continuous_block(laws, *rest)
 
-        monkeypatch.setattr(oracle, "_exit_cdfs", recording)
+        monkeypatch.setattr(models, "_exit_cdfs", recording)
         monkeypatch.setattr(simulate, "_wald_continuous_block", kernel)
         run_experiment(ExperimentConfig(SCAN_MODEL, SCAN_TH, trials=1000, seed=3, dt=1.0,
                                         window=150.5))

@@ -21,8 +21,8 @@ from seqaudit.simulate import (
     block_rng,
     empirical_error_probs,
     run_experiment,
-    write_metadata,
 )
+from seqaudit.cli import write_metadata
 
 FIG2A_MODEL = GaussianIIDModel(mu1=0.0, mu2=1.0, sigma1=5.0, sigma2=10.0)
 FIG2A_TH = Thresholds(l1=4.0, l2=-2.0)
@@ -238,9 +238,10 @@ class TestEmpiricalErrorProbs:
 
 class TestMetadata:
     def test_sidecar_contents(self, tmp_path):
-        result = run_experiment(small_cfg(trials=2000))
+        cfg = small_cfg(trials=2000)
+        result = run_experiment(cfg)
         path = tmp_path / "records.meta"
-        write_metadata(path, result)
+        write_metadata(path, cfg, result)
         text = path.read_text()
         assert "seed=1234" in text
         assert f"truncated_count={result.truncated_count}" in text

@@ -115,7 +115,7 @@ class TestChi2TwoSample:
         assert rep.bins is not None
 
     def test_impossible_binning(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(EmptyCellError, match="fewer than 2 bins"):
             chi2_two_sample([1.0] * 3, [1.0] * 4)  # one category only
 
     def test_null_calibration_from_exact_law(self):
@@ -153,6 +153,12 @@ class TestMIPlugin:
         values = g.normal(size=500)
         est = mi_plugin(labels, values, binning=quantile_binning(values, 8))
         assert est.value_bits >= 0.0
+
+    @pytest.mark.parametrize("shapes", [((2, 5), (10,)), ((10,), (2, 5)), ((2, 5), (2, 5))])
+    def test_inputs_must_be_one_dimensional(self, shapes):
+        labels, values = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            mi_plugin(labels, values)
 
 
 class TestConditionalMIPlugin:
@@ -334,3 +340,8 @@ class TestBinning:
         bng = quantile_binning(t, n_bins=8)
         idx = bng.assign(t)
         assert np.all((idx >= 0) & (idx < bng.n_bins))
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_quantile_binning_needs_a_bin(self, n_bins):
+        with pytest.raises(ValidationError, match="n_bins must be >= 1"):
+            quantile_binning(np.arange(10.0), n_bins)
