@@ -124,55 +124,33 @@ def _check_keys(cfg: configparser.ConfigParser, kind: str) -> None:
             raise ConfigError(f"unknown key(s) {unknown} in section [{name}]")
 
 
-def build_model(cfg: configparser.ConfigParser):
-    if "model" not in cfg:
-        raise ConfigError("missing [model] section")
-    section = cfg["model"]
-    kind = section.get("kind")
-    if kind not in MODEL_FIELDS:
-        raise ConfigError(
-            f"unknown model kind {kind!r}; expected one of {sorted(MODEL_FIELDS)}"
-        )
-    _check_keys(cfg, kind)
-    values = {
-        name: _get(section, name, cast=cast, required=True)
-        for name, cast in MODEL_FIELDS[kind].items()
-    }
-    return kind, MODEL_CLASSES[kind](**values)
+def build_experiment(cfg: configparser.ConfigParser, seed_override=None) -> ExperimentConfig:
+    """The run of a config, read from [model], [device] and [experiment] in turn.
 
-
-def build_device(cfg: configparser.ConfigParser, kind: str, model):
-    """World model and thresholds from [device].
-
-    The world model is None (matched) when no belief is overridden.  A
+    The world model is None (matched) when [device] overrides no belief.  A
     lattice device without l1/l2 takes its on-lattice thresholds; every
     other device needs both.
     """
-    wm = th = None
-    if "device" in cfg:
-        section = cfg["device"]
-        overrides = {
-            name: _get(section, name, cast=cast)
-            for name, cast in MODEL_FIELDS[kind].items()
-            if name in section
-        }
-        wm = replace(model, **overrides) if overrides else None
-        l1 = _get(section, "l1", cast=float)
-        l2 = _get(section, "l2", cast=float)
-        if l1 is not None or l2 is not None:
-            if l1 is None or l2 is None:
-                raise ConfigError("thresholds need both l1 and l2")
-            th = Thresholds(l1, l2)
-    if th is None:
-        if kind != "lattice":
-            raise ConfigError("missing [device] l1/l2 thresholds")
-        th = model.thresholds
-    return wm, th
-
-
-def build_experiment(cfg: configparser.ConfigParser, seed_override=None) -> ExperimentConfig:
-    kind, model = build_model(cfg)
-    wm, th = build_device(cfg, kind, model)
+    if "model" not in cfg:
+        raise ConfigError("missing [model] section")
+    kind = cfg["model"].get("kind")
+    if kind not in MODEL_FIELDS:
+        raise ConfigError(f"unknown model kind {kind!r}; expected one of {sorted(MODEL_FIELDS)}")
+    _check_keys(cfg, kind)
+    casts = MODEL_FIELDS[kind]
+    model = MODEL_CLASSES[kind](
+        **{name: _get(cfg["model"], name, cast=cast, required=True) for name, cast in casts.items()}
+    )
+    # a missing [device] is empty, not [DEFAULT], whose keys are no belief overrides
+    device = cfg["device"] if "device" in cfg else {}
+    overrides = {name: _get(device, name, cast=cast) for name, cast in casts.items() if name in device}
+    wm = replace(model, **overrides) if overrides else None
+    l1, l2 = _get(device, "l1"), _get(device, "l2")
+    if (l1 is None) != (l2 is None):
+        raise ConfigError("thresholds need both l1 and l2")
+    if l1 is None and kind != "lattice":
+        raise ConfigError("missing [device] l1/l2 thresholds")
+    th = model.thresholds if l1 is None else Thresholds(l1, l2)
     if "experiment" not in cfg:
         raise ConfigError("missing [experiment] section")
     section = cfg["experiment"]
@@ -182,7 +160,7 @@ def build_experiment(cfg: configparser.ConfigParser, seed_override=None) -> Expe
         for name, f in EXPERIMENT_FIELDS.items()
         if name not in values and (name in section or f.default is MISSING)
     }
-    dt = _get(cfg["device"], "dt", cast=float) if "device" in cfg else None
+    dt = _get(device, "dt")
     return ExperimentConfig(model=model, thresholds=th, world_model=wm, dt=dt, **values)
 
 
@@ -310,7 +288,7 @@ def mi_scan_rows(
     """
     rows = []
     wm_base = base.device
-    for i, value in enumerate(values):
+    for value in values:
         wm = replace(wm_base, **{parameter: float(value)})
         cfg = replace(base, world_model=wm)
         res = run_experiment(cfg, threads=threads)

@@ -192,12 +192,12 @@ def write_records_csv(path, batch: RecordBatch) -> None:
     Output bytes depend only on the batch contents.  Rows go out in chunks,
     and within a chunk ``str`` runs once per distinct time and LLR.
     """
-    time = batch.time.astype(np.int64) if batch.time_kind == STEPS else batch.time
+    steps = batch.time_kind == STEPS
     code = batch.cell_code()
     chunks = []
     for i in range(0, len(batch), _WRITE_CHUNK_ROWS):
         rows = slice(i, i + _WRITE_CHUNK_ROWS)
-        times, t_index = _distinct_texts(time[rows], lambda t: f"{t},")
+        times, t_index = _distinct_texts(batch.time[rows], lambda t: f"{int(t) if steps else t},")
         llrs, s_index = _distinct_texts(
             batch.terminal_llr[rows], lambda s: "" if math.isnan(s) else str(s))
         # the "h,d,t," prefix of each (cell, time) pair, 4 x K

@@ -355,6 +355,10 @@ def diffusion_cdfs(model, thresholds: Thresholds, dt: float, window: float, devi
     The simulator inverts them and ``oracle.diffusion_law`` differences them;
     ``device`` None is the matched device.
     """
+    if not (0 < dt < math.inf and 0 < window < math.inf):
+        raise ValidationError(
+            f"exit law needs 0 < dt < inf and 0 < window < inf, got dt={dt}, window={window}"
+        )
     p = continuous_llr_params(model, model if device is None else device)
     n_steps = math.ceil(window / dt)
     return [_exit_cdfs(a, p.b, thresholds.l1, thresholds.l2, dt, n_steps) for a in (p.a1, p.a2)]

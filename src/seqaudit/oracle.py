@@ -68,40 +68,30 @@ def enumerate_exact_law(model: LatticeBernoulliModel, k_max: int | None = None) 
     """Dynamic programming over the bounded lattice walk.
 
     State is the current level in (-m2, m1); levels m1 and -m2 absorb.
-    Probabilities are accumulated in extended precision.  When ``k_max`` is
-    omitted, enumeration continues until the surviving mass under both
-    hypotheses falls below 1e-12.
+    Both hypotheses' walks step together, one row each, so their laws cover
+    the same steps.  Probabilities are accumulated in extended precision.
+    When ``k_max`` is omitted, enumeration continues, for at most 100,000
+    steps, until the surviving mass under both hypotheses falls below 1e-12.
     """
     if k_max is not None and k_max < model.m1:
         raise ValidationError("k_max must be at least m1")
-    m1, m2 = model.m1, model.m2
-    levels = np.arange(-m2 + 1, m1)
-    n_levels = len(levels)
-    start = np.zeros(n_levels, dtype=np.longdouble)
-    start[np.where(levels == 0)[0][0]] = 1.0
-
-    hard_cap = k_max if k_max is not None else 100_000
-    absorbed = []  # per hypothesis, rows (P(T=k, D=1), P(T=k, D=2)) for k = 1, 2, ...
-    surviving = np.zeros(2)
-    for h in (1, 2):
-        up = np.longdouble(model.p if h == 1 else 1.0 - model.p)
-        down = np.longdouble(1.0) - up
-        state = start.copy()
-        rows = []
-        while True:
-            nxt = np.zeros(n_levels, dtype=np.longdouble)
-            nxt[1:] += up * state[:-1]
-            nxt[:-1] += down * state[1:]
-            rows.append((up * state[-1], down * state[0]))
-            state = nxt
-            mass = float(state.sum())
-            if len(rows) >= hard_cap or (k_max is None and mass < SURVIVAL_TOL):
-                break
-        surviving[h - 1] = mass
-        absorbed.append(np.array(rows, dtype=np.longdouble).T)
-    pmf = np.zeros((2, 2, max(a.shape[1] for a in absorbed)), dtype=np.longdouble)
-    for h, cells in enumerate(absorbed):
-        pmf[h, :, : cells.shape[1]] = cells
+    # row h-1 of each array is the walk under H=h; 1 - p is rounded in float64 first
+    up = np.array([[model.p], [1.0 - model.p]], dtype=np.longdouble)
+    down = np.longdouble(1.0) - up
+    state = np.zeros((2, model.m1 + model.m2 - 1), dtype=np.longdouble)
+    state[:, model.m2 - 1] = 1.0
+    steps = []  # per step k, (P(T=k, D=1 | H=h), P(T=k, D=2 | H=h)) over h
+    for _ in range(k_max or 100_000):
+        nxt = np.zeros_like(state)
+        nxt[:, 1:] += up * state[:, :-1]
+        nxt[:, :-1] += down * state[:, 1:]
+        steps.append((up[:, 0] * state[:, -1], down[:, 0] * state[:, 0]))
+        state = nxt
+        surviving = state.sum(axis=1).astype(np.float64)
+        if k_max is None and (surviving < SURVIVAL_TOL).all():
+            break
+    # a C-ordered copy, so that sums over k add in the order of a one-walk array
+    pmf = np.array(steps, dtype=np.longdouble).transpose(2, 1, 0).copy()
     return ExactLaw(pmf=pmf, surviving=surviving, thresholds=model.thresholds)
 
 

@@ -217,12 +217,11 @@ def _fig7(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
     path_a = write_table(out_dir / "fig7ab_mi.csv", "lambda,n,mi_bits", rows_a)
 
     rows_c = []
-    profile_trials = max(int(n_max), 100_000)
     for lam in (0.16, 0.36):
         cfg = ExperimentConfig(
             model=IID_MODEL,
             thresholds=Thresholds(4.0 * lam, -2.0 * lam),
-            trials=profile_trials,
+            trials=n_max,
             seed=seed + int(lam * 7000),
             window=2000,
         )

@@ -8,6 +8,7 @@ count or scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -56,6 +57,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if isinstance(self.model, LatticeBernoulliModel) and self.device != self.model:
             raise ValidationError("lattice devices are always matched; remove belief overrides")
+        for name in ("trials", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if self.seed < 0:

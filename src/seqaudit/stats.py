@@ -13,6 +13,7 @@ and equal-mass quantile bins come from its cumulative counts.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -51,7 +52,7 @@ class Binning:
         e = np.asarray(self.edges, dtype=np.float64)
         if np.isnan(e).any():
             raise ValidationError("bin edges must not be NaN")
-        if e.size and np.any(np.diff(e) <= 0):
+        if not (e[1:] > e[:-1]).all():
             raise ValidationError("bin edges must be strictly increasing")
 
     def assign(self, times: np.ndarray) -> np.ndarray:
@@ -64,6 +65,8 @@ class Binning:
 
 def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> Binning:
     """Equal-mass bins from the pooled sample; robust to heavy right tails."""
+    if not isinstance(n_bins, numbers.Integral):
+        raise ValidationError(f"n_bins must be a whole number, got {n_bins!r}")
     if n_bins < 1:
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
     values, counts = np.unique(np.asarray(times, dtype=np.float64), return_counts=True)

@@ -138,7 +138,45 @@ class TestSimulateCommand:
         assert "m1" in capsys.readouterr().err
 
 
+# one fault of a config per row, each an edit of BASE_CONFIG and its message; the groups
+# are in the order build_experiment reports them: model values, belief overrides,
+# thresholds, [experiment], then dt and ExperimentConfig's own checks
+CONFIG_FAULTS = [
+    [("sigma1 = 5.0", "sigma1 = 0", "standard deviations must be positive")],
+    [("[device]\n", "[device]\nmu2 = nan\n", "mu2 must be finite, got nan"),
+     ("[device]\n", "[device]\nmu1 = zero\n",
+      "key 'mu1' in [device]: could not convert string to float: 'zero'")],
+    [("l2 = -2.0\n", "", "thresholds need both l1 and l2"),
+     ("l1 = 4.0", "l1 = -4", "l1 must be a positive finite real, got -4.0")],
+    [("[experiment]\ntrials = 8000\nseed = 314\np1 = 0.5\nwindow = 300\n", "",
+      "missing [experiment] section"),
+     ("trials = 8000", "trials = many",
+      "key 'trials' in [experiment]: invalid literal for int() with base 10: 'many'")],
+    [("[device]\n", "[device]\ndt = soon\n",
+      "key 'dt' in [device]: could not convert string to float: 'soon'"),
+     ("[device]\n", "[device]\ndt = 0.5\n", "dt applies to continuous models only")],
+]
+TWO_FAULTS = [
+    (first, second)
+    for i, group in enumerate(CONFIG_FAULTS)
+    for first in group
+    for later in CONFIG_FAULTS[i + 1:]
+    for second in later
+]
+
+
 class TestConfigBoundary:
+    @pytest.mark.parametrize("first,second", TWO_FAULTS)
+    def test_first_of_two_faults_is_reported(self, tmp_path, capsys, first, second):
+        text = BASE_CONFIG
+        for old, new, _ in (second, first):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        assert run_cli("--out-dir", tmp_path, "simulate", cfg) == 2
+        assert capsys.readouterr().err == f"config error: {first[2]}\n"
+
     @pytest.mark.parametrize("old,new,message", [
         ("sigma1 = 5.0", "sigma1 = -1", "standard deviations must be positive"),
         ("l1 = 4.0", "l1 = -4", "l1 must be a positive finite real, got -4.0"),

@@ -138,6 +138,18 @@ class TestCsvRoundTrip:
         assert np.isnan(back.terminal_llr[1])
         assert back.terminal_llr[0] == 4.1
 
+    def test_step_times_beyond_int64_round_trip(self, tmp_path):
+        # an int64 cast would write both as -9223372036854775808
+        time = np.array([2.0**63, 1e19])
+        batch = RecordBatch(np.array([1, 2]), np.array([1, 2]), time, time_kind="steps")
+        path = tmp_path / "records.csv"
+        write_records_csv(path, batch)
+        assert path.read_text().splitlines()[1:] == [
+            "1,1,9223372036854775808,", "2,2,10000000000000000000,"
+        ]
+        back = read_records_csv(path)
+        assert back.time_kind == "steps" and np.array_equal(back.time, time)
+
     def test_infers_seconds_for_fractional_times(self, tmp_path):
         batch = RecordBatch(
             hypothesis=np.array([1]),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,12 @@ class TestEnumerateExactLaw:
         with pytest.raises(ValidationError):
             enumerate_exact_law(LatticeBernoulliModel(p=0.8, m1=3, m2=3), k_max=2)
 
+    @pytest.mark.parametrize("p,m1,m2", [(0.7, 3, 5), (0.9, 1, 4)])
+    def test_both_hypotheses_cover_the_same_steps(self, p, m1, m2):
+        # the walk that dies out first is not cut short: both rows end at one step
+        pmf = enumerate_exact_law(LatticeBernoulliModel(p=p, m1=m1, m2=m2)).pmf
+        assert np.array_equal(pmf[0] > 0, pmf[1] > 0)
+
 
 class TestVerifyFluctuationRelation:
     @pytest.mark.parametrize("p,m1,m2", [(0.8, 2, 2), (0.7, 3, 2), (0.9, 1, 4)])
@@ -170,6 +177,15 @@ class TestDiffusionLaw:
         alpha1, alpha2 = error_probs_continuous(p, SCAN_TH)
         assert abs(law.decision_prob(1, 2) - alpha1) < 1e-12
         assert abs(law.decision_prob(2, 1) - alpha2) < 1e-12
+
+    @pytest.mark.parametrize("dt,window", [
+        (0.0, 150.0), (-1.0, 150.0), (1.0, 0.0), (math.nan, 150.0), (1.0, math.inf),
+    ])
+    def test_dt_and_window_must_be_positive_and_finite(self, dt, window):
+        model = DriftDiffusionModel(0.0, 1.0, 5.0)
+        message = f"0 < dt < inf and 0 < window < inf, got dt={dt}, window={window}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            diffusion_law(model, Thresholds(4.0, -2.0), dt, window)
 
     def test_fluctuation_relation_holds_on_the_matched_device(self):
         ok, dev = verify_fluctuation_relation(scan_law(1.0), tol=1e-12)

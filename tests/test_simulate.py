@@ -45,6 +45,19 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_cfg(trials=0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("trials", 2.5), ("trials", "10"), ("trials", 10.0), ("seed", 1.5), ("seed", None),
+    ])
+    def test_trials_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+            small_cfg(**{name: value})
+
+    def test_numpy_integers_run_as_ints(self):
+        a = run_experiment(small_cfg(trials=2000)).records
+        b = run_experiment(small_cfg(trials=np.int64(2000), seed=np.uint32(1234))).records
+        assert np.array_equal(a.time, b.time) and np.array_equal(a.decision, b.decision)
+        assert np.array_equal(a.hypothesis, b.hypothesis)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
             small_cfg(seed=-1)

@@ -322,6 +322,11 @@ class TestBinning:
         with pytest.raises(ValidationError):
             Binning(edges=(1.0, 1.0))
 
+    def test_equal_infinite_edges_rejected(self):
+        # inf - inf is NaN, which no "<= 0" test catches
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            Binning(edges=(math.inf, math.inf))
+
     @pytest.mark.parametrize("edges", [(math.nan,), (1.0, math.nan, 3.0)])
     def test_nan_edge_rejected(self, edges):
         with pytest.raises(ValidationError, match="NaN"):
@@ -340,6 +345,11 @@ class TestBinning:
         bng = quantile_binning(t, n_bins=8)
         idx = bng.assign(t)
         assert np.all((idx >= 0) & (idx < bng.n_bins))
+
+    @pytest.mark.parametrize("n_bins", [2.5, 2.0, "3"])
+    def test_quantile_binning_needs_a_whole_number(self, n_bins):
+        with pytest.raises(ValidationError, match="n_bins must be a whole number"):
+            quantile_binning(np.arange(10.0), n_bins)
 
     @pytest.mark.parametrize("n_bins", [0, -1])
     def test_quantile_binning_needs_a_bin(self, n_bins):
