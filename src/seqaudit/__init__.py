@@ -10,11 +10,12 @@ from .core import (
     thresholds_from_alphas,
     write_records_csv,
 )
-from .models import DriftDiffusionModel, GaussianIIDModel, MarkovGaussianModel
+from .models import (
+    ContinuousLLRParams, DriftDiffusionModel, GaussianIIDModel, LatticeBernoulliModel,
+    MarkovGaussianModel, continuous_llr_params,
+)
 from .simulate import ExperimentConfig, ExperimentResult, empirical_error_probs, run_experiment
 from .analytic import (
-    ContinuousLLRParams,
-    continuous_llr_params,
     decision_time_density,
     error_probs_continuous,
     mean_decision_times,
@@ -33,5 +34,5 @@ from .stats import (
     optimality_test_known_h,
     optimality_test_unknown_h,
 )
-from .oracle import LatticeBernoulliModel, enumerate_exact_law, verify_fluctuation_relation
+from .oracle import enumerate_exact_law, verify_fluctuation_relation
 from .overshoot import OvershootSeries, condition51_flatness, overshoot_profile

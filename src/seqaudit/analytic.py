@@ -22,7 +22,7 @@ import numpy as np
 from .core import Thresholds, ValidationError
 # continuous_llr_params stays importable from here, its former home
 from .models import ContinuousLLRParams, _exit_mass, continuous_llr_params
-from .stats import _chain_rule
+from .stats import chain_rule
 
 LN2 = math.log(2.0)
 TAIL_MASS = 1e-12
@@ -292,7 +292,7 @@ def mutual_info_discretized(p: ContinuousLLRParams, l1: float, t_r: float) -> fl
         # rounding can leave -1e-17 residues; the mass past the last edge is one tail bin
         law[h - 1, 0] = weight * np.maximum(np.diff(cdf, append=1.0), 0.0)
     law[1, 1, 0] = 1.0 - alpha1
-    return _chain_rule(law)[2]
+    return chain_rule(law)[2]
 
 
 def sample_inverse_gaussian(mean: float, shape: float, rng: np.random.Generator, size=None):

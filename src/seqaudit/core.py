@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +36,12 @@ def check_finite(obj) -> None:
     for name, value in vars(obj).items():
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def check_whole(name: str, value) -> None:
+    """Reject ``value`` unless it is a whole number; a ``bool`` is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +153,6 @@ class RecordBatch:
     def cell_counts(self) -> np.ndarray:
         """Record counts per (H, D) cell, a 2 x 2 array indexed [h-1, d-1]."""
         return np.bincount(self.cell_code(), minlength=4).reshape(2, 2)
-
-    def cell_times(self, h: int, d: int) -> np.ndarray:
-        """Times of the records with hypothesis ``h`` and decision ``d``."""
-        mask = (self.hypothesis == h) & (self.decision == d)
-        return self.time[mask]
 
 
 CSV_HEADER = "hypothesis,decision,time,terminal_llr"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Thresholds, ValidationError, check_finite
+from .core import Thresholds, ValidationError, check_finite, check_whole
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,11 @@ class LatticeBernoulliModel:
     def __post_init__(self) -> None:
         if not (0.5 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0.5, 1), got {self.p}")
+        check_finite(self)
+        for name in ("m1", "m2"):
+            check_whole(name, getattr(self, name))
         if self.m1 < 1 or self.m2 < 1:
             raise ValidationError("m1 and m2 must be positive integers")
-        check_finite(self)
 
     @property
     def step(self) -> float:

@@ -21,7 +21,7 @@ from .oracle import diffusion_law
 from .overshoot import overshoot_profile
 from .simulate import ExperimentConfig, run_experiment
 from .stats import (
-    _chain_rule, _native_table, conditional_mi_plugin, native_binning, optimality_test_known_h,
+    chain_rule, conditional_mi_plugin, hdt_table, native_binning, optimality_test_known_h,
 )
 from .cli import mi_scan_rows, mi_scan_table
 
@@ -90,13 +90,12 @@ def _conditional_pmf_table(batch: RecordBatch, pool_hypotheses: bool = False) ->
 
     With ``pool_hypotheses`` the rows are (k, P(T=k|D=1), P(T=k|D=2)).
     """
-    ks, table = _native_table(batch.cell_code(), 4, batch.time)
-    table = table.reshape(2, 2, -1)
+    ks, table = hdt_table(batch)
     if pool_hypotheses:
         table = table.sum(axis=0, keepdims=True)
     pmf = table / np.maximum(table.sum(axis=2, keepdims=True), 1)
     # columns run (d, h) as in the header
-    cols = pmf.transpose(1, 0, 2).reshape(-1, pmf.shape[2]).T.tolist()
+    cols = pmf.transpose(1, 0, 2).reshape(2 * len(pmf), -1).T.tolist()
     return [(k, *p) for k, p in zip(ks.astype(int).tolist(), cols)]
 
 
@@ -265,7 +264,7 @@ def _fig8(out_dir: Path, scale: float, seed: int, threads: int) -> List[str]:
         )
         rec = run_experiment(cfg, threads=threads).records
         law = diffusion_law(cfg.model, cfg.thresholds, cfg.dt, cfg.window, cfg.device)
-        theory = _chain_rule(law.pmf)[2]
+        theory = chain_rule(law.pmf)[2]
         binning = native_binning(rec.time)  # one bin per dt cell
         n = 1000
         while n <= n_max:

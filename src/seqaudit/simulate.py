@@ -8,14 +8,15 @@ count or scheduling.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import EmptyCellError, RecordBatch, SECONDS, STEPS, Thresholds, ValidationError
+from .core import (
+    EmptyCellError, RecordBatch, SECONDS, STEPS, Thresholds, ValidationError, check_whole,
+)
 from .models import (
     DriftDiffusionModel, LatticeBernoulliModel, _exit_inverse, _wald_continuous_block,
     _wald_discrete_block, diffusion_cdfs,
@@ -58,8 +59,7 @@ class ExperimentConfig:
         if isinstance(self.model, LatticeBernoulliModel) and self.device != self.model:
             raise ValidationError("lattice devices are always matched; remove belief overrides")
         for name in ("trials", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_whole(name, getattr(self, name))
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if self.seed < 0:

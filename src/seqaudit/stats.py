@@ -6,21 +6,22 @@ Real-valued times go through the two-sample Kolmogorov-Smirnov test,
 step-valued times through a two-sample chi-squared homogeneity test, and the
 divergence from optimality is scored by the plug-in conditional mutual
 information between hypothesis and (binned) decision time given the decision.
-Every statistic counts one table, the samples of each row at each distinct
-time (``_native_table``); a binning only groups that table's time columns,
-and equal-mass quantile bins come from its cumulative counts.
+Every statistic of a batch reads one table, :func:`hdt_table`: the records
+of each (hypothesis, decision) cell at each distinct time.  A binning only
+groups that table's time columns, equal-mass quantile bins come from its
+cumulative counts, and :func:`chain_rule` takes the information terms of any
+(H, D, time) table, of counts or of an exact law's masses.
 """
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import STEPS, EmptyCellError, RecordBatch, ValidationError
+from .core import STEPS, EmptyCellError, RecordBatch, ValidationError, check_whole
 
 DEFAULT_MERGE_FLOOR = 5.0
 DEFAULT_QUANTILE_BINS = 32
@@ -50,13 +51,12 @@ class Binning:
 
     def __post_init__(self) -> None:
         e = np.asarray(self.edges, dtype=np.float64)
+        if e.ndim != 1:
+            raise ValidationError(f"bin edges must be one-dimensional, got {self.edges!r}")
         if np.isnan(e).any():
             raise ValidationError("bin edges must not be NaN")
         if not (e[1:] > e[:-1]).all():
             raise ValidationError("bin edges must be strictly increasing")
-
-    def assign(self, times: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.asarray(self.edges), times, side="right")
 
     @property
     def n_bins(self) -> int:
@@ -65,8 +65,7 @@ class Binning:
 
 def quantile_binning(times: np.ndarray, n_bins: int = DEFAULT_QUANTILE_BINS) -> Binning:
     """Equal-mass bins from the pooled sample; robust to heavy right tails."""
-    if not isinstance(n_bins, numbers.Integral):
-        raise ValidationError(f"n_bins must be a whole number, got {n_bins!r}")
+    check_whole("n_bins", n_bins)
     if n_bins < 1:
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
     values, counts = np.unique(np.asarray(times, dtype=np.float64), return_counts=True)
@@ -102,28 +101,43 @@ def native_binning(times: np.ndarray) -> Binning:
     return Binning(edges=tuple(np.where(mid > values[:-1], mid, values[1:]).tolist()))
 
 
-def _count_table(
-    codes: np.ndarray, rows: int, times: np.ndarray, binning: Optional[Binning], time_kind: str
+def hdt_table(batch: RecordBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct times of ``batch`` and its (hypothesis, decision, time) count table.
+
+    ``counts[h-1, d-1, k]`` is the number of records with hypothesis h,
+    decision d and the k-th distinct time, so ``counts`` has shape (2, 2, K)
+    with K the number of distinct times.  Every statistic of a batch reads
+    this table.
+    """
+    times, counts = _native_table(batch.cell_code(), 4, batch.time)
+    return times, counts.reshape(2, 2, -1)
+
+
+def _grouped(
+    times: np.ndarray, table: np.ndarray, binning: Optional[Binning], time_kind: str
 ) -> Tuple[Binning, np.ndarray]:
-    """The binning and the (row, time-bin) count table of samples ``(codes, times)``.
+    """The binning and ``table`` with its last axis, one column per sorted distinct time
+    in ``times``, grouped into time bins.
 
     ``binning`` None takes native bins for step-valued times and quantile
     bins otherwise; any other value that is not a :class:`Binning` raises
-    :class:`ValidationError`.  Every table is the native one, whose columns
-    a binning groups: bin j sums the columns at times in [edges[j-1], edges[j]).
+    :class:`ValidationError`.  Bin j sums the columns at times in
+    [edges[j-1], edges[j]).  A table of no records raises :class:`EmptyCellError`.
     """
-    values, table = _native_table(codes, rows, times)
+    if times.size == 0:
+        raise EmptyCellError("no records")
     if binning is None and time_kind == STEPS:
-        return native_binning(values), table
+        return native_binning(times), table
     # zero-prepended cumulative counts, differenced: ``np.add.reduceat`` gets empty bins wrong
-    cum = np.zeros((rows, table.shape[1] + 1), dtype=table.dtype)
-    np.cumsum(table, axis=1, out=cum[:, 1:])
+    cum = np.zeros((*table.shape[:-1], times.size + 1), dtype=table.dtype)
+    np.cumsum(table, axis=-1, out=cum[..., 1:])
     if binning is None:
-        binning = _quantile_edges(values, cum[:, 1:].sum(axis=0), DEFAULT_QUANTILE_BINS)
+        pooled = cum.reshape(-1, times.size + 1)[:, 1:].sum(axis=0)  # a view: ``cum`` is C-ordered
+        binning = _quantile_edges(times, pooled, DEFAULT_QUANTILE_BINS)
     elif not isinstance(binning, Binning):
         raise ValidationError(f"unknown binning spec {binning!r}")
-    cuts = np.r_[0, np.searchsorted(values, binning.edges), table.shape[1]]
-    return binning, np.diff(cum[:, cuts], axis=1)
+    cuts = np.r_[0, np.searchsorted(times, binning.edges), times.size]
+    return binning, np.diff(cum[..., cuts], axis=-1)
 
 
 def _native_table(codes: np.ndarray, rows: int, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,7 +146,7 @@ def _native_table(codes: np.ndarray, rows: int, times: np.ndarray) -> Tuple[np.n
     Whole, nonnegative times whose table from 0 to the largest holds at most
     two cells per sample (plus 4096) are counted by one ``bincount`` over
     ``time * rows + code``, and the all-zero columns are dropped; any other
-    times are numbered by ``np.unique``.  An empty sample gets one empty column.
+    times are numbered by ``np.unique``.
     """
     if times.size and times.min() >= 0 and (top := times.max()) <= (2 * times.size + 4096) / rows - 1:
         t = times.astype(np.int64)
@@ -145,8 +159,7 @@ def _native_table(codes: np.ndarray, rows: int, times: np.ndarray) -> Tuple[np.n
     values, index = np.unique(times, return_inverse=True)
     index *= rows
     index += codes
-    table = np.bincount(index, minlength=rows * max(values.size, 1))
-    return values, table.reshape(-1, rows).T
+    return values, np.bincount(index, minlength=rows * values.size).reshape(-1, rows).T
 
 
 def _two_sample_table(a: Sequence[float], b: Sequence[float]):
@@ -272,22 +285,8 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _hdt_table(batch: RecordBatch, binning: Optional[Binning]) -> Tuple[Binning, np.ndarray]:
-    """The binning and the (hypothesis, decision, time-bin) count table.
-
-    Its bins group the columns of the native (hypothesis, decision, time)
-    table.  Every plug-in entropy below is a sum over the 2 x 2 x K table
-    taken in (h, d, bin) order, and the step-valued chi-squared tests
-    compare its rows.
-    """
-    if len(batch) == 0:
-        raise EmptyCellError("no records")
-    bng, table = _count_table(batch.cell_code(), 4, batch.time, binning, batch.time_kind)
-    return bng, table.reshape(2, 2, -1)
-
-
-def _chain_rule(table: np.ndarray) -> Tuple[float, float, float]:
-    """(I(H;(D,T)), I(H;D), I(H;T|D)) in bits from an (H, D, bin) count table."""
+def chain_rule(table: np.ndarray) -> Tuple[float, float, float]:
+    """(I(H;(D,T)), I(H;D), I(H;T|D)) in bits from an (H, D, time) table of counts or masses."""
     hd = table.sum(axis=2)
     h_ent = _entropy_bits(hd.sum(axis=1))
     d_ent = _entropy_bits(hd.sum(axis=0))
@@ -315,9 +314,9 @@ def mi_plugin(x_labels, y_values, binning: Optional[Binning] = None) -> MIEstima
     if x.size == 0:
         raise EmptyCellError("cannot estimate mutual information from no samples")
     labels, codes = np.unique(x, return_inverse=True)
-    bng, table = _count_table(codes, labels.size, y, binning, STEPS)
+    bng, table = _grouped(*_native_table(codes, labels.size, y), binning, STEPS)
     # the joint term of the chain rule over a single decision is I(X;Y)
-    value = _chain_rule(table[:, None, :])[0]
+    value = chain_rule(table[:, None, :])[0]
     return MIEstimate(value_bits=max(value, 0.0), n=int(x.size), binning=bng)
 
 
@@ -332,22 +331,22 @@ def conditional_mi_plugin(records: RecordBatch, binning: Optional[Binning] = Non
     raises :class:`ValidationError`.  The plug-in estimator carries a positive bias
     of order (cells/N); no correction is applied.
     """
-    bng, table = _hdt_table(records, binning)
-    return MIEstimate(value_bits=_chain_rule(table)[2], n=len(records), binning=bng)
+    bng, table = _grouped(*hdt_table(records), binning, records.time_kind)
+    return MIEstimate(value_bits=chain_rule(table)[2], n=len(records), binning=bng)
 
 
 def mi_decomposition(records: RecordBatch, binning: Optional[Binning] = None):
     """The chain-rule triple (I(H;(D,T)), I(H;D), I(H;T|D)) from one table."""
-    return _chain_rule(_hdt_table(records, binning)[1])
+    return chain_rule(_grouped(*hdt_table(records), binning, records.time_kind)[1])
 
 
 def _test_table(records: RecordBatch):
     """The distinct times, native (H, D, time) table, its (H, D) cell sizes and the row test
     of the optimality tests: chi-squared for step-valued times, KS otherwise."""
-    values, table = _native_table(records.cell_code(), 4, records.time)
+    values, table = hdt_table(records)
     compare = _chi2_counts if records.time_kind == STEPS else _ks_counts
-    # ``sum(axis=1)`` is slow on the table's strides
-    return values, table.reshape(2, 2, -1), np.einsum("ck->c", table).reshape(2, 2), compare
+    # ``sum(axis=2)`` is slow on the table's strides
+    return values, table, np.einsum("hdk->hd", table), compare
 
 
 def optimality_test_known_h(records: RecordBatch) -> Tuple[TestReport, TestReport]:

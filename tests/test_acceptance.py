@@ -105,7 +105,7 @@ def test_criterion_03_exact_lattice_law():
         batch = run_experiment(cfg).records
         tv = 0.0
         for d in (1, 2):
-            times = batch.cell_times(h, d)
+            times = batch.time[(batch.hypothesis == h) & (batch.decision == d)]
             ks, counts = np.unique(times, return_counts=True)
             emp = dict(zip(ks.astype(int), counts / len(batch)))
             exact = dict(enumerate(law.pmf[h - 1, d - 1].astype(float).tolist(), start=1))

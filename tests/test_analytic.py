@@ -354,7 +354,7 @@ class TestMutualInfoContinuous:
         i_joint, i_dec, i_cond = mi_decomposition(batch, binning=bng)
         # delta method: the plug-in is the mean of per-record information
         # densities, so its sampling error follows from their variance
-        tb = bng.assign(t)
+        tb = np.searchsorted(bng.edges, t, side="right")
         code = (h.astype(np.int64) * 2 + d) * (tb.max() + 1) + tb
         dcode = d.astype(np.int64) * (tb.max() + 1) + tb
         hd = h.astype(np.int64) * 2 + d

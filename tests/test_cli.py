@@ -954,7 +954,32 @@ def _layer_breaches(package: Path):
     )
 
 
+def _private_stats_imports(package: Path):
+    """(module, name) for each ``_``-prefixed name that a module other than ``stats`` imports
+    from ``stats``."""
+    return sorted(
+        (path.stem, alias.name)
+        for path in package.glob("*.py") if path.stem != "stats"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "seqaudit")
+        and (node.module or "").removeprefix("seqaudit").lstrip(".") == "stats"
+        for alias in node.names if alias.name.startswith("_")
+    )
+
+
 class TestImportRule:
+    def test_no_module_imports_a_private_stats_name(self):
+        assert _private_stats_imports(Path(cli.__file__).parent) == []
+
+    def test_private_rule_sees_each_spelling(self, tmp_path):
+        others = sorted(set(LAYERS) - {"stats"})
+        spellings = ["from .stats import chain_rule, _x", "from seqaudit.stats import _x"]
+        for i, name in enumerate(others):
+            (tmp_path / f"{name}.py").write_text(f"import numpy\n{spellings[i % 2]}\n")
+        (tmp_path / "stats.py").write_text("from .stats import _x\nfrom .core import _y\n")
+        assert _private_stats_imports(tmp_path) == [(name, "_x") for name in others]
+
     def test_only_reproduce_imports_the_cli(self):
         assert {module for module, allowed in LAYERS.items() if "cli" in allowed} == {"reproduce"}
 

@@ -25,6 +25,7 @@ from seqaudit.core import (
     write_records_csv,
     write_table,
 )
+from seqaudit.stats import hdt_table
 
 
 class TestThresholdsFromAlphas:
@@ -71,7 +72,8 @@ class TestThresholds:
 
 
 def cell_times(rows):
-    """The four (hypothesis, decision) cells of ``RecordBatch.cell_times``.
+    """The four (hypothesis, decision) cells of :func:`seqaudit.stats.hdt_table`: each
+    distinct time repeated by its count in the cell.
 
     ``rows`` are (hypothesis, decision, time) triples, built into columns.
     """
@@ -80,7 +82,8 @@ def cell_times(rows):
         decision=np.array([d for _, d, _ in rows], dtype=np.int8),
         time=np.array([t for _, _, t in rows], dtype=np.float64),
     )
-    return {(h, d): batch.cell_times(h, d) for h in (1, 2) for d in (1, 2)}
+    times, counts = hdt_table(batch)
+    return {(h, d): np.repeat(times, counts[h - 1, d - 1]) for h in (1, 2) for d in (1, 2)}
 
 
 class TestPartitionRecords:

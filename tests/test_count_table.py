@@ -13,6 +13,7 @@ order, so the values must be equal, not merely close.
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from seqaudit.simulate import ExperimentConfig, empirical_error_probs, run_exper
 from seqaudit.stats import (
     Binning,
     conditional_mi_plugin,
+    hdt_table,
     ks_two_sample,
     mi_decomposition,
     mi_plugin,
@@ -39,6 +41,16 @@ from seqaudit.stats import (
 )
 
 CELLS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def assign(binning, times):
+    """Each time's bin under ``binning``, by searching its cut points."""
+    return np.searchsorted(binning.edges, times, side="right")
+
+
+def cell_times(batch, h, d):
+    """The times of the records with hypothesis ``h`` and decision ``d``, by a per-cell mask."""
+    return batch.time[(batch.hypothesis == h) & (batch.decision == d)]
 
 
 def ref_entropy_bits(counts):
@@ -78,7 +90,7 @@ def ref_binning(batch, binning):
 
 
 def ref_conditional_mi(batch, binning=None):
-    tb = ref_binning(batch, binning).assign(batch.time)
+    tb = assign(ref_binning(batch, binning), batch.time)
     h, d = batch.hypothesis, batch.decision
     value = (
         ref_joint_entropy(h, d)
@@ -90,7 +102,7 @@ def ref_conditional_mi(batch, binning=None):
 
 
 def ref_mi_decomposition(batch, binning=None):
-    tb = ref_binning(batch, binning).assign(batch.time)
+    tb = assign(ref_binning(batch, binning), batch.time)
     h, d = batch.hypothesis, batch.decision
     h_ent = ref_counts(h)
     i_joint = h_ent + ref_joint_entropy(d, tb) - ref_joint_entropy(h, d, tb)
@@ -102,7 +114,7 @@ def ref_mi_plugin(x, y, binning):
     x = np.asarray(x)
     y = np.asarray(y, dtype=np.float64)
     bng = binning if isinstance(binning, Binning) else ref_native_binning(y)
-    yb = bng.assign(y)
+    yb = assign(bng, y)
     codes = np.unique(x, return_inverse=True)[1]
     value = ref_counts(x) + ref_counts(yb) - ref_joint_entropy(codes, yb)
     return max(value, 0.0)
@@ -113,7 +125,7 @@ def ref_conditional_pmf_table(batch):
     cols = []
     for d in (1, 2):
         for h in (1, 2):
-            times = batch.cell_times(h, d)
+            times = cell_times(batch, h, d)
             total = max(times.size, 1)
             counts = {k: 0 for k in ks}
             uk, uc = np.unique(times.astype(int), return_counts=True)
@@ -157,8 +169,8 @@ def ref_chi2_two_sample(a, b):
     b = np.asarray(b, dtype=np.float64)
     n1, n2 = a.size, b.size
     bng = ref_native_binning(np.concatenate([a, b]))
-    idx_a = np.bincount(bng.assign(a), minlength=bng.n_bins).astype(np.float64)
-    idx_b = np.bincount(bng.assign(b), minlength=bng.n_bins).astype(np.float64)
+    idx_a = np.bincount(assign(bng, a), minlength=bng.n_bins).astype(np.float64)
+    idx_b = np.bincount(assign(bng, b), minlength=bng.n_bins).astype(np.float64)
     merged_a, merged_b, edges_out = ref_merge_bins(idx_a, idx_b, bng)
     k = merged_a.size
     if k < 2:
@@ -207,7 +219,7 @@ def ref_panel_test(batch):
 
 
 def ref_known_h(batch):
-    cells = {(h, d): batch.cell_times(h, d) for h, d in CELLS}
+    cells = {(h, d): cell_times(batch, h, d) for h, d in CELLS}
     for (h, d), times in cells.items():
         if times.size == 0:
             raise EmptyCellError(f"no records with hypothesis {h} and decision {d}")
@@ -216,7 +228,7 @@ def ref_known_h(batch):
 
 
 def ref_unknown_h(batch):
-    t1, t2 = (np.concatenate([batch.cell_times(h, d) for h in (1, 2)]) for d in (1, 2))
+    t1, t2 = (np.concatenate([cell_times(batch, h, d) for h in (1, 2)]) for d in (1, 2))
     if t1.size == 0 or t2.size == 0:
         raise EmptyCellError("both decisions must be present")
     return ref_panel_test(batch)(t1, t2)
@@ -452,10 +464,13 @@ class TestOptimalityTestsOnCountTable:
         def forbidden(*args, **kwargs):
             raise AssertionError("optimality tests must read the count table")
 
-        monkeypatch.setattr(RecordBatch, "cell_times", forbidden)
+        # a stand-in holding no record column: a per-cell mask has nothing to read
+        tables = {b.time_kind: hdt_table(b) for b in batches}
+        monkeypatch.setattr(stats, "hdt_table", lambda records: tables[records.time_kind])
         monkeypatch.setattr(stats, "chi2_two_sample", forbidden)
         monkeypatch.setattr(stats, "ks_two_sample", forbidden)
-        got = [(optimality_test_known_h(b), optimality_test_unknown_h(b)) for b in batches]
+        stand_ins = [SimpleNamespace(time_kind=b.time_kind) for b in batches]
+        got = [(optimality_test_known_h(b), optimality_test_unknown_h(b)) for b in stand_ins]
         assert got == expected
 
     def test_each_statistic_builds_one_count_table(self, monkeypatch):
@@ -480,9 +495,17 @@ class TestOptimalityTestsOnCountTable:
         def recount(*args, **kwargs):
             raise AssertionError("the optimality tests read the cell sizes off the native table")
 
-        count_calls("_count_table")
+        search = np.searchsorted
+
+        def search_cut_points(a, v, *args, **kwargs):
+            # searching cut points is grouping; searching every record would be binning
+            if np.size(v) > stats.DEFAULT_QUANTILE_BINS:
+                forbidden()
+            return search(a, v, *args, **kwargs)
+
+        count_calls("hdt_table")
         count_calls("_native_table")
-        monkeypatch.setattr(Binning, "assign", forbidden)
+        monkeypatch.setattr(np, "searchsorted", search_cut_points)
         monkeypatch.setattr(RecordBatch, "cell_counts", recount)
         monkeypatch.setattr(np, "quantile", forbidden)
         untied = random_batch(4, "seconds").time
@@ -494,14 +517,14 @@ class TestOptimalityTestsOnCountTable:
             explicit = Binning(edges=(5.0, 12.5, 20.0))
             for statistic, args, table in [
                 (stats.chi2_two_sample, (t[:n // 2], t[n // 2:]), "_native_table"),
-                (mi_plugin, (h, t), "_count_table"),
-                (mi_plugin, (h, batch.time, explicit), "_count_table"),
-                (conditional_mi_plugin, (batch,), "_count_table"),
-                (conditional_mi_plugin, (batch, explicit), "_count_table"),
-                (mi_decomposition, (batch,), "_count_table"),
-                (mi_decomposition, (batch, explicit), "_count_table"),
-                (optimality_test_known_h, (batch,), "_native_table"),
-                (optimality_test_unknown_h, (batch,), "_native_table"),
+                (mi_plugin, (h, t), "_native_table"),
+                (mi_plugin, (h, batch.time, explicit), "_native_table"),
+                (conditional_mi_plugin, (batch,), "hdt_table"),
+                (conditional_mi_plugin, (batch, explicit), "hdt_table"),
+                (mi_decomposition, (batch,), "hdt_table"),
+                (mi_decomposition, (batch, explicit), "hdt_table"),
+                (optimality_test_known_h, (batch,), "hdt_table"),
+                (optimality_test_unknown_h, (batch,), "hdt_table"),
                 (ks_two_sample, (untied[:n // 2], untied[n // 2:]), "_native_table"),
             ]:
                 calls.clear()
@@ -523,7 +546,7 @@ class TestKolmogorovSmirnovOnCountTable:
     @given(batches(kind="seconds", times=tied_real_times))
     @settings(max_examples=300, deadline=None)
     def test_equal_to_sorted_sample_path(self, batch):
-        cells = {(h, d): batch.cell_times(h, d) for h, d in CELLS}
+        cells = {(h, d): cell_times(batch, h, d) for h, d in CELLS}
         panels = [(cells[1, d], cells[2, d]) for d in (1, 2)]
         panels.append(tuple(np.concatenate([cells[1, d], cells[2, d]]) for d in (1, 2)))
         for a, b in panels:
@@ -618,10 +641,10 @@ class TestQuantileBinning:
         times = np.array([0.5, math.nan, 1.5, math.inf, 2.5, 0.0, math.nan])
         codes = np.array([0, 1, 2, 3, 0, 1, 3])
         bng = Binning(edges=(1.0, 2.0))
-        assert bng.assign(times).tolist() == [0, 2, 1, 2, 2, 0, 2]
-        table = stats._count_table(codes, 4, times, bng, "seconds")[1]
-        assert table.tolist() == [[1, 0, 1], [1, 0, 1], [0, 1, 0], [0, 0, 2]]
+        assert assign(bng, times).tolist() == [0, 2, 1, 2, 2, 0, 2]
         batch = RecordBatch(codes // 2 + 1, codes % 2 + 1, times)
+        table = stats._grouped(*hdt_table(batch), bng, "seconds")[1]
+        assert table.reshape(4, -1).tolist() == [[1, 0, 1], [1, 0, 1], [0, 1, 0], [0, 0, 2]]
         assert conditional_mi_plugin(batch, bng).value_bits == ref_conditional_mi(batch, bng)
         assert mi_plugin(codes, times, bng).value_bits == ref_mi_plugin(codes, times, bng)
 
@@ -684,13 +707,15 @@ class TestTimeKeyedTable:
     numbered by ``np.unique``.
     """
 
-    @given(batches(kind=STEPS) | step_batches())
+    # an empty batch has no column to key or search (``test_empty_batch_has_no_columns``)
+    @given((batches(kind=STEPS) | step_batches()).filter(len))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_searched_table(self, batch):
-        with mock.patch.object(Binning, "assign", side_effect=AssertionError("searched")):
-            keyed = stats._count_table(batch.cell_code(), 4, batch.time, None, STEPS)
-        searched = stats._count_table(batch.cell_code(), 4, batch.time,
-                                      native_binning(batch.time), STEPS)
+        unique = mock.Mock(wraps=np.unique)
+        with mock.patch.object(np, "unique", unique):
+            keyed = stats._grouped(*hdt_table(batch), None, STEPS)
+        assert time_numberings(unique) == []
+        searched = stats._grouped(*hdt_table(batch), native_binning(batch.time), STEPS)
         assert keyed[0] == searched[0]
         assert keyed[1].dtype == searched[1].dtype and keyed[1].shape == searched[1].shape
         assert np.array_equal(keyed[1], searched[1])
@@ -698,8 +723,9 @@ class TestTimeKeyedTable:
     def test_leaves_the_callers_arrays_alone(self):
         codes, times = np.array([0, 3, 1, 2, 3]), np.array([4.0, 0.0, 4.0, 9.0, -0.0])
         before = codes.copy(), times.copy()
-        bng, table = stats._count_table(codes, 4, times, None, STEPS)
-        ref_bng, ref_table = stats._count_table(codes, 4, times, native_binning(times), STEPS)
+        values, native = stats._native_table(codes, 4, times)
+        bng, table = stats._grouped(values, native, None, STEPS)
+        ref_bng, ref_table = stats._grouped(values, native, native_binning(times), STEPS)
         assert bng == ref_bng == Binning(edges=(2.0, 6.5)) and np.array_equal(table, ref_table)
         assert np.array_equal(codes, before[0]) and np.array_equal(times, before[1])
 
@@ -712,8 +738,7 @@ class TestTimeKeyedTable:
         unique = mock.Mock(wraps=np.unique)
         tracemalloc.start()
         try:
-            with mock.patch.object(Binning, "assign", side_effect=AssertionError("searched")), \
-                    mock.patch.object(np, "unique", unique):
+            with mock.patch.object(np, "unique", unique):
                 est = conditional_mi_plugin(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -731,8 +756,7 @@ class TestTimeKeyedTable:
         y = np.array(times * 5)
         x = np.array([1, 2, 2, 1, 1] * 4)
         unique = mock.Mock(wraps=np.unique)
-        with mock.patch.object(Binning, "assign", side_effect=AssertionError("searched")), \
-                mock.patch.object(np, "unique", unique):
+        with mock.patch.object(np, "unique", unique):
             mi = outcome(lambda: mi_plugin(x, y).value_bits)
             chi2 = outcome(stats.chi2_two_sample, y[:10], y[10:])
         # NaN times are numbered too, then fail on native cut points that are NaN
@@ -740,10 +764,15 @@ class TestTimeKeyedTable:
         assert mi == outcome(ref_mi_plugin, x, y, None)
         assert chi2 == outcome(ref_chi2_two_sample, y[:10], y[10:])
 
-    def test_empty_sample_has_one_empty_bin(self):
-        bng, table = stats._count_table(np.array([], dtype=np.int64), 4, np.array([]), None, STEPS)
-        assert bng == Binning(edges=())
-        assert table.shape == (4, 1) and not table.any()
+    @pytest.mark.parametrize("kind", [STEPS, "seconds"])
+    def test_empty_batch_has_no_columns(self, kind):
+        batch = RecordBatch(np.array([]), np.array([]), np.array([]), time_kind=kind)
+        times, table = hdt_table(batch)
+        assert times.shape == (0,) and table.shape == (2, 2, 0)
+        for binning in (None, Binning(edges=(1.0,))):
+            for statistic in (conditional_mi_plugin, mi_decomposition):
+                with pytest.raises(EmptyCellError, match="no records"):
+                    statistic(batch, binning)
 
 
 def time_numberings(unique):

@@ -505,3 +505,10 @@ class TestModelValidation:
     def test_non_finite_field_is_named(self, cls, args, field):
         with pytest.raises(ValidationError, match=f"^{field} must be finite, got"):
             cls(*args)
+
+    @pytest.mark.parametrize("args,field", [
+        ((0.8, 1.5, 2), "m1"), ((0.8, 2, 2.0), "m2"), ((0.8, True, 2), "m1"), ((0.8, 2, False), "m2"),
+    ])
+    def test_lattice_levels_must_be_whole(self, args, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be a whole number, got"):
+            LatticeBernoulliModel(*args)

@@ -20,7 +20,7 @@ from seqaudit.oracle import (
 )
 from seqaudit.reproduce import FIG8_L1, FIG8_OBS, FIG8_TR, fig8_device
 from seqaudit.simulate import ExperimentConfig, run_experiment
-from seqaudit.stats import _chain_rule, conditional_mi_plugin
+from seqaudit.stats import chain_rule, conditional_mi_plugin
 
 
 def ruin_probability(p_up: float, m_up: int, m_down: int) -> float:
@@ -242,7 +242,7 @@ def fig8_conditional_mi(mu2_tilde: float, l2: float):
     device = fig8_device(mu2_tilde)
     law = diffusion_law(FIG8_OBS, Thresholds(FIG8_L1, l2), FIG8_TR, 2000 * FIG8_TR, device)
     limit = mutual_info_discretized(continuous_llr_params(FIG8_OBS, device), FIG8_L1, FIG8_TR)
-    return _chain_rule(law.pmf)[2], limit
+    return chain_rule(law.pmf)[2], limit
 
 
 class TestDeepLowerThreshold:
@@ -275,7 +275,7 @@ class TestMonteCarloConsistency:
             batch = result.records
             tv = 0.0
             for d in (1, 2):
-                times = batch.cell_times(h, d)
+                times = batch.time[(batch.hypothesis == h) & (batch.decision == d)]
                 ks, counts = np.unique(times, return_counts=True)
                 emp = dict(zip(ks.astype(int), counts / len(batch)))
                 exact = dict(enumerate(law.pmf[h - 1, d - 1].astype(float).tolist(), start=1))

@@ -17,7 +17,7 @@ from seqaudit.analytic import continuous_llr_params
 from seqaudit.core import Thresholds, ValidationError
 from seqaudit.oracle import diffusion_law
 from seqaudit.simulate import ExperimentConfig, run_experiment
-from seqaudit.stats import _chain_rule, conditional_mi_plugin, native_binning
+from seqaudit.stats import chain_rule, conditional_mi_plugin, native_binning
 
 
 @pytest.fixture(scope="module", params=sorted(reproduce.FIGURES))
@@ -124,5 +124,5 @@ def test_fig8c_plugin_centres_on_the_theory(mu2_tilde):
         rec = result.records
         values.append(conditional_mi_plugin(rec, native_binning(rec.time)).value_bits)
     law = diffusion_law(cfg.model, cfg.thresholds, cfg.dt, cfg.window, cfg.device)
-    theory = _chain_rule(law.pmf)[2]
+    theory = chain_rule(law.pmf)[2]
     assert abs(np.mean(values) - theory) <= 4.0 * np.std(values, ddof=1)

@@ -47,9 +47,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name,value", [
         ("trials", 2.5), ("trials", "10"), ("trials", 10.0), ("seed", 1.5), ("seed", None),
+        ("trials", True), ("seed", False),
     ])
     def test_trials_and_seed_must_be_integers(self, name, value):
-        with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+        with pytest.raises(ValidationError, match=f"{name} must be a whole number, got {value!r}"):
             small_cfg(**{name: value})
 
     def test_numpy_integers_run_as_ints(self):
