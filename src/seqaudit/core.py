@@ -32,8 +32,10 @@ class EmptyCellError(ValueError):
 
 
 def check_finite(obj) -> None:
-    """Reject the first field of dataclass ``obj`` that is not a finite number."""
+    """Reject the first field of dataclass ``obj`` that is not a finite real number."""
     for name, value in vars(obj).items():
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
 

@@ -30,9 +30,9 @@ class GaussianIIDModel:
     sigma2: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.sigma1 <= 0 or self.sigma2 <= 0:
             raise ValidationError("standard deviations must be positive")
-        check_finite(self)
 
     def draw_params(self, h):
         """Per-trial (mu, sigma) under hypotheses ``h``."""
@@ -66,9 +66,9 @@ class MarkovGaussianModel:
     sigma2: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.sigma1 <= 0 or self.sigma2 <= 0:
             raise ValidationError("standard deviations must be positive")
-        check_finite(self)
 
     def draw_params(self, h):
         """Per-trial (v, w + 1, sigma) under hypotheses ``h``."""
@@ -112,9 +112,9 @@ class LatticeBernoulliModel:
     m2: int
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not (0.5 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0.5, 1), got {self.p}")
-        check_finite(self)
         for name in ("m1", "m2"):
             check_whole(name, getattr(self, name))
         if self.m1 < 1 or self.m2 < 1:
@@ -150,9 +150,9 @@ class DriftDiffusionModel:
     sigma: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.sigma <= 0:
             raise ValidationError("noise amplitude must be positive")
-        check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,11 @@ def _wald_discrete_block(model, wm, th, h: np.ndarray, max_steps: int, rng):
     return times, decisions, terminal
 
 
-# Rows of the exit-law table filled per pass; bounds the series' temporaries.
+# Rows over which a series is truncated: each chunk of the table sums terms
+# until its own largest one is below ``SERIES_TOL``.
 TABLE_CHUNK = 256
+# Rows of the exit-law table filled per pass; bounds the series' temporaries.
+PASS_ROWS = 16 * TABLE_CHUNK
 # Stop the table once the undecided mass is below one float64 uniform step.
 UNDECIDED_FLOOR = 2.0**-53
 # Below u = t * 2b / (l1 - l2)^2 the image (small-time) series converges faster.
@@ -284,44 +287,54 @@ def _small_time_cdf(t: np.ndarray, d: float, mu: float, w: float, b: float) -> n
     return total
 
 
-def _large_time_tail(t: np.ndarray, d: float, mu: float, w: float, b: float) -> np.ndarray:
+def _large_time_tail(t: np.ndarray, d: float, mu: float, w: float, b: float,
+                     offset: int) -> np.ndarray:
     """Exit mass still to come after t, by the eigenfunction series.
 
     Termwise integral of the large-time density of Navarro & Fuss 2009, as in
-    Blurton, Kesselmeier & Gondan 2012.
+    Blurton, Kesselmeier & Gondan 2012.  The rows fall into ``TABLE_CHUNK``
+    chunks, the first of them ``offset`` rows short: a chunk takes terms
+    until its largest one is below ``SERIES_TOL``, that term included.  A
+    term shrinks with t, so the chunks still summing are a prefix.
     """
     scale = 2.0 * math.pi * b / (w * w)
     lead = mu * d / (2.0 * b)
     total = np.zeros_like(t)
+    bounds = np.r_[0, np.arange(TABLE_CHUNK - offset, len(t), TABLE_CHUNK), len(t)]
+    going = len(bounds) - 1  # how many leading chunks still sum
     for k in range(1, 200):
         lam = mu * mu / (4.0 * b) + (k * math.pi) ** 2 * b / (w * w)
-        size = scale * k / lam * np.exp(lead - lam * t)
-        total += math.sin(k * math.pi * d / w) * size
-        if size.max() < SERIES_TOL:
+        live = bounds[going]
+        size = scale * k / lam * np.exp(lead - lam * t[:live])
+        total[:live] += math.sin(k * math.pi * d / w) * size
+        going = np.count_nonzero(np.maximum.reduceat(size, bounds[:going]) >= SERIES_TOL)
+        if not going:
             break
     return total
 
 
 def _exit_cdf(t: np.ndarray, d: float, mu: float, w: float, b: float, mass: float):
-    """(F(t), mass - F(t)) for the barrier at distance ``d``, on rows ``t``.
+    """(F(t), mass - F(t)) for the barrier at distance ``d``, on one pass's rows ``t``.
 
     The eigenfunction series carries the prefactor e^{mu d / 2b - mu^2 t / 4b}
     and loses that much absolute precision; the image series takes every row
-    where it exceeds e, and every row below ``SMALL_TIME_U``.
+    where it exceeds e, and every row below ``SMALL_TIME_U``, one
+    ``TABLE_CHUNK`` at a time.  The pass starts on a chunk boundary.
     """
     lead = mu * d / (2.0 * b)
     t_switch = SMALL_TIME_U * w * w / (2.0 * b)
     if lead > 1.0:
         t_switch = max(t_switch, 4.0 * b * (lead - 1.0) / (mu * mu))
-    small = t < t_switch
+    small = np.count_nonzero(t < t_switch)  # t increases, so these rows lead
     f = np.empty_like(t)
+    for lo in range(0, small, TABLE_CHUNK):
+        hi = min(lo + TABLE_CHUNK, small)
+        f[lo:hi] = _small_time_cdf(t[lo:hi], d, mu, w, b)
     tail = np.empty_like(t)
-    if small.any():
-        f[small] = _small_time_cdf(t[small], d, mu, w, b)
-        tail[small] = mass - f[small]
-    if not small.all():
-        tail[~small] = _large_time_tail(t[~small], d, mu, w, b)
-        f[~small] = mass - tail[~small]
+    tail[:small] = mass - f[:small]
+    if small < len(t):
+        tail[small:] = _large_time_tail(t[small:], d, mu, w, b, small % TABLE_CHUNK)
+        f[small:] = mass - tail[small:]
     return f, tail
 
 
@@ -330,14 +343,16 @@ def _exit_cdfs(a: float, b: float, l1: float, l2: float, dt: float, n_steps: int
 
     The LLR is S_t = a t + sqrt(2b) W_t from 0 between l2 < 0 < l1.  The
     rows run to ``n_steps`` or to the first one whose undecided mass is below
-    ``UNDECIDED_FLOOR``, whichever comes first.
+    ``UNDECIDED_FLOOR``, whichever comes first; they are filled ``PASS_ROWS``
+    at a time, and the fill stops after the pass that holds that row.  Each
+    series is truncated per ``TABLE_CHUNK`` rows, whatever the pass length.
     """
     w = l1 - l2
     sides = ((l1, a), (-l2, -a))  # (distance to the barrier, drift toward it)
     masses = [_exit_mass(d, mu, w, b) for d, mu in sides]
     rows = ([], [])
-    for start in range(1, n_steps + 1, TABLE_CHUNK):
-        t = np.arange(start, min(start + TABLE_CHUNK, n_steps + 1)) * dt
+    for start in range(1, n_steps + 1, PASS_ROWS):
+        t = np.arange(start, min(start + PASS_ROWS, n_steps + 1)) * dt
         undecided = np.zeros_like(t)
         for (d, mu), mass, out in zip(sides, masses, rows):
             f, tail = _exit_cdf(t, d, mu, w, b, mass)

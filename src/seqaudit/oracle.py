@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Thresholds, ValidationError
+from .core import Thresholds, ValidationError, check_whole
 from .models import LatticeBernoulliModel, diffusion_cdfs
 
 SURVIVAL_TOL = 1e-12
@@ -73,8 +73,10 @@ def enumerate_exact_law(model: LatticeBernoulliModel, k_max: int | None = None) 
     When ``k_max`` is omitted, enumeration continues, for at most 100,000
     steps, until the surviving mass under both hypotheses falls below 1e-12.
     """
-    if k_max is not None and k_max < model.m1:
-        raise ValidationError("k_max must be at least m1")
+    if k_max is not None:
+        check_whole("k_max", k_max)
+        if k_max < model.m1:
+            raise ValidationError("k_max must be at least m1")
     # row h-1 of each array is the walk under H=h; 1 - p is rounded in float64 first
     up = np.array([[model.p], [1.0 - model.p]], dtype=np.longdouble)
     down = np.longdouble(1.0) - up

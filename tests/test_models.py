@@ -18,7 +18,10 @@ from seqaudit.models import (
     _wald_discrete_block,
 )
 from seqaudit.oracle import LatticeBernoulliModel
+from seqaudit.reproduce import FIG8_L1, FIG8_OBS, FIG8_TR, fig8_device
 from seqaudit.simulate import ExperimentConfig, run_experiment
+
+from exit_table_reference import chunk_exit_cdfs
 
 
 def rng(seed=0):
@@ -486,6 +489,63 @@ class TestGuideTable:
         assert len(cdf) - 1 <= size < 2 * (len(cdf) - 1)
 
 
+def pass_fill_cases():
+    """(id, _exit_cdfs arguments) of the tables the repository's runs and tests build."""
+    obs = DriftDiffusionModel(0.0, 1.0, 5.0)
+    for belief in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0):  # the benchmark's mi-scan grid
+        p = continuous_llr_params(obs, DriftDiffusionModel(0.0, belief, 5.0))
+        for h, a in ((1, p.a1), (2, p.a2)):
+            yield f"mi_scan_{belief}_h{h}", (a, p.b, 4.0, -2.0, 1.0, 5000)
+    p = continuous_llr_params(obs, obs)
+    for h, a in ((1, p.a1), (2, p.a2)):  # the benchmark's simulate family, dt 4, window 5000
+        yield f"simulate_h{h}", (a, p.b, 4.0, -2.0, 4.0, 1250)
+        for n_steps in (models.PASS_ROWS - 1, models.PASS_ROWS, models.PASS_ROWS + 1):
+            yield f"pass_edge_{n_steps}_h{h}", (a, p.b, 4.0, -2.0, 0.5, n_steps)
+    for belief in (0.5, 1.0, 1.5):  # Fig 8c
+        p = continuous_llr_params(FIG8_OBS, fig8_device(belief))
+        for h, a in ((1, p.a1), (2, p.a2)):
+            yield f"fig8c_{belief}_h{h}", (a, p.b, FIG8_L1, -30.0, FIG8_TR, 2000)
+    for ratio in (4.0, 20.0, 40.0):  # TestExitTable
+        yield f"deep_l2_{ratio}", (0.5, 0.5, ratio, -400.0, 0.05, 10**6)
+    for i, (a, b, l1, l2, dt) in enumerate([
+        (0.02, 0.02, 4.0, -2.0, 1.0), (-0.02, 0.02, 4.0, -2.0, 4.0),
+        (0.005, 0.0125, 4.0, -2.0, 1.0), (0.0, 2.0, 1.0, -3.0, 0.01),
+    ]):
+        yield f"wald_mean_{i}", (a, b, l1, l2, dt, 10**6)
+    yield "zero_drift_split", (0.0, 0.5, 1.0, -3.0, 0.01, 10**6)
+    yield "huge_window", (0.5, 0.5, 1.0, -1.0, 1e-3, int(math.ceil(1e9 / 1e-3)))
+    yield from TestGuideTable.TABLES.items()
+
+
+def assert_same_table(args):
+    new, old = _exit_cdfs(*args), chunk_exit_cdfs(*args)
+    for x, y in zip(new, old):
+        assert x.shape == y.shape and np.array_equal(x, y), args
+    return len(new[0])
+
+
+class TestPassFill:
+    """Filling the exit law ``PASS_ROWS`` at a time changes no bit of any table."""
+
+    CASES = dict(pass_fill_cases())
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_the_chunk_loop(self, case):
+        assert_same_table(self.CASES[case])
+
+    def test_equals_the_chunk_loop_on_random_devices(self):
+        g = rng(32)
+        lengths = []
+        for _ in range(300):
+            b = math.exp(g.uniform(math.log(0.005), math.log(2.0)))
+            a = g.uniform(-1.0, 1.0) * math.sqrt(b) * g.choice([0.0, 0.1, 1.0])
+            l1, l2 = g.uniform(0.3, 8.0), -g.uniform(0.3, 8.0)
+            dt = math.exp(g.uniform(math.log(0.01), math.log(10.0)))
+            n_steps = int(math.exp(g.uniform(0.0, math.log(3e5))))
+            lengths.append(assert_same_table((a, b, l1, l2, dt, n_steps)))
+        assert sum(n > models.PASS_ROWS for n in lengths) >= 30  # pass boundaries crossed
+
+
 class TestModelValidation:
     def test_positive_sigmas_required(self):
         with pytest.raises(ValidationError):
@@ -504,6 +564,19 @@ class TestModelValidation:
     ])
     def test_non_finite_field_is_named(self, cls, args, field):
         with pytest.raises(ValidationError, match=f"^{field} must be finite, got"):
+            cls(*args)
+
+    @pytest.mark.parametrize("cls,args,field", [
+        (GaussianIIDModel, (0.0, "1", 1.0, 1.0), "mu2"),
+        (GaussianIIDModel, (0.0, 1.0, None, 1.0), "sigma1"),
+        (MarkovGaussianModel, (0.0, 0.0, 0.0, 0.0, 1.0, "1"), "sigma2"),
+        (DriftDiffusionModel, (0.0, 1.0, None), "sigma"),
+        (LatticeBernoulliModel, (0.8, "2", 2), "m1"),
+        (LatticeBernoulliModel, ("0.8", 2, 2), "p"),
+    ])
+    def test_non_real_field_is_named(self, cls, args, field):
+        # checked before the sign checks, which cannot compare a string or None
+        with pytest.raises(ValidationError, match=f"^{field} must be a real number, got"):
             cls(*args)
 
     @pytest.mark.parametrize("args,field", [

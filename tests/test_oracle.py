@@ -108,6 +108,11 @@ class TestEnumerateExactLaw:
         with pytest.raises(ValidationError):
             enumerate_exact_law(LatticeBernoulliModel(p=0.8, m1=3, m2=3), k_max=2)
 
+    @pytest.mark.parametrize("k_max", [2.5, True, 3.0])
+    def test_k_max_must_be_whole(self, k_max):
+        with pytest.raises(ValidationError, match="^k_max must be a whole number, got"):
+            enumerate_exact_law(LatticeBernoulliModel(p=0.8, m1=2, m2=2), k_max=k_max)
+
     @pytest.mark.parametrize("p,m1,m2", [(0.7, 3, 5), (0.9, 1, 4)])
     def test_both_hypotheses_cover_the_same_steps(self, p, m1, m2):
         # the walk that dies out first is not cut short: both rows end at one step
